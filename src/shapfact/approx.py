@@ -28,13 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, log
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import FactNotEndogenousError, InputError
 from .model import Database, Fact, Query
 from .naive import eval_boolean, hom_profiles
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -134,6 +135,10 @@ def shapley_additive_fpras(db: Database, query: Query, fact: Fact,
     """Estimate the fact's Shapley value to within ``plan.epsilon`` with
     probability ``1 - plan.delta``; returns the exact sample mean and the
     plan it was produced under."""
+    # numpy is imported here, not at module level, so that the commands
+    # which never sample do not pay for loading it
+    import numpy as np
+
     fact = _require_endogenous(db, fact)
     findex = list(db.endogenous).index(fact)
     profiles = hom_profiles(db, query)
@@ -168,6 +173,8 @@ def _batch_contribution(keys: np.ndarray,
     in; with the fact added, P may additionally contain the fact itself,
     while any profile with the fact in N can never fire.
     """
+    import numpy as np
+
     rows = keys.shape[0]
     before_f = keys < keys[:, findex:findex + 1]
     base = np.zeros(rows, dtype=bool)

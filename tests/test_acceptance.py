@@ -24,7 +24,8 @@ from conftest import (AUTHOR_Q, AUTHOR_X, GAIFMAN_Q, GAIFMAN_Q_X,
 from shapfact.approx import make_plan, shapley_additive_fpras
 from shapfact.cli import Invocation, run
 from shapfact.errors import NotPolarityConsistentError
-from shapfact.exact import count_satisfying_subsets, shapley_exact_all
+from shapfact.exact import (count_satisfying_subsets, shapley_exact,
+                            shapley_exact_all)
 from shapfact.model import Fact, single_disjunct
 from shapfact.naive import (brute_count_satisfying, brute_relevance,
                             brute_shapley, brute_shapley_all, eval_boolean,
@@ -92,7 +93,11 @@ def test_03_exact_engine_matches_enumeration_oracle():
         db, query = random_hierarchical_instance(rng, max_endo=10)
         assert (count_satisfying_subsets(db, query)
                 == brute_count_satisfying(db, query))
-        assert shapley_exact_all(db, query) == brute_shapley_all(db, query)
+        expected = brute_shapley_all(db, query)
+        assert shapley_exact_all(db, query) == expected
+        # the single-fact entry point agrees fact by fact
+        for fact, value in expected.items():
+            assert shapley_exact(db, query, fact) == value
     assert time.monotonic() - started < 60.0
 
 

@@ -3,11 +3,14 @@ output stability, and the generator round-trip."""
 
 import io
 import json
+import os
 import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import shapfact
 from conftest import DATA, Q2, STAFF_Q1_VALUES
 from shapfact.cli import (Invocation, build_parser, invocation_from_args,
                           main, resolve_method, run)
@@ -264,3 +267,24 @@ def test_console_script_is_installed():
     assert result.returncode == 0, result.stderr
     payload = json.loads(result.stdout)
     assert payload["classification"][0]["kind"] == "PTimeHierarchical"
+
+
+def test_exact_commands_do_not_import_numpy():
+    # numpy is needed only for sampling; the other commands skip its import
+    script = (
+        "import io, sys\n"
+        "from shapfact.cli import Invocation, run\n"
+        f"code = run(Invocation(command='shapley', schema={SCHEMA!r}, "
+        f"facts={FACTS!r}, query={Q1_PATH!r}, all_facts=True, "
+        "method='exact'), stdout=io.StringIO())\n"
+        "assert code == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(shapfact.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

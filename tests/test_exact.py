@@ -12,7 +12,8 @@ from shapfact.errors import (FactNotEndogenousError, NotHierarchicalError,
 from shapfact.exact import (count_satisfying_subsets, shapley_exact,
                             shapley_exact_all)
 from shapfact.model import single_disjunct
-from shapfact.naive import brute_count_satisfying, brute_shapley_all
+from shapfact.naive import (brute_count_satisfying, brute_shapley,
+                            brute_shapley_all, eval_boolean)
 from shapfact.parsing import parse_facts, parse_query, parse_schema
 
 
@@ -87,12 +88,12 @@ def test_matches_oracle_on_random_hierarchical_instances():
 
 
 def test_cross_check_mode_runs(staff_db, q1):
-    # the built-in double-entry path: recount with the oracle and compare
-    assert count_satisfying_subsets(staff_db, q1, cross_check=True) \
-        == STAFF_Q1_SAT_COUNTS
+    # double entry: the engine and the enumeration oracle agree
+    assert count_satisfying_subsets(staff_db, q1) \
+        == brute_count_satisfying(staff_db, q1) == STAFF_Q1_SAT_COUNTS
     fr4 = staff_fact(staff_db, "Reg", "Caroline", "DB")
-    assert shapley_exact(staff_db, q1, fr4, cross_check=True) \
-        == Fraction(13, 42)
+    assert shapley_exact(staff_db, q1, fr4) \
+        == brute_shapley(staff_db, q1, fr4) == Fraction(13, 42)
 
 
 def test_disconnected_components_multiply():
@@ -101,3 +102,42 @@ def test_disconnected_components_multiply():
     q = parse_query("q() :- R(x), S(y).", schema)
     # both facts needed: only the full subset qualifies
     assert count_satisfying_subsets(db, q) == [0, 0, 1]
+
+
+def _large_q1_database(rng, students, courses, schema):
+    """Q1 facts over seeded students (30% TAs, 1-3 registrations each),
+    plus two non-TA students Solo1 and Solo2 registered only in their own
+    courses Own1 and Own2."""
+    names = [f"S{i}" for i in range(students)]
+    lines = [f"exo Stud({s})" for s in names]
+    lines += [f"endo TA({s})" for s in rng.sample(names, students * 3 // 10)]
+    for s in names:
+        for c in rng.sample(courses, rng.randint(1, 3)):
+            lines.append(f"endo Reg({s}, {c})")
+    for i in (1, 2):
+        lines += [f"exo Stud(Solo{i})", f"endo Reg(Solo{i}, Own{i})"]
+    rng.shuffle(lines)
+    return parse_facts("\n".join(lines), schema)
+
+
+def test_axioms_beyond_the_oracle(staff_schema, q1):
+    # about 200 endogenous facts: far past subset enumeration, so the
+    # engine is held to the Shapley axioms instead
+    rng = random.Random(777)
+    db = _large_q1_database(rng, 80, [f"C{i}" for i in range(25)],
+                            staff_schema)
+    assert 180 <= db.n_endogenous <= 230
+    values = shapley_exact_all(db, q1)
+    assert list(values) == list(db.endogenous)
+    # efficiency: the values share out q(D) - q(exogenous facts only)
+    expected = (int(eval_boolean(db.facts, q1))
+                - int(eval_boolean(db.exogenous, q1)))
+    assert sum(values.values(), Fraction(0)) == expected
+    # symmetry: swapping (Solo1, Own1) with (Solo2, Own2) maps the
+    # database onto itself
+    solo1 = staff_fact(db, "Reg", "Solo1", "Own1")
+    solo2 = staff_fact(db, "Reg", "Solo2", "Own2")
+    assert values[solo1] == values[solo2] > 0
+    # the single-fact entry point reads the same pass
+    for fact in rng.sample(list(db.endogenous), 5):
+        assert shapley_exact(db, q1, fact) == values[fact]
