@@ -14,13 +14,12 @@ polynomial-time *multiplicative* guarantee is available for such queries —
 and is demonstrated, not patched over, in the tests.
 
 Randomness is counter-based for reproducibility: a SplitMix64 stream
-drives the single-sample API, and each worker of the batch estimator owns
-a Philox stream keyed by (seed, worker), so results depend only on
-``(seed, workers)`` and never on scheduling.  Instead of materialising a
-permutation, the batch path draws one 64-bit *arrival key* per endogenous
-fact and treats "arrived before f" as "has a smaller key", which turns a
-sample into a few vectorised comparisons against the query's
-homomorphism profiles.
+drives the single-sample API, and the batch estimator draws from one
+Philox stream keyed by the plan's seed, so results depend only on
+``seed``.  Instead of materialising a permutation, the batch path draws
+one 64-bit *arrival key* per endogenous fact and treats "arrived before f"
+as "has a smaller key", which turns a sample into a few vectorised
+comparisons against the query's homomorphism profiles.
 """
 
 from __future__ import annotations
@@ -71,9 +70,10 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
 
-def substream_key(seed: int, worker: int) -> int:
-    """A 64-bit Philox key for one worker, derived from the plan seed."""
-    return SplitMix64((seed + (worker + 1) * _GOLDEN) & _MASK64).next_u64()
+def substream_key(seed: int, stream: int) -> int:
+    """A 64-bit Philox key for one substream of the plan seed; the batch
+    estimator samples from substream 0."""
+    return SplitMix64((seed + (stream + 1) * _GOLDEN) & _MASK64).next_u64()
 
 
 @dataclass(frozen=True)
@@ -83,27 +83,19 @@ class SamplingPlan:
     epsilon: float
     delta: float
     seed: int = 0
-    workers: int = 1
     samples: int = 0
 
-    def worker_counts(self) -> list[int]:
-        base, extra = divmod(self.samples, self.workers)
-        return [base + (1 if w < extra else 0) for w in range(self.workers)]
 
-
-def make_plan(epsilon: float, delta: float, seed: int = 0,
-              workers: int = 1) -> SamplingPlan:
+def make_plan(epsilon: float, delta: float, seed: int = 0) -> SamplingPlan:
     """Fix the sample budget ``ceil(2 ln(2/δ) / ε²)`` for the requested
     additive accuracy."""
     if not 0 < epsilon < 1:
         raise InputError(f"epsilon must be in (0, 1), got {epsilon}")
     if not 0 < delta < 1:
         raise InputError(f"delta must be in (0, 1), got {delta}")
-    if workers < 1:
-        raise InputError(f"workers must be >= 1, got {workers}")
     samples = ceil(2 * log(2 / delta) / (epsilon * epsilon))
     return SamplingPlan(epsilon=epsilon, delta=delta, seed=seed,
-                        workers=workers, samples=samples)
+                        samples=samples)
 
 
 def _require_endogenous(db: Database, fact: Fact) -> Fact:
@@ -144,15 +136,12 @@ def shapley_additive_fpras(db: Database, query: Query, fact: Fact,
     profiles = hom_profiles(db, query)
     n = db.n_endogenous
     total = 0
-    for worker, count in enumerate(plan.worker_counts()):
-        if count == 0:
-            continue
-        gen = np.random.Generator(
-            np.random.Philox(key=substream_key(plan.seed, worker))
-        )
-        for rows in _chunks(count, max(1, 4_000_000 // max(n, 1))):
-            keys = gen.integers(0, 1 << 64, size=(rows, n), dtype=np.uint64)
-            total += _batch_contribution(keys, profiles, findex)
+    gen = np.random.Generator(
+        np.random.Philox(key=substream_key(plan.seed, 0))
+    )
+    for rows in _chunks(plan.samples, max(1, 4_000_000 // max(n, 1))):
+        keys = gen.integers(0, 1 << 64, size=(rows, n), dtype=np.uint64)
+        total += _batch_contribution(keys, profiles, findex)
     return Fraction(total, plan.samples), plan
 
 

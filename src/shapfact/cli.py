@@ -52,7 +52,6 @@ class Invocation:
     epsilon: float = DEFAULT_EPSILON
     delta: float = DEFAULT_DELTA
     seed: int = 0
-    workers: int = 1
     cap: Optional[int] = None
     fmt: str = "json"
     trace: bool = False
@@ -195,8 +194,7 @@ def _cmd_shapley(inv: Invocation) -> Report:
             values = {f: naive.brute_shapley(db, query, f, cap=cap)
                       for f in targets}
     elif method == "approx":
-        plan = approx.make_plan(inv.epsilon, inv.delta, seed=inv.seed,
-                                workers=inv.workers)
+        plan = approx.make_plan(inv.epsilon, inv.delta, seed=inv.seed)
         for f in targets:
             values[f], plan = approx.shapley_additive_fpras(db, query, f,
                                                             plan)
@@ -350,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--cap", type=int,
                    help=f"endogenous-fact limit for enumeration "
                         f"(default {naive.DEFAULT_CAP}, or ${CAP_ENV_VAR})")

@@ -1,31 +1,43 @@
-"""Decomposition helpers shared by the exact counting engine and the
-lifted probability engine.
+"""The one recursion behind exact counting and lifted probability.
 
-Both engines walk the same recursion tree over a hierarchical,
-self-join-free rule:
+Both engines compute a weighted model count of a hierarchical,
+self-join-free rule: the total weight of the worlds (sets of present
+facts) that satisfy it.  They differ only in the weights, which the caller
+passes in as a *weighting* of two functions returning vectors (see
+:func:`weighted_count`).  The counting engine (:mod:`shapfact.exact`)
+weighs an endogenous fact ``x`` when present and ``1`` when absent, so a
+vector lists the satisfying worlds by size; the probability engine
+(:mod:`shapfact.prob`) weighs a fact ``p`` or ``1 - p``, so a vector is a
+single probability.  The recursion:
 
 1. split the atoms into variable-connectivity components (a ground atom is
    its own component);
 2. route every fact to the component containing an atom it unifies with;
    facts that unify with nothing are "free" — they never influence the
-   query and only dilute the combinatorics;
-3. a lone non-ground component is solved through its *root* variable (one
+   query and only contribute the total weight of their worlds;
+3. independent parts multiply: their vectors convolve;
+4. a lone non-ground component is solved through its *root* variable (one
    occurring in all of the component's atoms): facts split by root value
-   into independent sub-problems.
+   into independent sub-problems, the component fails exactly when every
+   sub-problem fails, so the failure vectors (each sub-problem's total
+   minus its satisfying vector) convolve, and the result is complemented
+   against the total;
+5. a lone ground atom reads its vector off the weighting.
 
-Keeping these three steps in one module means the two engines cannot
-silently diverge on the recursion shape.
+Alongside the vector, the recursion returns the tree of convolution
+chains that the counting engine's reverse pass walks.  Probability's
+ground atoms have no leaves, so its tree is always ``None``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
-from .errors import InternalError
+from .errors import InternalError, NotHierarchicalError
 from .model import Atom, Const, Fact, Var
 
 
-def unifies(fact: Fact, atom: Atom) -> bool:
+def _unifies(fact: Fact, atom: Atom) -> bool:
     """True iff the fact could be an image of the atom: same relation and
     arity, equal constants positionwise, and equal values wherever the atom
     repeats a variable."""
@@ -90,7 +102,7 @@ def bucket_facts(atoms: Sequence[Atom], components: Sequence[Sequence[int]],
     for fact in facts:
         target: Optional[int] = None
         for ai in atoms_of_rel.get(fact.relation.name, ()):
-            if unifies(fact, atoms[ai]):
+            if _unifies(fact, atoms[ai]):
                 target = comp_of_atom[ai]
                 break
         if target is None:
@@ -121,7 +133,7 @@ def partition_by_root(atoms: Sequence[Atom], facts: Iterable[Fact],
     for fact in facts:
         value: Optional[str] = None
         for atom in atoms:
-            if unifies(fact, atom):
+            if _unifies(fact, atom):
                 for term, arg in zip(atom.terms, fact.args):
                     if isinstance(term, Var) and term.name == root:
                         value = arg
@@ -138,3 +150,98 @@ def partition_by_root(atoms: Sequence[Atom], facts: Iterable[Fact],
 
 def substitute_all(atoms: Sequence[Atom], var: str, value: str) -> list[Atom]:
     return [a.substituted({var: value}) for a in atoms]
+
+
+# a vector: counts by world size (ints), or one probability (a Fraction)
+Vector = list
+Total = Callable[[Sequence[Fact]], Vector]
+Ground = Callable[[Atom, Optional[Fact]], tuple[Vector, Any]]
+_UNIT: Vector = [1]  # the empty product, tested by identity
+
+
+def weighted_count(atoms: Sequence[Atom], facts: Sequence[Fact],
+                   total: Total, ground: Ground) -> tuple[Vector, Any]:
+    """The weighted count of the worlds over ``facts`` that satisfy the
+    hierarchical self-join-free rule with body ``atoms``, and its tree.
+
+    ``total(facts)`` is the weight of all worlds over ``facts``, and
+    ``ground(atom, fact)`` is the vector of a lone ground atom whose one
+    possible image is ``fact`` (``None`` when absent), paired with the
+    leaf the tree keeps for it (``None`` for none).
+
+    The tree is ``None`` when it holds no leaf; a leaf as ``ground``
+    returned it; or a convolution chain, a list with one ``(prefix,
+    factor, child)`` per factor from the first whose subtree holds a leaf
+    on: the product of the factors to its left, the factor, and its
+    subtree."""
+    if not atoms:
+        return total(facts), None
+    components = split_components(atoms)
+    buckets, free = bucket_facts(atoms, components, facts)
+    if len(components) == 1 and not free:
+        component = [atoms[i] for i in components[0]]
+        if len(component) == 1 and component[0].is_ground:
+            # every fact here unifies with the ground atom, so the facts
+            # are its one possible image or nothing
+            return ground(component[0], facts[0] if facts else None)
+        return _root_split(component, facts, total, ground)
+    parts = [(total(free), None)] if free else []
+    for component, bucket in zip(components, buckets):
+        parts.append(weighted_count([atoms[i] for i in component], bucket,
+                                    total, ground))
+    return _product(parts)
+
+
+def _root_split(atoms: list[Atom], facts: Sequence[Fact], total: Total,
+                ground: Ground) -> tuple[Vector, Any]:
+    root = root_variable(atoms)
+    if root is None:
+        raise NotHierarchicalError(
+            "entangled component without a shared variable; the rule is "
+            "not hierarchical"
+        )
+    # the component fails exactly when every root value's sub-problem
+    # fails; failures over disjoint fact groups multiply
+    parts = []
+    for value, group in sorted(partition_by_root(atoms, facts, root).items()):
+        sat, child = weighted_count(substitute_all(atoms, root, value), group,
+                                    total, ground)
+        parts.append((_complement(total(group), sat), child))
+    fails, tree = _product(parts)
+    return _complement(total(facts), fails), tree
+
+
+def _complement(total: Vector, vector: Vector) -> Vector:
+    if len(vector) != len(total):
+        raise InternalError("root split lost track of endogenous facts")
+    return [t - v for t, v in zip(total, vector)]
+
+
+def _product(parts: Iterable[tuple[Vector, Any]]) -> tuple[Vector, Any]:
+    """The product of the parts' vectors, and their convolution chain.
+
+    The chain starts at the first part with a subtree: the reverse pass
+    reaches nothing left of it, so a product without leaves (every one of
+    probability's) records nothing."""
+    vector = _UNIT
+    chain: list[tuple[Vector, Vector, Any]] = []
+    for factor, child in parts:
+        if child is not None or chain:
+            chain.append((vector, factor, child))
+        vector = factor if vector is _UNIT else _convolve(vector, factor)
+    return vector, (chain or None)
+
+
+def _convolve(a: Vector, b: Vector) -> Vector:
+    # probabilities are length-1 vectors, whose product needs no sum
+    if len(a) == 1:
+        return [a[0] * y for y in b]
+    if len(b) == 1:
+        return [x * b[0] for x in a]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out

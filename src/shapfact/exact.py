@@ -2,37 +2,30 @@
 
 The workhorse is :func:`count_satisfying_subsets`: for each ``k`` it counts
 the k-subsets of the endogenous facts that, together with the exogenous
-facts, satisfy the query.  A fact's Shapley value needs two such vectors
-over the other ``n - 1`` facts — one with the fact promoted to exogenous,
-one with it deleted::
-
-    value(f) = sum_k  k! (n-1-k)! / n!  *  (promoted_f[k] - deleted_f[k])
-
-Counting recurses over the query structure (see :mod:`shapfact.decompose`):
-
-* independent components and free facts multiply — a convolution of their
-  count vectors (free endogenous facts contribute plain binomials);
-* a single entangled component is split on its root variable: for each
-  root value the sub-problem's *unsatisfying* counts convolve (worlds
-  multiply exactly when all sub-worlds fail), and the result is
-  complemented against the binomials.
-
-Ground atoms bottom out as one-fact components: a present endogenous fact
-contributes the vector [0, 1] (positive atom) or [1, 0] (negated), an
-exogenous one [1] or [0], a missing one [0] or [1].
+facts, satisfy the query.  It is the recursion of
+:func:`shapfact.decompose.weighted_count` under the counting weighting:
+an endogenous fact weighs ``x`` when present and ``1`` when absent, so
+vectors are polynomials in ``x`` and the total over ``m`` endogenous facts
+is the binomials of ``m``.  A ground atom over a present endogenous fact
+is ``[0, 1]`` (positive) or ``[1, 0]`` (negated) and keeps a signed leaf
+for the reverse pass; over an exogenous fact it is ``[1]`` or ``[0]``,
+over a missing one ``[0]`` or ``[1]``.
 
 **All facts from one count.**  Give every endogenous fact ``f`` a weight
 ``a_f`` when present and ``b_f`` when absent.  The recursion computes the
 weighted count ``S``, which is multilinear in each fact's pair of weights:
-``S = a_f * promoted_f + b_f * deleted_f``.  Hence::
+``S = a_f * promoted_f + b_f * deleted_f``, where ``promoted_f`` and
+``deleted_f`` count over the other ``n - 1`` facts with ``f`` made
+exogenous or removed.  The Shapley value is::
 
-    promoted_f - deleted_f  =  dS/da_f - dS/db_f
+    value(f) = sum_k  k! (n-1-k)! / n!  *  (promoted_f[k] - deleted_f[k])
 
-and one reverse (adjoint) pass over the recursion tree yields this
-difference for every fact at once, already paired with the Shapley
-weights.  The pass pushes an integer covector ``A`` down the tree, starting
-from ``W[k] = k! (n-1-k)!`` at the root, so that at every node ``<A, dV>``
-is the contribution of the node's facts:
+and ``promoted_f - deleted_f = dS/da_f - dS/db_f``, so one reverse
+(adjoint) pass over the recursion tree yields this difference for every
+fact at once, already paired with the Shapley weights.  The pass pushes an
+integer covector ``A`` down the tree, starting from ``W[k] = k! (n-1-k)!``
+at the root, so that at every node ``<A, dV>`` is the contribution of the
+node's facts:
 
 * a node whose vector is a chain of convolutions ``P_i = P_{i-1} * F_i``
   (independent parts, or a root split's unsatisfying vectors) hands child
@@ -57,69 +50,31 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 from operator import mul
-from typing import Optional, Sequence, Union
+from typing import Any, Optional, Sequence
 
-from .decompose import (
-    bucket_facts,
-    partition_by_root,
-    root_variable,
-    split_components,
-    substitute_all,
-)
-from .errors import (
-    FactNotEndogenousError,
-    InternalError,
-    NotHierarchicalError,
-    SelfJoinError,
-)
+from . import decompose
+from .errors import FactNotEndogenousError, NotHierarchicalError, SelfJoinError
 from .model import Atom, CQNeg, Database, Fact, Query, single_disjunct
 from .structure import is_hierarchical, is_self_join_free
 
 CountVector = list[int]
 
 
-class _Chain:
-    """A node whose vector is ``factors[0] * ... * factors[-1]``, kept for
-    the reverse pass: ``prefixes[i]`` is the product of the factors left of
-    ``i`` and ``children[i]`` the subtree of factor ``i`` (``None`` where
-    the factor holds no fact the pass needs to reach)."""
-
-    __slots__ = ("vector", "prefixes", "factors", "children")
-
-    def __init__(self) -> None:
-        self.vector: CountVector = [1]
-        self.prefixes: list[CountVector] = []
-        self.factors: list[CountVector] = []
-        self.children: list[Optional[_Node]] = []
-
-    def push(self, factor: CountVector, child: Optional[_Node]) -> None:
-        self.prefixes.append(self.vector)
-        self.factors.append(factor)
-        self.children.append(child)
-        self.vector = _convolve(self.vector, factor)
-
-    def tree(self) -> Optional[_Chain]:
-        """The node itself, or ``None`` when no child holds a fact."""
-        return self if any(self.children) else None
-
-
-# an endogenous ground leaf: the fact and +1 (positive atom) or -1 (negated)
-_Leaf = tuple[Fact, int]
-_Node = Union[_Chain, _Leaf]
-
-
-def _binomials(n: int) -> CountVector:
+def _binomials(facts: Sequence[Fact]) -> CountVector:
+    n = sum(1 for f in facts if f.endogenous)
     return [comb(n, k) for k in range(n + 1)]
 
 
-def _convolve(a: Sequence[int], b: Sequence[int]) -> CountVector:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+def _ground(atom: Atom, fact: Optional[Fact]
+            ) -> tuple[CountVector, Optional[tuple[Fact, int]]]:
+    """A ground atom's count vector, and for an endogenous fact the leaf
+    ``(fact, +1)`` (positive atom) or ``(fact, -1)`` (negated)."""
+    if fact is not None and fact.endogenous:
+        if atom.negated:
+            return [1, 0], (fact, -1)
+        return [0, 1], (fact, 1)
+    # an exogenous fact satisfies a positive atom, a missing one a negated
+    return [int((fact is not None) != atom.negated)], None
 
 
 def _correlate(a: Sequence[int], b: Sequence[int]) -> CountVector:
@@ -129,10 +84,6 @@ def _correlate(a: Sequence[int], b: Sequence[int]) -> CountVector:
     width = len(b)
     return [sum(map(mul, a[t:t + width], b))
             for t in range(len(a) - width + 1)]
-
-
-def _endo_count(facts: Sequence[Fact]) -> int:
-    return sum(1 for f in facts if f.endogenous)
 
 
 def _check_rule(query: Query) -> CQNeg:
@@ -153,83 +104,25 @@ def count_satisfying_subsets(db: Database, query: Query) -> CountVector:
     Requires a single self-join-free hierarchical rule.
     """
     rule = _check_rule(query)
-    return _counts(list(rule.atoms), list(db.facts))[0]
+    return decompose.weighted_count(rule.atoms, db.facts, _binomials,
+                                    _ground)[0]
 
 
-def _counts(atoms: list[Atom], facts: list[Fact]
-            ) -> tuple[CountVector, Optional[_Node]]:
-    """The count vector of the sub-problem and its tree for the reverse
-    pass (``None`` when no endogenous fact can change the answer)."""
-    if not atoms:
-        return _binomials(_endo_count(facts)), None
-    components = split_components(atoms)
-    buckets, free = bucket_facts(atoms, components, facts)
-    if len(components) == 1 and not free:
-        component = [atoms[i] for i in components[0]]
-        if len(component) == 1 and component[0].is_ground:
-            return _ground_counts(component[0], facts)
-        return _root_split(component, facts)
-    # independent parts: convolve the free endogenous facts' binomials and
-    # the component vectors
-    chain = _Chain()
-    n_free = _endo_count(free)
-    if n_free:
-        chain.push(_binomials(n_free), None)
-    for component, bucket in zip(components, buckets):
-        chain.push(*_counts([atoms[i] for i in component], bucket))
-    return chain.vector, chain.tree()
-
-
-def _ground_counts(atom: Atom, facts: list[Fact]
-                   ) -> tuple[CountVector, Optional[_Leaf]]:
-    """Count vector of a single ground atom over its (at most one) fact."""
-    present = [f for f in facts if f.args == atom.ground_args()]
-    if not present:
-        return ([1] if atom.negated else [0]), None
-    fact = present[0]
-    if fact.endogenous:
-        if atom.negated:
-            return [1, 0], (fact, -1)
-        return [0, 1], (fact, 1)
-    return ([0] if atom.negated else [1]), None
-
-
-def _root_split(atoms: list[Atom], facts: list[Fact]
-                ) -> tuple[CountVector, Optional[_Chain]]:
-    root = root_variable(atoms)
-    if root is None:
-        raise NotHierarchicalError(
-            "entangled component without a shared variable; the rule is "
-            "not hierarchical"
-        )
-    n = _endo_count(facts)
-    # the component fails exactly when every root value's sub-problem
-    # fails; failures over disjoint fact groups convolve
-    chain = _Chain()
-    for value, group in sorted(partition_by_root(atoms, facts, root).items()):
-        sub_sat, child = _counts(substitute_all(atoms, root, value), group)
-        m = _endo_count(group)
-        chain.push([comb(m, j) - sub_sat[j] for j in range(m + 1)], child)
-    unsat = chain.vector
-    if len(unsat) != n + 1:
-        raise InternalError("root split lost track of endogenous facts")
-    return [comb(n, k) - unsat[k] for k in range(n + 1)], chain.tree()
-
-
-def _reverse(node: _Node, covector: CountVector,
-             out: dict[Fact, int]) -> None:
+def _reverse(node: Any, covector: CountVector, out: dict[Fact, int]) -> None:
     """Add ``<covector, dV/da_f - dV/db_f>`` to ``out[f]`` for every fact
-    ``f`` below ``node``, where ``V`` is the node's count vector."""
+    ``f`` below ``node`` (a leaf or a chain of
+    :func:`shapfact.decompose.weighted_count`'s tree), where ``V`` is the
+    node's count vector."""
     if isinstance(node, tuple):
         fact, sign = node
         out[fact] = sign * covector[0]
         return
-    for i in range(len(node.factors) - 1, -1, -1):
-        child = node.children[i]
+    for i in range(len(node) - 1, -1, -1):
+        prefix, factor, child = node[i]
         if child is not None:
-            _reverse(child, _correlate(covector, node.prefixes[i]), out)
+            _reverse(child, _correlate(covector, prefix), out)
         if i:
-            covector = _correlate(covector, node.factors[i])
+            covector = _correlate(covector, factor)
 
 
 def shapley_exact_all(db: Database, query: Query) -> dict[Fact, Fraction]:
@@ -238,7 +131,8 @@ def shapley_exact_all(db: Database, query: Query) -> dict[Fact, Fraction]:
 
     Requires a single self-join-free hierarchical rule."""
     rule = _check_rule(query)
-    vector, tree = _counts(list(rule.atoms), list(db.facts))
+    vector, tree = decompose.weighted_count(rule.atoms, db.facts, _binomials,
+                                            _ground)
     n = len(vector) - 1
     numerators: dict[Fact, int] = {}
     if tree is not None:

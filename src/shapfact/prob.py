@@ -7,9 +7,13 @@ others.  The probability that the query holds is computed three ways:
 * :func:`brute_prob` — enumerate the worlds over the properly
   probabilistic facts; the exact-by-definition oracle.
 * :func:`prob_eval_hierarchical` — lifted inference for hierarchical
-  self-join-free rules, walking the same decomposition as the exact
-  attribution engine (independent parts multiply; a root split succeeds
-  unless every root value's sub-problem fails).
+  self-join-free rules: the recursion of
+  :func:`shapfact.decompose.weighted_count`, which also drives exact
+  counting, under the probability weighting.  A fact weighs ``p`` when
+  present and ``1 - p`` when absent, so every vector is one probability,
+  the worlds over any facts weigh ``[1]`` in total, and a ground atom is
+  ``[p]`` (positive) or ``[1 - p]`` (negated), ``p = 0`` for a missing
+  fact.
 * :func:`prob_eval` — first rewrite away a set of deterministic
   relations (see :mod:`shapfact.rewriting`), then run the lifted engine.
   Rules that keep a non-hierarchical path through ordinary relations are
@@ -21,15 +25,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
+from typing import Optional, Sequence
 
-from .decompose import (
-    bucket_facts,
-    partition_by_root,
-    root_variable,
-    split_components,
-    substitute_all,
-)
+from . import decompose
 from .errors import (
     BadProbabilityError,
     CapExceededError,
@@ -80,46 +78,19 @@ def prob_eval_hierarchical(db: Database, query: Query) -> Fraction:
         raise NotHierarchicalError(
             "lifted inference requires a hierarchical rule"
         )
-    return _prob(list(rule.atoms), list(db.facts))
+    vector, _tree = decompose.weighted_count(rule.atoms, db.facts, _total,
+                                             _ground)
+    # where no fact reaches a ground atom the vector holds a plain int
+    return Fraction(vector[0])
 
 
-def _prob(atoms: list[Atom], facts: list[Fact]) -> Fraction:
-    if not atoms:
-        return Fraction(1)
-    components = split_components(atoms)
-    buckets, free = bucket_facts(atoms, components, facts)
-    if len(components) == 1 and not free:
-        component = [atoms[i] for i in components[0]]
-        if len(component) == 1 and component[0].is_ground:
-            return _ground_prob(component[0], facts)
-        return _root_split_prob(component, facts)
-    result = Fraction(1)
-    for component, bucket in zip(components, buckets):
-        result *= _prob([atoms[i] for i in component], bucket)
-    return result
+def _total(facts: Sequence[Fact]) -> list[int]:
+    return [1]
 
 
-def _ground_prob(atom: Atom, facts: list[Fact]) -> Fraction:
-    present = [f for f in facts if f.args == atom.ground_args()]
-    if not present:
-        return Fraction(1) if atom.negated else Fraction(0)
-    p = fact_probability(present[0])
-    return 1 - p if atom.negated else p
-
-
-def _root_split_prob(atoms: list[Atom], facts: list[Fact]) -> Fraction:
-    root = root_variable(atoms)
-    if root is None:
-        raise NotHierarchicalError(
-            "entangled component without a shared variable; the rule is "
-            "not hierarchical"
-        )
-    # the component fails iff every root value's sub-problem fails, and
-    # different values touch disjoint facts
-    p_unsat = Fraction(1)
-    for value, group in sorted(partition_by_root(atoms, facts, root).items()):
-        p_unsat *= 1 - _prob(substitute_all(atoms, root, value), group)
-    return 1 - p_unsat
+def _ground(atom: Atom, fact: Optional[Fact]) -> tuple[list, None]:
+    p = 0 if fact is None else fact_probability(fact)
+    return [1 - p if atom.negated else p], None
 
 
 def prob_eval(db: Database, query: Query,

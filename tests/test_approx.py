@@ -24,15 +24,6 @@ def test_plan_validation():
         make_plan(0.0, 0.1)
     with pytest.raises(InputError):
         make_plan(0.05, 1.5)
-    with pytest.raises(InputError):
-        make_plan(0.05, 0.1, workers=0)
-
-
-def test_worker_counts_partition_the_samples():
-    plan = make_plan(0.05, 0.1, workers=7)
-    counts = plan.worker_counts()
-    assert sum(counts) == plan.samples == 2397
-    assert max(counts) - min(counts) <= 1
 
 
 def test_splitmix_streams_are_deterministic_and_distinct():
@@ -57,7 +48,7 @@ def test_shuffle_is_a_permutation():
 
 def test_estimates_are_reproducible(staff_db, q1):
     ft1 = staff_fact(staff_db, "TA", "Adam")
-    plan = make_plan(0.05, 0.1, seed=11, workers=3)
+    plan = make_plan(0.05, 0.1, seed=11)
     first, _ = shapley_additive_fpras(staff_db, q1, ft1, plan)
     second, _ = shapley_additive_fpras(staff_db, q1, ft1, plan)
     assert first == second

@@ -251,19 +251,24 @@ def test_output_is_byte_stable():
     assert _run(**sampled) == _run(**sampled)
 
 
-def test_parser_maps_flags_onto_invocation():
+def test_parser_maps_flags_onto_invocation(capsys):
     namespace = build_parser().parse_args(
         ["shapley", "--query", Q1_PATH, "--schema", SCHEMA, "--facts",
          FACTS, "--all", "--method", "approx", "--seed", "9",
-         "--workers", "4", "--format", "table"])
+         "--format", "table"])
     inv = invocation_from_args(namespace)
     assert inv.command == "shapley"
     assert inv.all_facts is True
     assert inv.fact is None
     assert inv.method == "approx"
     assert inv.seed == 9
-    assert inv.workers == 4
     assert inv.fmt == "table"
+    # the estimate depends on --seed alone; --workers no longer exists
+    with pytest.raises(SystemExit) as excinfo:
+        main(["shapley", "--query", Q1_PATH, "--schema", SCHEMA, "--facts",
+              FACTS, "--all", "--method", "approx", "--workers", "4"])
+    assert excinfo.value.code == 1
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_one(capsys):

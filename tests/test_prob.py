@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import Q1, Q2, random_prob_instance
+from conftest import (Q1, Q2, random_hierarchical_instance,
+                      random_prob_instance)
 from shapfact.errors import (BadProbabilityError, CapExceededError,
                              HasNonHierPathError, NotHierarchicalError)
+from shapfact.exact import count_satisfying_subsets
+from shapfact.model import Database, Fact
 from shapfact.parsing import parse_facts, parse_query, parse_schema
 from shapfact.prob import brute_prob, prob_eval, prob_eval_hierarchical
 
@@ -47,6 +50,22 @@ def test_matches_enumeration_on_random_instances():
     for _ in range(60):
         db, query = random_prob_instance(rng, max_uncertain=10)
         assert prob_eval_hierarchical(db, query) == brute_prob(db, query)
+
+
+def test_probability_one_half_is_the_satisfying_share():
+    # the lifted engine and exact counting run one recursion under two
+    # weightings: with every endogenous fact at 1/2 and every exogenous
+    # one certain, all endogenous subsets are equally likely
+    rng = random.Random(97531)
+    for _ in range(60):
+        db, query = random_hierarchical_instance(rng)
+        halves = Database(db.schema, [
+            Fact(f.relation, f.args, f.provenance,
+                 Fraction(1, 2) if f.endogenous else Fraction(1))
+            for f in db.facts])
+        satisfying = sum(count_satisfying_subsets(db, query))
+        assert prob_eval_hierarchical(halves, query) == Fraction(
+            satisfying, 2 ** db.n_endogenous)
 
 
 def test_refuses_non_hierarchical_rules(staff_db, q2):
