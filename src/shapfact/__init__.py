@@ -16,8 +16,9 @@ Entry points:
   everything else.
 * :func:`shapley_additive_fpras` - seeded sampling with additive
   (epsilon, delta) guarantees for the hard cases.
-* :func:`relevance` / :func:`shapley_is_zero` - zero-vs-nonzero
-  decisions with replayable witnesses.
+* :func:`relevance` - the one zero-vs-nonzero decision, both directions
+  with a replayable witness, for polarity-consistent queries and unions;
+  :func:`shapley_is_zero` is its yes/no form.
 * :func:`prob_eval` / :func:`brute_prob` - query probability when facts
   carry independent probabilities.
 * :func:`classify` - which of the above applies.
@@ -45,9 +46,8 @@ from .parsing import (format_database, format_fact, format_query,
                       format_schema, parse_fact_reference, parse_facts,
                       parse_query, parse_schema)
 from .prob import brute_prob, prob_eval, prob_eval_hierarchical
-from .relevance import (RelevanceResult, RelevanceWitness, is_neg_relevant,
-                        is_pos_relevant, relevance, shapley_is_zero,
-                        ucq_is_relevant)
+from .relevance import (RelevanceResult, RelevanceWitness, relevance,
+                        shapley_is_zero)
 from .rewriting import RewriteStep, RewriteTrace, rewrite, shapley_exo
 from .structure import (PathWitness, TripletWitness, Verdict, VerdictKind,
                         classify, classify_query, find_non_hierarchical_triplet,
@@ -67,13 +67,13 @@ __all__ = [
     "classify_query", "count_satisfying_subsets", "disjuncts_of",
     "eval_boolean", "find_non_hierarchical_triplet", "format_database",
     "format_fact", "format_query", "format_schema", "gen_gap_instance",
-    "has_non_hierarchical_path", "is_hierarchical", "is_neg_relevant",
-    "is_polarity_consistent", "is_pos_relevant", "is_self_join_free",
+    "has_non_hierarchical_path", "is_hierarchical",
+    "is_polarity_consistent", "is_self_join_free",
     "make_plan", "parse_fact_reference", "parse_facts", "parse_query",
     "parse_schema", "prob_eval", "prob_eval_hierarchical", "relevance",
     "rewrite", "shapley_additive_fpras", "shapley_exact",
     "shapley_exact_all", "shapley_exo", "shapley_is_zero", "shapley_weight",
-    "single_disjunct", "ucq_is_relevant", "validate_database",
+    "single_disjunct", "validate_database",
     "validate_query",
     "ShapfactError", "InputError", "RefusedError", "InternalError",
     "QuerySyntaxError", "SchemaSyntaxError", "UnknownRelationError",

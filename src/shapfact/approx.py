@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import ceil, log
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import FactNotEndogenousError, InputError
+from .errors import InputError
 from .model import Database, Fact, Query
 from .naive import eval_boolean, hom_profiles
 
@@ -98,21 +98,12 @@ def make_plan(epsilon: float, delta: float, seed: int = 0) -> SamplingPlan:
                         samples=samples)
 
 
-def _require_endogenous(db: Database, fact: Fact) -> Fact:
-    stored = db.get(*fact.key)
-    if stored is None or not stored.endogenous:
-        raise FactNotEndogenousError(
-            f"fact {fact} is not an endogenous fact of the database"
-        )
-    return stored
-
-
 def sample_contribution(db: Database, query: Query, fact: Fact,
                         rng: SplitMix64) -> int:
     """One draw of the arrival contribution, the slow literal way: shuffle
     the endogenous facts, take the prefix before ``fact``, and evaluate the
     query without and with it."""
-    fact = _require_endogenous(db, fact)
+    fact = db.require_endogenous(fact)
     order = list(db.endogenous)
     rng.shuffle(order)
     prefix = order[:order.index(fact)]
@@ -131,7 +122,7 @@ def shapley_additive_fpras(db: Database, query: Query, fact: Fact,
     # which never sample do not pay for loading it
     import numpy as np
 
-    fact = _require_endogenous(db, fact)
+    fact = db.require_endogenous(fact)
     findex = list(db.endogenous).index(fact)
     profiles = hom_profiles(db, query)
     n = db.n_endogenous

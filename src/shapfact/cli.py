@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -57,7 +57,6 @@ class Invocation:
     trace: bool = False
     n: int = 1
     out: str = "."
-    extra_args: Sequence[str] = field(default_factory=tuple)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -27,14 +27,19 @@ single probability.  The recursion:
 Alongside the vector, the recursion returns the tree of convolution
 chains that the counting engine's reverse pass walks.  Probability's
 ground atoms have no leaves, so its tree is always ``None``.
+
+:func:`weighted_count` takes the whole query and refuses, for both
+engines, anything but a single self-join-free hierarchical rule before
+the recursion starts.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from .errors import InternalError, NotHierarchicalError
-from .model import Atom, Const, Fact, Var
+from .errors import InternalError, NotHierarchicalError, SelfJoinError
+from .model import Atom, Const, Fact, Query, Var, single_disjunct
+from .structure import is_hierarchical, is_self_join_free
 
 
 def _unifies(fact: Fact, atom: Atom) -> bool:
@@ -159,10 +164,14 @@ Ground = Callable[[Atom, Optional[Fact]], tuple[Vector, Any]]
 _UNIT: Vector = [1]  # the empty product, tested by identity
 
 
-def weighted_count(atoms: Sequence[Atom], facts: Sequence[Fact],
-                   total: Total, ground: Ground) -> tuple[Vector, Any]:
+def weighted_count(query: Query, facts: Sequence[Fact], total: Total,
+                   ground: Ground) -> tuple[Vector, Any]:
     """The weighted count of the worlds over ``facts`` that satisfy the
-    hierarchical self-join-free rule with body ``atoms``, and its tree.
+    query, and its tree.
+
+    The query must be a single self-join-free hierarchical rule; anything
+    else is refused with ``UnsupportedQueryError``, ``SelfJoinError`` or
+    ``NotHierarchicalError``.
 
     ``total(facts)`` is the weight of all worlds over ``facts``, and
     ``ground(atom, fact)`` is the vector of a lone ground atom whose one
@@ -174,6 +183,18 @@ def weighted_count(atoms: Sequence[Atom], facts: Sequence[Fact],
     factor, child)`` per factor from the first whose subtree holds a leaf
     on: the product of the factors to its left, the factor, and its
     subtree."""
+    rule = single_disjunct(query)
+    if not is_self_join_free(rule):
+        raise SelfJoinError("weighted counting requires a self-join-free "
+                            "rule")
+    if not is_hierarchical(rule):
+        raise NotHierarchicalError("weighted counting requires a "
+                                   "hierarchical rule")
+    return _count(rule.atoms, facts, total, ground)
+
+
+def _count(atoms: Sequence[Atom], facts: Sequence[Fact], total: Total,
+           ground: Ground) -> tuple[Vector, Any]:
     if not atoms:
         return total(facts), None
     components = split_components(atoms)
@@ -187,8 +208,8 @@ def weighted_count(atoms: Sequence[Atom], facts: Sequence[Fact],
         return _root_split(component, facts, total, ground)
     parts = [(total(free), None)] if free else []
     for component, bucket in zip(components, buckets):
-        parts.append(weighted_count([atoms[i] for i in component], bucket,
-                                    total, ground))
+        parts.append(_count([atoms[i] for i in component], bucket, total,
+                            ground))
     return _product(parts)
 
 
@@ -204,8 +225,8 @@ def _root_split(atoms: list[Atom], facts: Sequence[Fact], total: Total,
     # fails; failures over disjoint fact groups multiply
     parts = []
     for value, group in sorted(partition_by_root(atoms, facts, root).items()):
-        sat, child = weighted_count(substitute_all(atoms, root, value), group,
-                                    total, ground)
+        sat, child = _count(substitute_all(atoms, root, value), group, total,
+                            ground)
         parts.append((_complement(total(group), sat), child))
     fails, tree = _product(parts)
     return _complement(total(facts), fails), tree

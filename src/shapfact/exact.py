@@ -53,9 +53,7 @@ from operator import mul
 from typing import Any, Optional, Sequence
 
 from . import decompose
-from .errors import FactNotEndogenousError, NotHierarchicalError, SelfJoinError
-from .model import Atom, CQNeg, Database, Fact, Query, single_disjunct
-from .structure import is_hierarchical, is_self_join_free
+from .model import Atom, Database, Fact, Query
 
 CountVector = list[int]
 
@@ -86,26 +84,13 @@ def _correlate(a: Sequence[int], b: Sequence[int]) -> CountVector:
             for t in range(len(a) - width + 1)]
 
 
-def _check_rule(query: Query) -> CQNeg:
-    rule = single_disjunct(query)
-    if not is_self_join_free(rule):
-        raise SelfJoinError("exact counting requires a self-join-free rule")
-    if not is_hierarchical(rule):
-        raise NotHierarchicalError(
-            "exact counting requires a hierarchical rule"
-        )
-    return rule
-
-
 def count_satisfying_subsets(db: Database, query: Query) -> CountVector:
     """The vector ``v`` with ``v[k]`` = number of k-subsets of the
     endogenous facts satisfying the query together with the exogenous ones.
 
     Requires a single self-join-free hierarchical rule.
     """
-    rule = _check_rule(query)
-    return decompose.weighted_count(rule.atoms, db.facts, _binomials,
-                                    _ground)[0]
+    return decompose.weighted_count(query, db.facts, _binomials, _ground)[0]
 
 
 def _reverse(node: Any, covector: CountVector, out: dict[Fact, int]) -> None:
@@ -130,8 +115,7 @@ def shapley_exact_all(db: Database, query: Query) -> dict[Fact, Fraction]:
     one reverse pass.
 
     Requires a single self-join-free hierarchical rule."""
-    rule = _check_rule(query)
-    vector, tree = decompose.weighted_count(rule.atoms, db.facts, _binomials,
+    vector, tree = decompose.weighted_count(query, db.facts, _binomials,
                                             _ground)
     n = len(vector) - 1
     numerators: dict[Fact, int] = {}
@@ -149,9 +133,4 @@ def shapley_exact(db: Database, query: Query, fact: Fact) -> Fraction:
     Requires a single self-join-free hierarchical rule; raises
     ``FactNotEndogenousError`` if the fact is exogenous or absent.
     """
-    stored = db.get(*fact.key)
-    if stored is None or not stored.endogenous:
-        raise FactNotEndogenousError(
-            f"fact {fact} is not an endogenous fact of the database"
-        )
-    return shapley_exact_all(db, query)[stored]
+    return shapley_exact_all(db, query)[db.require_endogenous(fact)]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
-from .errors import DuplicateFactError
+from .errors import DuplicateFactError, FactNotEndogenousError
 
 #: Relation names generated by the exogenous-facts rewrite start with this
 #: prefix; user schemas must not use it.
@@ -111,9 +111,6 @@ class Schema:
     def get(self, name: str) -> Optional[RelationSym]:
         return self._by_name.get(name)
 
-    def exogenous_relation_names(self) -> frozenset[str]:
-        return frozenset(r.name for r in self.relations if r.exogenous_only)
-
     def extended(self, new_relations: Iterable[RelationSym],
                  dropped: Iterable[str] = ()) -> "Schema":
         drop = set(dropped)
@@ -191,12 +188,6 @@ class CQNeg:
             for t in a.terms:
                 if isinstance(t, Const):
                     seen.setdefault(t.value, None)
-        return tuple(seen)
-
-    def relation_names(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for a in self.atoms:
-            seen.setdefault(a.relation.name, None)
         return tuple(seen)
 
     def __str__(self) -> str:
@@ -326,6 +317,16 @@ class Database:
 
     def get(self, relation: str, args: tuple[str, ...]) -> Optional[Fact]:
         return self._by_key.get((relation, args))
+
+    def require_endogenous(self, fact: Fact) -> Fact:
+        """The stored copy of ``fact``; raises ``FactNotEndogenousError``
+        if the fact is exogenous or absent."""
+        stored = self._by_key.get(fact.key)
+        if stored is None or not stored.endogenous:
+            raise FactNotEndogenousError(
+                f"fact {fact} is not an endogenous fact of the database"
+            )
+        return stored
 
     def relation_facts(self, name: str) -> tuple[Fact, ...]:
         return self._by_rel.get(name, ())

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
-from .errors import CapExceededError, FactNotEndogenousError
+from .errors import CapExceededError
 from .model import (
     Atom,
     Const,
@@ -133,8 +133,7 @@ def eval_boolean(world: FactSource, query: Query) -> bool:
     present = {f.key for f in facts}
     for disjunct in disjuncts_of(query):
         for h in iter_homomorphisms(disjunct.positives, index):
-            if all((atom.substituted(h).relation.name,
-                    atom.substituted(h).ground_args()) not in present
+            if all(_image(atom, h) not in present
                    for atom in disjunct.negatives):
                 return True
     return False
@@ -143,6 +142,38 @@ def eval_boolean(world: FactSource, query: Query) -> bool:
 # ---------------------------------------------------------------------------
 # per-world profiles
 # ---------------------------------------------------------------------------
+
+
+def _image(atom: Atom, h: Mapping[str, str]) -> tuple[str, tuple[str, ...]]:
+    """The key of the fact that the assignment sends the atom onto."""
+    return (atom.relation.name,
+            tuple(h[t.name] if isinstance(t, Var) else t.value
+                  for t in atom.terms))
+
+
+def ground(db: Database, rule: CQNeg, homs: Iterable[dict[str, str]]
+           ) -> Iterator[tuple[dict[str, str], list[Fact], list[Fact]]]:
+    """Each assignment of ``homs`` with the endogenous facts of ``db`` that
+    the rule's positive atoms and its negated atoms land on.
+
+    An assignment that sends a negated atom onto an exogenous fact can
+    never fire, so it is skipped.  Landing on a fact outside ``db`` adds
+    nothing."""
+    stored = {f.key: f for f in db.facts}
+    positives, negatives = rule.positives, rule.negatives
+    for h in homs:
+        pos = [f for f in (stored.get(_image(a, h)) for a in positives)
+               if f is not None and f.endogenous]
+        neg: list[Fact] = []
+        for atom in negatives:
+            fact = stored.get(_image(atom, h))
+            if fact is None:
+                continue
+            if not fact.endogenous:
+                break
+            neg.append(fact)
+        else:
+            yield h, pos, neg
 
 
 def hom_profiles(db: Database, query: Query
@@ -157,32 +188,14 @@ def hom_profiles(db: Database, query: Query
     assignments are exactly the full-database assignments whose positive
     images survive in it.
     """
-    endo_pos = {f.key: i for i, f in enumerate(db.endogenous)}
+    bit = {f: i for i, f in enumerate(db.endogenous)}
     index = _index(db.facts)
-    exo_present = {f.key for f in db.exogenous}
     profiles: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     for disjunct in disjuncts_of(query):
-        for h in iter_homomorphisms(disjunct.positives, index):
-            pos: set[int] = set()
-            for atom in disjunct.positives:
-                image = atom.substituted(h)
-                key = (image.relation.name, image.ground_args())
-                idx = endo_pos.get(key)
-                if idx is not None:
-                    pos.add(idx)
-            neg: set[int] = set()
-            ok = True
-            for atom in disjunct.negatives:
-                image = atom.substituted(h)
-                key = (image.relation.name, image.ground_args())
-                if key in exo_present:
-                    ok = False
-                    break
-                idx = endo_pos.get(key)
-                if idx is not None:
-                    neg.add(idx)
-            if ok:
-                profiles.add((tuple(sorted(pos)), tuple(sorted(neg))))
+        homs = iter_homomorphisms(disjunct.positives, index)
+        for _h, pos, neg in ground(db, disjunct, homs):
+            profiles.add((tuple(sorted({bit[f] for f in pos})),
+                          tuple(sorted({bit[f] for f in neg}))))
     return sorted(profiles)
 
 
@@ -214,12 +227,7 @@ class SubsetOracle:
         return self._table
 
     def endo_bit(self, fact: Fact) -> int:
-        for i, f in enumerate(self.db.endogenous):
-            if f == fact:
-                return i
-        raise FactNotEndogenousError(
-            f"fact {fact} is not an endogenous fact of the database"
-        )
+        return self.db.endogenous.index(self.db.require_endogenous(fact))
 
 
 def _mask(indices: Iterable[int]) -> int:

@@ -28,16 +28,11 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from . import decompose
-from .errors import (
-    BadProbabilityError,
-    CapExceededError,
-    NotHierarchicalError,
-    SelfJoinError,
-)
+from .errors import BadProbabilityError, CapExceededError
 from .model import Atom, Database, Fact, Query, single_disjunct
 from .naive import DEFAULT_CAP, eval_boolean
 from .rewriting import DEFAULT_BLOWUP_CAP, rewrite
-from .structure import is_hierarchical, is_self_join_free, resolve_exogenous
+from .structure import resolve_exogenous
 
 
 def fact_probability(fact: Fact) -> Fraction:
@@ -71,15 +66,7 @@ def brute_prob(db: Database, query: Query, cap: int = DEFAULT_CAP) -> Fraction:
 
 def prob_eval_hierarchical(db: Database, query: Query) -> Fraction:
     """Lifted inference for a hierarchical self-join-free rule."""
-    rule = single_disjunct(query)
-    if not is_self_join_free(rule):
-        raise SelfJoinError("lifted inference requires a self-join-free rule")
-    if not is_hierarchical(rule):
-        raise NotHierarchicalError(
-            "lifted inference requires a hierarchical rule"
-        )
-    vector, _tree = decompose.weighted_count(rule.atoms, db.facts, _total,
-                                             _ground)
+    vector, _tree = decompose.weighted_count(query, db.facts, _total, _ground)
     # where no fact reaches a ground atom the vector holds a plain int
     return Fraction(vector[0])
 

@@ -3,34 +3,42 @@
 A fact is *positively relevant* if adding it flips some coalition from
 false to true, *negatively relevant* if it flips one from true to false,
 and its Shapley value is non-zero exactly when it is relevant either way.
-For queries in which every relation occurs with a single polarity, both
-directions can be decided in polynomial time by scanning assignments of
-the query into the full database:
+:func:`relevance` decides both directions in polynomial time for queries,
+unions included, in which every relation occurs with a single polarity.
+Such a query is monotone in each relation: adding a fact of a positive
+relation never makes it false, adding one of a negated relation never
+makes it true.  So for each assignment of a rule that could carry the flip,
+one coalition is the extreme case worth testing:
 
-* positive side — some assignment must send a positive atom onto the fact;
-  the assignment's endogenous positive images (minus the fact) plus every
-  endogenous fact of negated relations *not* hit by the assignment form
-  the candidate coalition, and the fact is relevant iff that coalition
-  does not already satisfy the query.
-* negative side — some assignment must send a negated atom onto the fact;
-  the candidate coalition keeps the positive images and the un-hit negated
-  endogenous facts, and the fact is relevant iff the query fails once the
-  fact joins.
+* positive side — the assignment sends a positive atom onto the fact; the
+  candidate is its endogenous positive images (minus the fact) plus every
+  endogenous fact of a relation negated *anywhere in the union* that the
+  assignment's negated atoms do not hit, and the fact is relevant iff that
+  coalition does not already satisfy the query.
+* negative side — the assignment sends a negated atom onto the fact; the
+  candidate is built the same way, and the fact is relevant iff the query
+  fails once the fact joins.
+
+Keeping the negated facts of every rule, not only the assignment's own,
+matters for unions: a negated atom of another rule may be what keeps the
+candidate from satisfying the query.  The assignments and their images
+come from :func:`shapfact.naive.ground`, the step the brute-force
+profiles use too.
 
 Witnesses are returned and are replayable: the coalition really is flipped
 by the fact, which the tests re-check against plain evaluation.  For
 queries mixing polarities the problem is as hard as satisfiability, so
-these functions refuse them rather than answer unreliably.
+they are refused rather than answered unreliably.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Mapping, Optional
 
-from .errors import FactNotEndogenousError, NotPolarityConsistentError
+from .errors import NotPolarityConsistentError
 from .model import CQNeg, Database, Fact, Query, disjuncts_of
-from .naive import _index, _match, eval_boolean, iter_homomorphisms
+from .naive import _index, _match, eval_boolean, ground, iter_homomorphisms
 from .structure import is_polarity_consistent
 
 
@@ -57,164 +65,65 @@ class RelevanceResult:
         return self.pos_relevant or self.neg_relevant
 
 
-def _checked_fact(db: Database, fact: Fact) -> Fact:
-    stored = db.get(*fact.key)
-    if stored is None or not stored.endogenous:
-        raise FactNotEndogenousError(
-            f"fact {fact} is not an endogenous fact of the database"
-        )
-    return stored
+def _assignments(rule: CQNeg, fact: Fact, side: str,
+                 index: Mapping[str, list[tuple[str, ...]]]
+                 ) -> Iterator[dict[str, str]]:
+    """The rule's assignments that could carry a flip on ``side``: those
+    anchoring a positive atom on the fact, or, for the negative side, all
+    of them when some negated atom shares the fact's relation."""
+    name = fact.relation.name
+    if side == "negative":
+        if any(a.relation.name == name for a in rule.negatives):
+            yield from iter_homomorphisms(rule.positives, index)
+        return
+    positives = list(rule.positives)
+    for at, anchor in enumerate(positives):
+        if anchor.relation.name != name:
+            continue
+        seed = _match(anchor, fact.args, {})
+        if seed is not None:
+            others = positives[:at] + positives[at + 1:]
+            yield from iter_homomorphisms(others, index, seed)
 
 
-def _require_polarity_consistent(query: Query) -> None:
+def relevance(db: Database, query: Query, fact: Fact) -> RelevanceResult:
+    """Is the fact positively and/or negatively relevant?  The witness
+    comes from whichever side fired (positive side preferred).
+
+    Raises ``FactNotEndogenousError`` unless the fact is an endogenous
+    fact of the database, and ``NotPolarityConsistentError`` when some
+    relation occurs both positively and negatively."""
+    fact = db.require_endogenous(fact)
     if not is_polarity_consistent(query):
         raise NotPolarityConsistentError(
             "some relation occurs both positively and negatively; the "
             "relevance test does not apply"
         )
-
-
-def _negated_endo(db: Database, rule: CQNeg) -> set[Fact]:
-    names = {a.relation.name for a in rule.negatives}
-    return {f for f in db.endogenous if f.relation.name in names}
-
-
-def _pos_witness_coalitions(db: Database, rule: CQNeg, fact: Fact
-                            ) -> Iterator[tuple[dict[str, str], set[Fact]]]:
-    """Assignments anchoring a positive atom on the fact, with their
-    candidate coalitions."""
-    index = _index(db.facts)
-    exo_keys = {f.key for f in db.exogenous}
-    endo_by_key = {f.key: f for f in db.endogenous}
-    kept_negated = _negated_endo(db, rule)
-    positives = list(rule.positives)
-    for anchor_at, anchor in enumerate(positives):
-        if anchor.relation.name != fact.relation.name:
-            continue
-        seed = _match(anchor, fact.args, {})
-        if seed is None:
-            continue
-        others = positives[:anchor_at] + positives[anchor_at + 1:]
-        for h in iter_homomorphisms(others, index, seed):
-            images_pos: set[Fact] = set()
-            for atom in positives:
-                image = atom.substituted(h)
-                hit = endo_by_key.get((image.relation.name,
-                                       image.ground_args()))
-                if hit is not None:
-                    images_pos.add(hit)
-            hit_negated: set[Fact] = set()
-            blocked = False
-            for atom in rule.negatives:
-                image = atom.substituted(h)
-                key = (image.relation.name, image.ground_args())
-                if key in exo_keys:
-                    blocked = True
-                    break
-                hit = endo_by_key.get(key)
-                if hit is not None:
-                    hit_negated.add(hit)
-            if blocked:
-                continue
-            coalition = (images_pos - {fact}) | (kept_negated - hit_negated)
-            yield h, coalition
-
-
-def _neg_witness_coalitions(db: Database, rule: CQNeg, fact: Fact
-                            ) -> Iterator[tuple[dict[str, str], set[Fact]]]:
-    """Assignments sending some negated atom onto the fact, with their
-    candidate coalitions."""
-    if all(a.relation.name != fact.relation.name for a in rule.negatives):
-        return
-    index = _index(db.facts)
-    exo_keys = {f.key for f in db.exogenous}
-    endo_by_key = {f.key: f for f in db.endogenous}
-    kept_negated = _negated_endo(db, rule)
-    for h in iter_homomorphisms(rule.positives, index):
-        images_pos: set[Fact] = set()
-        for atom in rule.positives:
-            image = atom.substituted(h)
-            hit = endo_by_key.get((image.relation.name, image.ground_args()))
-            if hit is not None:
-                images_pos.add(hit)
-        hit_negated: set[Fact] = set()
-        blocked = False
-        onto_fact = False
-        for atom in rule.negatives:
-            image = atom.substituted(h)
-            key = (image.relation.name, image.ground_args())
-            if key in exo_keys:
-                blocked = True
-                break
-            hit = endo_by_key.get(key)
-            if hit is not None:
-                hit_negated.add(hit)
-                if hit == fact:
-                    onto_fact = True
-        if blocked or not onto_fact:
-            continue
-        coalition = images_pos | (kept_negated - hit_negated)
-        yield h, coalition
-
-
-def _packed(h: dict[str, str]) -> tuple[tuple[str, str], ...]:
-    return tuple(sorted(h.items()))
-
-
-def is_pos_relevant(db: Database, query: Query, fact: Fact
-                    ) -> RelevanceResult:
-    """Does adding the fact ever turn the query true?  Polynomial time for
-    polarity-consistent queries."""
-    fact = _checked_fact(db, fact)
-    _require_polarity_consistent(query)
+    rules = disjuncts_of(query)
+    negated = {a.relation.name for rule in rules for a in rule.negatives}
+    kept = {f for f in db.endogenous if f.relation.name in negated}
     exo = list(db.exogenous)
-    for d, rule in enumerate(disjuncts_of(query)):
-        for h, coalition in _pos_witness_coalitions(db, rule, fact):
-            if not eval_boolean(exo + sorted(coalition, key=lambda f: f.key),
-                                query):
-                witness = RelevanceWitness(
-                    "positive", _packed(h),
-                    tuple(sorted(coalition, key=lambda f: f.key)), d,
-                )
-                return RelevanceResult(True, False, witness)
-    return RelevanceResult(False, False)
+    index = _index(db.facts)
 
+    def first_flip(side: str) -> Optional[RelevanceWitness]:
+        for d, rule in enumerate(rules):
+            homs = _assignments(rule, fact, side, index)
+            for h, pos, neg in ground(db, rule, homs):
+                if side == "negative" and fact not in neg:
+                    continue
+                coalition = sorted((set(pos) | kept.difference(neg))
+                                   - {fact}, key=lambda f: f.key)
+                world = exo + coalition
+                if side == "negative":
+                    world.append(fact)
+                if not eval_boolean(world, query):
+                    return RelevanceWitness(side, tuple(sorted(h.items())),
+                                            tuple(coalition), d)
+        return None
 
-def is_neg_relevant(db: Database, query: Query, fact: Fact
-                    ) -> RelevanceResult:
-    """Does adding the fact ever turn the query false?"""
-    fact = _checked_fact(db, fact)
-    _require_polarity_consistent(query)
-    exo = list(db.exogenous)
-    for d, rule in enumerate(disjuncts_of(query)):
-        for h, coalition in _neg_witness_coalitions(db, rule, fact):
-            world = exo + sorted(coalition | {fact}, key=lambda f: f.key)
-            if not eval_boolean(world, query):
-                witness = RelevanceWitness(
-                    "negative", _packed(h),
-                    tuple(sorted(coalition, key=lambda f: f.key)), d,
-                )
-                return RelevanceResult(False, True, witness)
-    return RelevanceResult(False, False)
-
-
-def relevance(db: Database, query: Query, fact: Fact) -> RelevanceResult:
-    """Both directions at once; the witness comes from whichever side
-    fired (positive side preferred)."""
-    pos = is_pos_relevant(db, query, fact)
-    neg = is_neg_relevant(db, query, fact)
-    return RelevanceResult(pos.pos_relevant, neg.neg_relevant,
-                           pos.witness or neg.witness)
-
-
-def ucq_is_relevant(db: Database, query: Query, fact: Fact
-                    ) -> RelevanceResult:
-    """Relevance for a union, decided disjunct by disjunct.
-
-    Sound because a union is true iff some disjunct is; each disjunct's
-    witnesses are checked against the whole union, so a reported witness
-    always replays."""
-    return relevance(db, query, fact)
+    pos = first_flip("positive")
+    neg = first_flip("negative")
+    return RelevanceResult(pos is not None, neg is not None, pos or neg)
 
 
 def shapley_is_zero(db: Database, query: Query, fact: Fact) -> bool:

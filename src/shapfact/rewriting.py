@@ -35,7 +35,6 @@ from typing import Iterable, Optional, Sequence
 from .errors import (
     BlowupExceededError,
     DuplicateFactError,
-    FactNotEndogenousError,
     HasNonHierPathError,
     InternalError,
     SelfJoinError,
@@ -370,10 +369,6 @@ def shapley_exo(db: Database, query: Query, fact: Fact,
     exogenous relations away and running the exact engine."""
     from .exact import shapley_exact
 
-    stored = db.get(*fact.key)
-    if stored is None or not stored.endogenous:
-        raise FactNotEndogenousError(
-            f"fact {fact} is not an endogenous fact of the database"
-        )
+    stored = db.require_endogenous(fact)
     new_db, new_rule, _trace = rewrite(db, query, x, cap)
     return shapley_exact(new_db, new_rule, stored)

@@ -295,28 +295,6 @@ def is_polarity_consistent(query: Query) -> bool:
     return "mixed" not in relation_polarities(query).values()
 
 
-def is_positively_connected(query: CQNeg) -> bool:
-    """True iff the co-occurrence edges of the positive atoms alone connect
-    all variables of the query."""
-    variables = query.variables
-    if len(variables) <= 1:
-        return True
-    parent = {v: v for v in variables}
-
-    def find(v: str) -> str:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for atom in query.positives:
-        vs = atom.variables
-        for other in vs[1:]:
-            parent[find(other)] = find(vs[0])
-    roots = {find(v) for v in variables}
-    return len(roots) == 1
-
-
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------

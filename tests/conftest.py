@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from shapfact.model import (Atom, CQNeg, Const, Database, Fact, Provenance,
-                            RelationSym, Schema, Var)
+                            RelationSym, Schema, UCQNeg, Var)
 from shapfact.parsing import parse_facts, parse_query, parse_schema
 from shapfact.structure import (VerdictKind, classify, is_hierarchical,
                                 is_polarity_consistent, is_self_join_free)
@@ -240,6 +240,26 @@ def random_instance(rng: random.Random, *, max_endo: int = 10,
         if polarity_consistent and not is_polarity_consistent(query):
             continue
         return _random_db(rng, query, max_endo=max_endo), query
+
+
+def random_union_instance(rng: random.Random, *, max_endo: int = 7
+                          ) -> tuple[Database, UCQNeg]:
+    """A union of two safe rules in which every relation keeps one arity
+    and one polarity across both rules, plus a small database over their
+    relations."""
+    while True:
+        rules = tuple(CQNeg(tuple(_random_atoms(rng, allow_self_joins=True,
+                                                polarity_consistent=True)))
+                      for _ in range(2))
+        query = UCQNeg(rules)
+        arity: dict[str, int] = {}
+        if any(arity.setdefault(a.relation.name, a.relation.arity)
+               != a.relation.arity for rule in rules for a in rule.atoms):
+            continue
+        if not is_polarity_consistent(query):
+            continue
+        both = CQNeg(rules[0].atoms + rules[1].atoms)
+        return _random_db(rng, both, max_endo=max_endo), query
 
 
 def random_hierarchical_instance(rng: random.Random, *, max_endo: int = 10

@@ -4,8 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from shapfact.errors import (DuplicateFactError, ReservedNameError,
-                             SafetyError, UnsupportedQueryError)
+from conftest import staff_fact
+from shapfact import (brute_shapley, make_plan, relevance,
+                      shapley_additive_fpras, shapley_exact, shapley_exo)
+from shapfact.errors import (DuplicateFactError, FactNotEndogenousError,
+                             ReservedNameError, SafetyError,
+                             UnsupportedQueryError)
 from shapfact.model import (Atom, CQNeg, Const, Database, Fact, Provenance,
                             RelationSym, Schema, UCQNeg, Var, active_domain,
                             single_disjunct, validate_database,
@@ -60,6 +64,27 @@ def test_with_fact_exogenous_and_without_fact():
     assert removed.get("R", ("c",)) is None
     # the original is untouched
     assert db.n_endogenous == 2
+
+
+def test_one_endogenous_check_behind_every_engine(staff_db, q1):
+    reg = staff_fact(staff_db, "Reg", "Adam", "OS")
+    lookalike = Fact(reg.relation, reg.args, Provenance.EXOGENOUS)
+    assert staff_db.require_endogenous(lookalike) is reg
+    plan = make_plan(0.5, 0.5)
+    calls = (
+        staff_db.require_endogenous,
+        lambda f: shapley_exact(staff_db, q1, f),
+        lambda f: shapley_exo(staff_db, q1, f),
+        lambda f: brute_shapley(staff_db, q1, f),
+        lambda f: shapley_additive_fpras(staff_db, q1, f, plan),
+        lambda f: relevance(staff_db, q1, f),
+    )
+    stud = staff_fact(staff_db, "Stud", "Adam")
+    for fact in (stud, Fact(stud.relation, ("Nobody",))):
+        for call in calls:
+            with pytest.raises(FactNotEndogenousError,
+                               match="not an endogenous fact"):
+                call(fact)
 
 
 def test_active_domain_includes_query_constants():

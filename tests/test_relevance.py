@@ -1,16 +1,18 @@
 """Relevance decisions: polynomial algorithms vs enumeration, witnesses."""
 
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from conftest import (QRSTNR, random_instance, staff_fact)
+from conftest import (QRSTNR, random_instance, random_union_instance,
+                      staff_fact)
 from shapfact.errors import NotPolarityConsistentError
 from shapfact.model import single_disjunct
 from shapfact.naive import brute_relevance, brute_shapley, eval_boolean
-from shapfact.parsing import parse_query
-from shapfact.relevance import (is_neg_relevant, is_pos_relevant, relevance,
-                                shapley_is_zero, ucq_is_relevant)
+from shapfact.parsing import parse_facts, parse_query, parse_schema
+from shapfact.relevance import relevance, shapley_is_zero
 
 
 def replay(db, query, witness, fact):
@@ -47,12 +49,10 @@ def test_zeroness_matches_values(staff_db, q1):
 
 def test_polarity_gate():
     q = parse_query(QRSTNR)
-    from shapfact.parsing import parse_facts, parse_schema
     schema = parse_schema("relation R/1\nrelation S/4\nrelation T/1")
     db = parse_facts("endo T(c)\nexo R(c)\nexo S(d, d, c, c)", schema)
     fact = db.get("T", ("c",))
-    for fn in (is_pos_relevant, is_neg_relevant, relevance, shapley_is_zero,
-               ucq_is_relevant):
+    for fn in (relevance, shapley_is_zero):
         with pytest.raises(NotPolarityConsistentError):
             fn(db, q, fact)
 
@@ -103,10 +103,53 @@ def test_relevance_iff_nonzero_value():
 
 
 def test_union_relevance_is_disjunct_wise():
-    from shapfact.parsing import parse_facts, parse_schema
     schema = parse_schema("relation R/1\nrelation S/1")
     db = parse_facts("endo R(a)\nendo S(a)", schema)
     q = parse_query("q() :- R(x).\nq() :- S(x).", schema)
     for fact in db.endogenous:
-        assert ucq_is_relevant(db, q, fact).relevant
+        assert relevance(db, q, fact).relevant
         assert brute_relevance(db, q, fact).relevant
+
+
+def test_union_keeps_negated_facts_of_every_rule():
+    """C(c1, c0) fires the first rule, but the empty coalition already
+    satisfies the second; only a coalition holding E(c2), which the second
+    rule negates, shows the flip."""
+    schema = parse_schema("relation A/2\nrelation B/1\nrelation C/2\n"
+                          "relation E/1")
+    db = parse_facts("exo A(c2, c2)\nendo C(c1, c0)\nendo E(c2)", schema)
+    q = parse_query("q() :- C('c1', x), not B(x).\n"
+                    "q() :- A(x, y), not E('c2').", schema)
+    fact = db.get("C", ("c1", "c0"))
+    result = relevance(db, q, fact)
+    assert result.pos_relevant and not result.neg_relevant
+    assert result.witness.coalition == (db.get("E", ("c2",)),)
+    assert replay(db, q, result.witness, fact)
+    assert brute_shapley(db, q, fact) == Fraction(1, 2)
+    assert not shapley_is_zero(db, q, fact)
+
+
+def test_union_agreement_with_enumeration():
+    rng = random.Random(2026)
+    disagreements = []
+    witnesses: Counter[str] = Counter()
+    checked = 0
+    for _ in range(300):
+        db, query = random_union_instance(rng)
+        for fact in db.endogenous:
+            checked += 1
+            expected = brute_relevance(db, query, fact)
+            got = relevance(db, query, fact)
+            if (got.pos_relevant, got.neg_relevant) != (
+                    expected.pos_relevant, expected.neg_relevant):
+                disagreements.append((str(query), str(fact)))
+            if got.witness is not None:
+                assert replay(db, query, got.witness, fact)
+                witnesses[got.witness.side] += 1
+                witnesses["second rule"] += got.witness.disjunct == 1
+    assert disagreements == []
+    # the draws must keep reaching both sides and the second rule
+    assert checked > 1000
+    assert witnesses["positive"] >= 150
+    assert witnesses["negative"] >= 20
+    assert witnesses["second rule"] >= 80
