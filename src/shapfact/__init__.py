@@ -14,8 +14,9 @@ Entry points:
   exogenous relations when no obstructing connectivity pattern exists.
 * :func:`brute_shapley` - subset enumeration, the reference for
   everything else.
-* :func:`shapley_additive_fpras` - seeded sampling with additive
-  (epsilon, delta) guarantees for the hard cases.
+* :func:`shapley_additive_fpras` - seeded sampling for the hard cases:
+  one pass over shared sampled orders values every fact, each with an
+  additive (epsilon, delta) guarantee.
 * :func:`relevance` - the one zero-vs-nonzero decision, both directions
   with a replayable witness, for polarity-consistent queries and unions;
   :func:`shapley_is_zero` is its yes/no form.

@@ -2,9 +2,13 @@
 
 A fact's Shapley value equals the expectation, over a uniformly random
 arrival order of the endogenous facts, of the query's truth gain when the
-fact arrives.  Averaging ``m = ceil(2 ln(2/δ) / ε²)`` independent draws of
-that ±1/0 quantity gives, by Hoeffding's inequality, an estimate within
-``ε`` of the true value with probability at least ``1 - δ``.
+fact arrives.  Every sampled order credits each fact with its own gain, so
+one matrix of ``m = ceil(2 ln(2/δ) / ε²)`` orders values all facts at once
+(permutation sampling, Castro, Gómez & Tejada 2009).  By Hoeffding's
+inequality each fact's mean is within ``ε`` of its value with probability
+at least ``1 - δ``.  That guarantee holds per fact, not for all facts
+together: a simultaneous one over ``n`` facts would need, by a union
+bound, ``ceil(2 ln(2n/δ) / ε²)`` orders.
 
 The guarantee is *additive*: values smaller than ``ε`` are
 indistinguishable from zero here, and indeed on the vanishing-value family
@@ -13,13 +17,15 @@ while the true value is positive.  That separation is inherent — no
 polynomial-time *multiplicative* guarantee is available for such queries —
 and is demonstrated, not patched over, in the tests.
 
-Randomness is counter-based for reproducibility: a SplitMix64 stream
-drives the single-sample API, and the batch estimator draws from one
-Philox stream keyed by the plan's seed, so results depend only on
-``seed``.  Instead of materialising a permutation, the batch path draws
-one 64-bit *arrival key* per endogenous fact and treats "arrived before f"
-as "has a smaller key", which turns a sample into a few vectorised
-comparisons against the query's homomorphism profiles.
+Randomness is counter-based for reproducibility: an order is a row of one
+64-bit *arrival key* per endogenous fact, drawn from one Philox stream
+keyed by the plan's seed, so results depend only on ``seed``.  Sorting a
+row gives its order; equal keys, which 64-bit draws make vanishingly rare,
+arrive in fact order.  A profile (P, N) of :func:`shapfact.naive.hom_profiles`
+holds on the facts of the first ``s`` slots iff every rank in P is below
+``s`` and none in N is; a difference array over these intervals gives the
+query's truth after each arrival, and each change is the gain of the fact
+arriving in that slot.
 """
 
 from __future__ import annotations
@@ -27,17 +33,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, log
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .errors import InputError
 from .model import Database, Fact, Query
-from .naive import eval_boolean, hom_profiles
+from .naive import hom_profiles
 
 if TYPE_CHECKING:
     import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# the most bytes one chunk of sampled rows holds at once (see row_bytes):
+# small, because a chunk is live memory on every call, and a larger one
+# saves only a few numpy calls per chunk
+_CHUNK_BYTES = 1 << 18
 
 
 class SplitMix64:
@@ -53,25 +63,9 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
 
-    def randrange(self, n: int) -> int:
-        """Uniform draw from range(n), by rejection."""
-        if n <= 0:
-            raise ValueError("empty range")
-        limit = (1 << 64) - ((1 << 64) % n)
-        while True:
-            value = self.next_u64()
-            if value < limit:
-                return value % n
-
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher–Yates."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            items[i], items[j] = items[j], items[i]
-
 
 def substream_key(seed: int, stream: int) -> int:
-    """A 64-bit Philox key for one substream of the plan seed; the batch
+    """A 64-bit Philox key for one substream of the plan seed; the
     estimator samples from substream 0."""
     return SplitMix64((seed + (stream + 1) * _GOLDEN) & _MASK64).next_u64()
 
@@ -98,79 +92,74 @@ def make_plan(epsilon: float, delta: float, seed: int = 0) -> SamplingPlan:
                         samples=samples)
 
 
-def sample_contribution(db: Database, query: Query, fact: Fact,
-                        rng: SplitMix64) -> int:
-    """One draw of the arrival contribution, the slow literal way: shuffle
-    the endogenous facts, take the prefix before ``fact``, and evaluate the
-    query without and with it."""
-    fact = db.require_endogenous(fact)
-    order = list(db.endogenous)
-    rng.shuffle(order)
-    prefix = order[:order.index(fact)]
-    world = list(db.exogenous) + prefix
-    before = eval_boolean(world, query)
-    after = eval_boolean(world + [fact], query)
-    return int(after) - int(before)
-
-
-def shapley_additive_fpras(db: Database, query: Query, fact: Fact,
-                           plan: SamplingPlan) -> tuple[Fraction, SamplingPlan]:
-    """Estimate the fact's Shapley value to within ``plan.epsilon`` with
-    probability ``1 - plan.delta``; returns the exact sample mean and the
-    plan it was produced under."""
+def shapley_additive_fpras(db: Database, query: Query, plan: SamplingPlan
+                           ) -> tuple[dict[Fact, Fraction], SamplingPlan]:
+    """Estimate every endogenous fact's Shapley value, each to within
+    ``plan.epsilon`` with probability ``1 - plan.delta``; returns the exact
+    sample means and the plan they were produced under."""
     # numpy is imported here, not at module level, so that the commands
     # which never sample do not pay for loading it
     import numpy as np
 
-    fact = db.require_endogenous(fact)
-    findex = list(db.endogenous).index(fact)
-    profiles = hom_profiles(db, query)
     n = db.n_endogenous
-    total = 0
+    profiles = hom_profiles(db, query)
+    # rank column n reads -1 and column n + 1 reads n: the pads of P and N
+    pos = _padded([p for p, _ in profiles], n)
+    neg = _padded([m for _, m in profiles], n + 1)
     gen = np.random.Generator(
         np.random.Philox(key=substream_key(plan.seed, 0))
     )
-    for rows in _chunks(plan.samples, max(1, 4_000_000 // max(n, 1))):
-        keys = gen.integers(0, 1 << 64, size=(rows, n), dtype=np.uint64)
-        total += _batch_contribution(keys, profiles, findex)
-    return Fraction(total, plan.samples), plan
+    totals = np.zeros(n, dtype=np.int64)
+    # the most one sampled row holds at once, in 8-byte entries: four per
+    # fact (key, slot, rank, difference array) and three per profile (start,
+    # stop, and one rank being folded in)
+    row_bytes = 8 * (4 * n + 3 * len(profiles))
+    for rows in _chunks(plan.samples, _CHUNK_BYTES // max(row_bytes, 1)):
+        order = np.argsort(
+            gen.integers(0, 1 << 64, size=(rows, n), dtype=np.uint64),
+            axis=1, kind="stable")
+        rank = np.empty((rows, n + 2), dtype=np.intp)
+        rank[:, n], rank[:, n + 1] = -1, n
+        np.put_along_axis(rank, order, np.arange(n), axis=1)
+        # a profile holds after the first s arrivals iff start <= s < stop;
+        # slot s of row r is entry r * (n + 2) + s of one difference array
+        offset = np.arange(1, rows * (n + 2), n + 2)[:, None]
+        start = _fold(np.maximum, rank, pos, offset)
+        stop = _fold(np.minimum, rank, neg, offset)
+        np.maximum(stop, start, out=stop)
+        marks = np.bincount(start.ravel(), minlength=rows * (n + 2))
+        marks -= np.bincount(stop.ravel(), minlength=rows * (n + 2))
+        held = marks.reshape(rows, n + 2).cumsum(axis=1)[:, :n + 1] > 0
+        gain = np.diff(held.view(np.int8), axis=1)
+        totals += np.bincount(order[gain > 0], minlength=n)
+        totals -= np.bincount(order[gain < 0], minlength=n)
+    values = {f: Fraction(int(t), plan.samples)
+              for f, t in zip(db.endogenous, totals)}
+    return values, plan
+
+
+def _padded(groups: list[tuple[int, ...]], pad: int) -> np.ndarray:
+    """The index groups as the rows of one array, padded with ``pad``."""
+    import numpy as np
+
+    width = max([1, *map(len, groups)])
+    return np.array([g + (pad,) * (width - len(g)) for g in groups],
+                    dtype=np.intp).reshape(len(groups), width)
+
+
+def _fold(extreme: Callable, rank: np.ndarray, columns: np.ndarray,
+          offset: np.ndarray) -> np.ndarray:
+    """Per row, ``extreme`` (maximum or minimum) of the ranks of each
+    padded index group, plus ``offset``."""
+    out = rank[:, columns[:, 0]]
+    for column in columns.T[1:]:
+        extreme(out, rank[:, column], out=out)
+    out += offset
+    return out
 
 
 def _chunks(total: int, size: int) -> Iterator[int]:
+    size = max(1, size)
     while total > 0:
         yield min(total, size)
         total -= size
-
-
-def _batch_contribution(keys: np.ndarray,
-                        profiles: list[tuple[tuple[int, ...], tuple[int, ...]]],
-                        findex: int) -> int:
-    """Sum of per-sample contributions for one block of arrival keys.
-
-    A fact is "in the coalition" iff its key is strictly below the
-    distinguished fact's key; the distinguished fact itself never is.  A
-    profile (P, N) fires on the coalition iff all of P and none of N are
-    in; with the fact added, P may additionally contain the fact itself,
-    while any profile with the fact in N can never fire.
-    """
-    import numpy as np
-
-    rows = keys.shape[0]
-    before_f = keys < keys[:, findex:findex + 1]
-    base = np.zeros(rows, dtype=bool)
-    with_f = np.zeros(rows, dtype=bool)
-    for pos, neg in profiles:
-        neg_ok = (~before_f[:, list(neg)].any(axis=1) if neg
-                  else np.ones(rows, dtype=bool))
-        # the coalition never contains the fact itself, so a profile
-        # requiring it is automatically false on the base side
-        base_ok = (before_f[:, list(pos)].all(axis=1) if pos
-                   else np.ones(rows, dtype=bool))
-        base |= base_ok & neg_ok
-        if findex in neg:
-            continue  # cannot fire once the fact is present
-        pos_rest = [i for i in pos if i != findex]
-        add_ok = (before_f[:, pos_rest].all(axis=1) if pos_rest
-                  else np.ones(rows, dtype=bool))
-        with_f |= add_ok & neg_ok
-    return int(with_f.sum()) - int(base.sum())

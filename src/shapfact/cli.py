@@ -18,14 +18,14 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import approx, exact, naive, prob, rewriting
 from .relevance import relevance as compute_relevance
-from .errors import InputError, RefusedError, UnknownFactError
-from .model import Database, Fact, Query, Schema, disjuncts_of, single_disjunct
+from .errors import InputError, RefusedError
+from .model import (Database, Fact, Query, RelationSym, Schema, disjuncts_of,
+                    single_disjunct)
 from .parsing import (format_database, format_query, format_schema,
                       parse_fact_reference, parse_facts, parse_query,
                       parse_schema)
@@ -99,11 +99,10 @@ def _load_database(inv: Invocation, schema: Optional[Schema]) -> Database:
 
 
 def _lookup_fact(db: Database, reference: str) -> Fact:
+    """The endogenous fact that ``reference`` names; an absent or exogenous
+    fact is refused with the engines' own message."""
     name, args = parse_fact_reference(reference)
-    found = db.get(name, args)
-    if found is None:
-        raise UnknownFactError(f"no such fact in the database: {reference}")
-    return found
+    return db.require_endogenous(Fact(RelationSym(name, len(args)), args))
 
 
 def _brute_cap(inv: Invocation) -> int:
@@ -168,24 +167,13 @@ def _cmd_shapley(inv: Invocation) -> Report:
     seed: Optional[int] = None
     samples: Optional[int] = None
     extra: dict = {}
-    values: dict[Fact, Fraction] = {}
     if method == "exact":
-        rule = single_disjunct(query)
-        if inv.all_facts:
-            values = exact.shapley_exact_all(db, rule)
-        else:
-            values = {f: exact.shapley_exact(db, rule, f) for f in targets}
+        values = exact.shapley_exact_all(db, single_disjunct(query))
     elif method == "exo":
-        rule = single_disjunct(query)
-        new_db, new_rule, trace = rewriting.rewrite(db, rule)
+        new_db, new_rule, trace = rewriting.rewrite(db, single_disjunct(query))
         if inv.trace:
             extra["trace"] = trace.describe().splitlines()
-        if inv.all_facts:
-            rewritten = exact.shapley_exact_all(new_db, new_rule)
-            values = {f: rewritten[f] for f in targets}
-        else:
-            values = {f: exact.shapley_exact(new_db, new_rule, f)
-                      for f in targets}
+        values = exact.shapley_exact_all(new_db, new_rule)
     elif method == "brute":
         if inv.all_facts:
             values = naive.brute_shapley_all(db, query, cap=cap)
@@ -194,9 +182,7 @@ def _cmd_shapley(inv: Invocation) -> Report:
                       for f in targets}
     elif method == "approx":
         plan = approx.make_plan(inv.epsilon, inv.delta, seed=inv.seed)
-        for f in targets:
-            values[f], plan = approx.shapley_additive_fpras(db, query, f,
-                                                            plan)
+        values, plan = approx.shapley_additive_fpras(db, query, plan)
         seed, samples = plan.seed, plan.samples
     else:
         raise InputError(f"unknown method {method!r}")

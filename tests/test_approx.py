@@ -1,15 +1,17 @@
 """Sampling estimator: plan arithmetic, determinism, accuracy, no-gap."""
 
-import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from conftest import staff_fact
-from shapfact.approx import (SplitMix64, make_plan, sample_contribution,
-                             shapley_additive_fpras, substream_key)
+from conftest import QRSTNR, staff_fact
+from shapfact import approx
+from shapfact.approx import (SplitMix64, make_plan, shapley_additive_fpras,
+                             substream_key)
 from shapfact.errors import InputError
-from shapfact.naive import brute_shapley, gen_gap_instance
+from shapfact.naive import (brute_shapley, eval_boolean, gen_gap_instance,
+                            hom_profiles)
 from shapfact.parsing import parse_facts, parse_query, parse_schema
 
 
@@ -38,22 +40,14 @@ def test_splitmix_streams_are_deterministic_and_distinct():
     assert substream_key(7, 1) == substream_key(7, 1)
 
 
-def test_shuffle_is_a_permutation():
-    rng = SplitMix64(9)
-    items = list(range(20))
-    shuffled = items[:]
-    rng.shuffle(shuffled)
-    assert sorted(shuffled) == items and shuffled != items
-
-
 def test_estimates_are_reproducible(staff_db, q1):
-    ft1 = staff_fact(staff_db, "TA", "Adam")
     plan = make_plan(0.05, 0.1, seed=11)
-    first, _ = shapley_additive_fpras(staff_db, q1, ft1, plan)
-    second, _ = shapley_additive_fpras(staff_db, q1, ft1, plan)
+    first, _ = shapley_additive_fpras(staff_db, q1, plan)
+    second, _ = shapley_additive_fpras(staff_db, q1, plan)
     assert first == second
+    assert set(first) == set(staff_db.endogenous)
     # a different seed gives a different draw (almost surely)
-    other, _ = shapley_additive_fpras(staff_db, q1, ft1,
+    other, _ = shapley_additive_fpras(staff_db, q1,
                                       make_plan(0.05, 0.1, seed=12))
     assert other != first
 
@@ -62,8 +56,8 @@ def test_estimates_within_epsilon_on_known_value(staff_db, q1):
     ft1 = staff_fact(staff_db, "TA", "Adam")
     for seed in range(5):
         est, plan = shapley_additive_fpras(
-            staff_db, q1, ft1, make_plan(0.05, 0.1, seed=seed))
-        assert abs(est - Fraction(-3, 28)) <= Fraction(1, 20)
+            staff_db, q1, make_plan(0.05, 0.1, seed=seed))
+        assert abs(est[ft1] - Fraction(-3, 28)) <= Fraction(1, 20)
         assert plan.samples == 2397
 
 
@@ -72,30 +66,78 @@ def test_sure_winner_and_sure_loser_are_exact():
     # f is the only endogenous fact and always flips the query on
     db = parse_facts("endo R(a)", schema)
     q = parse_query("q() :- R(x).", schema)
-    est, _ = shapley_additive_fpras(db, q, db.endogenous[0],
-                                    make_plan(0.1, 0.1, seed=3))
-    assert est == 1
+    est, _ = shapley_additive_fpras(db, q, make_plan(0.1, 0.1, seed=3))
+    assert est == {db.endogenous[0]: 1}
     # ... and here it always flips the query off
     db2 = parse_facts("endo R(A)\nexo S(b)", schema)
     q2 = parse_query("q() :- S(x), not R(A).", schema)
-    est2, _ = shapley_additive_fpras(db2, q2, db2.endogenous[0],
-                                     make_plan(0.1, 0.1, seed=3))
-    assert est2 == -1
+    est2, _ = shapley_additive_fpras(db2, q2, make_plan(0.1, 0.1, seed=3))
+    assert est2 == {db2.endogenous[0]: -1}
 
 
-def test_single_sample_route_agrees_with_batched(staff_db, q1):
-    """The per-permutation reference sampler and the vectorised batch
-    estimator draw from the same distribution; with matched seeds over a
-    few hundred samples their means should land close together."""
-    ft2 = staff_fact(staff_db, "TA", "Ben")
-    rng = SplitMix64(5)
-    literal = sum(sample_contribution(staff_db, q1, ft2, rng)
-                  for _ in range(400)) / 400
-    est, _ = shapley_additive_fpras(staff_db, q1, ft2,
-                                    make_plan(0.05, 0.1, seed=5))
-    truth = Fraction(-2, 35)
-    assert abs(Fraction(literal) - truth) < Fraction(1, 10)
-    assert abs(est - truth) < Fraction(1, 20)
+def _literal_estimates(db, query, plan):
+    """The definition, one order at a time: sort each row of the plan's
+    arrival keys into an order, evaluate the query on every prefix, and
+    credit each flip to the fact that arrived."""
+    gen = np.random.Generator(np.random.Philox(key=substream_key(plan.seed,
+                                                                 0)))
+    keys = gen.integers(0, 1 << 64, size=(plan.samples, db.n_endogenous),
+                        dtype=np.uint64)
+    totals = dict.fromkeys(db.endogenous, 0)
+    for row in keys.tolist():
+        world = list(db.exogenous)
+        before = eval_boolean(world, query)
+        for i in sorted(range(len(row)), key=row.__getitem__):
+            fact = db.endogenous[i]
+            world.append(fact)
+            after = eval_boolean(world, query)
+            totals[fact] += int(after) - int(before)
+            before = after
+    return {f: Fraction(t, plan.samples) for f, t in totals.items()}
+
+
+def test_one_pass_equals_the_literal_arrival_orders(staff_db, q1,
+                                                    mixed_polarity_db):
+    gap = gen_gap_instance(2)
+    # the gadget's profiles hold up to three positive and two negated facts
+    gadget = parse_query(QRSTNR, mixed_polarity_db.schema)
+    for db, query in ((staff_db, q1), (gap.db, gap.query),
+                      (mixed_polarity_db, gadget)):
+        for seed in (0, 5, 9):
+            plan = make_plan(0.2, 0.2, seed=seed)
+            assert (shapley_additive_fpras(db, query, plan)[0]
+                    == _literal_estimates(db, query, plan))
+
+
+def test_sampled_estimates_obey_the_axioms(staff_db, q1, monkeypatch):
+    """Every sampled order telescopes, so the estimates sum exactly to the
+    query's gain; a fact no order can flip reads exactly 0; and the chunk
+    size does not change the draws."""
+    gain = (int(eval_boolean(staff_db, q1))
+            - int(eval_boolean(list(staff_db.exogenous), q1)))
+    assert gain == 1
+    null = staff_fact(staff_db, "TA", "David")
+    row_bytes = 8 * (4 * staff_db.n_endogenous
+                     + 3 * len(hom_profiles(staff_db, q1)))
+    chunk_rows = []
+    chunks = approx._chunks
+
+    def spy(total, size):
+        chunk_rows.append(max(chunks(total, size)))
+        return chunks(total, size)
+
+    monkeypatch.setattr(approx, "_chunks", spy)
+    for seed in range(4):
+        plan = make_plan(0.1, 0.1, seed=seed)
+        runs = []
+        for budget in (plan.samples * row_bytes, 2 * row_bytes, row_bytes):
+            monkeypatch.setattr(approx, "_CHUNK_BYTES", budget)
+            runs.append(shapley_additive_fpras(staff_db, q1, plan)[0])
+        assert chunk_rows[-3:] == [plan.samples, 2, 1]
+        values = runs[0]
+        assert runs == [values] * 3
+        assert sum(values.values()) == gain
+        assert values[null] == 0
 
 
 def test_no_gap_additive_estimate_misses_tiny_values():
@@ -104,14 +146,14 @@ def test_no_gap_additive_estimate_misses_tiny_values():
     inst = gen_gap_instance(12)
     assert inst.expected_value > 0
     assert inst.expected_value < Fraction(1, 2 ** 12)
-    est, _ = shapley_additive_fpras(inst.db, inst.query, inst.fact,
+    est, _ = shapley_additive_fpras(inst.db, inst.query,
                                     make_plan(0.05, 0.1, seed=0))
-    assert est == 0
+    assert est[inst.fact] == 0
 
 
 def test_estimator_tracks_brute_on_gap_instance():
     inst = gen_gap_instance(2)  # value 1/30, above epsilon resolution
     exact = brute_shapley(inst.db, inst.query, inst.fact)
-    est, _ = shapley_additive_fpras(inst.db, inst.query, inst.fact,
+    est, _ = shapley_additive_fpras(inst.db, inst.query,
                                     make_plan(0.05, 0.1, seed=1))
-    assert abs(est - exact) <= Fraction(1, 20)
+    assert abs(est[inst.fact] - exact) <= Fraction(1, 20)

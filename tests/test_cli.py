@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: method resolution, exit codes,
 output stability, and the generator round-trip."""
 
+import hashlib
 import io
 import json
 import os
@@ -126,6 +127,22 @@ def test_exit_one_on_unknown_fact():
     assert "TA(Zed)" in err
 
 
+@pytest.mark.parametrize("method",
+                         ["auto", "exact", "exo", "brute", "approx"])
+@pytest.mark.parametrize("reference", ["Stud(Adam)", "TA(Nobody)"])
+def test_fact_must_be_endogenous_under_every_method(method, reference,
+                                                    capsys):
+    # an exogenous and an absent fact meet the same check, before any engine
+    with pytest.raises(SystemExit) as exited:
+        main(["shapley", "--schema", SCHEMA, "--facts", FACTS,
+              "--query", Q1_PATH, "--fact", reference, "--method", method])
+    assert exited.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: fact {reference} is not an endogenous fact "
+                   "of the database\n")
+
+
 def test_exit_two_on_refused_method():
     code, out, err = _run(command="shapley", schema=SCHEMA, facts=FACTS,
                           query=Q2_PATH, fact="TA(Adam)", method="exact")
@@ -170,6 +187,22 @@ def test_approx_echoes_plan_and_lands_close():
     assert payload["samples"] == 2397
     estimate = Fraction(payload["facts"][0]["value"])
     assert abs(estimate - Fraction(-3, 28)) <= Fraction(1, 20)
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (5, "90e8b03cb8862722282171657a52d3fe15556eb790c6e5156a008e4c5ae3c542"),
+    (9, "91dcdf47b43ffc53091a34e344b76ab776f075c916ecdd0b1b57880cb8a200c2"),
+])
+def test_sampled_report_bytes_are_pinned(seed, digest):
+    common = dict(command="shapley", schema=SCHEMA, facts=FACTS,
+                  query=Q1_PATH, method="approx", seed=seed)
+    code, out, err = _run(all_facts=True, **common)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    for record in json.loads(out)["facts"]:
+        reference = f"{record['relation']}({', '.join(record['args'])})"
+        one = _payload(fact=reference, **common)
+        assert one["facts"] == [record]
 
 
 def test_gen_gap_round_trip(tmp_path):

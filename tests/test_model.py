@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import staff_fact
-from shapfact import (brute_shapley, make_plan, relevance,
-                      shapley_additive_fpras, shapley_exact, shapley_exo)
+from shapfact import brute_shapley, relevance, shapley_exact, shapley_exo
 from shapfact.errors import (DuplicateFactError, FactNotEndogenousError,
                              ReservedNameError, SafetyError,
                              UnsupportedQueryError)
@@ -70,13 +69,11 @@ def test_one_endogenous_check_behind_every_engine(staff_db, q1):
     reg = staff_fact(staff_db, "Reg", "Adam", "OS")
     lookalike = Fact(reg.relation, reg.args, Provenance.EXOGENOUS)
     assert staff_db.require_endogenous(lookalike) is reg
-    plan = make_plan(0.5, 0.5)
     calls = (
         staff_db.require_endogenous,
         lambda f: shapley_exact(staff_db, q1, f),
         lambda f: shapley_exo(staff_db, q1, f),
         lambda f: brute_shapley(staff_db, q1, f),
-        lambda f: shapley_additive_fpras(staff_db, q1, f, plan),
         lambda f: relevance(staff_db, q1, f),
     )
     stud = staff_fact(staff_db, "Stud", "Adam")
