@@ -12,17 +12,26 @@ single probability.  The recursion:
 
 1. split the atoms into variable-connectivity components (a ground atom is
    its own component);
-2. route every fact to the component containing an atom it unifies with;
-   facts that unify with nothing are "free" — they never influence the
-   query and only contribute the total weight of their worlds;
+2. check every fact once, at the top, against the one atom of its
+   relation: facts that unify with no atom are "free" — they never
+   influence the query and only contribute the total weight of their
+   worlds; every other fact goes to its atom's component, and from then on
+   it is routed by its relation alone;
 3. independent parts multiply: their vectors convolve;
-4. a lone non-ground component is solved through its *root* variable (one
-   occurring in all of the component's atoms): facts split by root value
-   into independent sub-problems, the component fails exactly when every
+4. a lone component with an unbound variable is solved through its *root*
+   variable (one occurring in all of the component's atoms): facts split
+   by their argument at the root's position in their relation's atom into
+   independent sub-problems, the component fails exactly when every
    sub-problem fails, so the failure vectors (each sub-problem's total
    minus its satisfying vector) convolve, and the result is complemented
-   against the total;
-5. a lone ground atom reads its vector off the weighting.
+   against the total; below the split the root is bound, and the atoms
+   split into components again;
+5. a lone atom whose variables are all bound reads its vector off the
+   weighting.
+
+The shape of the recursion depends on the rule alone, so each call
+compiles it once into a plan of products (step 3), root splits (step 4)
+and leaves (step 5) before routing any fact.
 
 Alongside the vector, the recursion returns the tree of convolution
 chains that the counting engine's reverse pass walks.  Probability's
@@ -35,7 +44,9 @@ the recursion starts.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional, Sequence
+from collections import defaultdict
+from typing import (Any, Callable, Collection, Iterable, NamedTuple, Optional,
+                    Sequence, Union)
 
 from .errors import InternalError, NotHierarchicalError, SelfJoinError
 from .model import Atom, Const, Fact, Query, Var, single_disjunct
@@ -43,11 +54,9 @@ from .structure import is_hierarchical, is_self_join_free
 
 
 def _unifies(fact: Fact, atom: Atom) -> bool:
-    """True iff the fact could be an image of the atom: same relation and
-    arity, equal constants positionwise, and equal values wherever the atom
-    repeats a variable."""
-    if fact.relation.name != atom.relation.name:
-        return False
+    """True iff the fact, of the atom's relation, could be an image of the
+    atom: same arity, equal constants positionwise, and equal values
+    wherever the atom repeats a variable."""
     if len(fact.args) != len(atom.terms):
         return False
     seen: dict[str, str] = {}
@@ -62,10 +71,12 @@ def _unifies(fact: Fact, atom: Atom) -> bool:
     return True
 
 
-def split_components(atoms: Sequence[Atom]) -> list[list[int]]:
-    """Atom indices grouped into variable-sharing connected components,
-    ordered by smallest member index.  Ground atoms form singletons."""
-    parent = list(range(len(atoms)))
+def split_components(variables: Sequence[Collection[str]]
+                     ) -> list[list[int]]:
+    """Indices of atoms, given by their variables, grouped into
+    variable-sharing connected components, ordered by smallest member
+    index.  Atoms without variables form singletons."""
+    parent = list(range(len(variables)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -74,15 +85,15 @@ def split_components(atoms: Sequence[Atom]) -> list[list[int]]:
         return i
 
     by_var: dict[str, int] = {}
-    for i, atom in enumerate(atoms):
-        for v in atom.variables:
+    for i, names in enumerate(variables):
+        for v in names:
             if v in by_var:
                 rep = find(by_var[v])
                 parent[find(i)] = rep
             else:
                 by_var[v] = i
     groups: dict[int, list[int]] = {}
-    for i in range(len(atoms)):
+    for i in range(len(variables)):
         groups.setdefault(find(i), []).append(i)
     return sorted(groups.values())
 
@@ -90,71 +101,36 @@ def split_components(atoms: Sequence[Atom]) -> list[list[int]]:
 def bucket_facts(atoms: Sequence[Atom], components: Sequence[Sequence[int]],
                  facts: Iterable[Fact]
                  ) -> tuple[list[list[Fact]], list[Fact]]:
-    """Route each fact to the component owning an atom it unifies with.
+    """Route each fact to the component owning the atom of its relation,
+    when it unifies with that atom.
 
-    Returns (per-component fact lists, free facts).  With self-join-free
-    atoms a relation belongs to at most one component, so the routing is
-    unambiguous."""
-    comp_of_atom = {}
+    Returns (per-component fact lists, free facts).  This is the
+    recursion's one unification check: with self-join-free atoms a
+    relation has at most one atom, and below the top every fact is routed
+    by its relation."""
+    owner: dict[str, tuple[Atom, int]] = {}
     for ci, comp in enumerate(components):
         for ai in comp:
-            comp_of_atom[ai] = ci
-    atoms_of_rel: dict[str, list[int]] = {}
-    for i, atom in enumerate(atoms):
-        atoms_of_rel.setdefault(atom.relation.name, []).append(i)
+            owner[atoms[ai].relation.name] = (atoms[ai], ci)
     buckets: list[list[Fact]] = [[] for _ in components]
     free: list[Fact] = []
     for fact in facts:
-        target: Optional[int] = None
-        for ai in atoms_of_rel.get(fact.relation.name, ()):
-            if _unifies(fact, atoms[ai]):
-                target = comp_of_atom[ai]
-                break
-        if target is None:
-            free.append(fact)
+        found = owner.get(fact.relation.name)
+        if found is not None and _unifies(fact, found[0]):
+            buckets[found[1]].append(fact)
         else:
-            buckets[target].append(fact)
+            free.append(fact)
     return buckets, free
 
 
-def root_variable(atoms: Sequence[Atom]) -> Optional[str]:
-    """The lexicographically least variable occurring in every atom."""
-    common: Optional[set[str]] = None
-    for atom in atoms:
-        vs = set(atom.variables)
-        common = vs if common is None else common & vs
+def root_variable(variables: Sequence[Collection[str]]) -> str:
+    """The lexicographically least variable occurring in every atom, given
+    by its variables."""
+    common = set.intersection(*map(set, variables))
     if not common:
-        return None
+        raise NotHierarchicalError("entangled component without a shared "
+                                   "variable; the rule is not hierarchical")
     return min(common)
-
-
-def partition_by_root(atoms: Sequence[Atom], facts: Iterable[Fact],
-                      root: str) -> dict[str, list[Fact]]:
-    """Group facts by the value they force on the root variable.
-
-    Every fact must unify with some atom (pre-bucketed); the root's
-    positions in that atom determine the value."""
-    groups: dict[str, list[Fact]] = {}
-    for fact in facts:
-        value: Optional[str] = None
-        for atom in atoms:
-            if _unifies(fact, atom):
-                for term, arg in zip(atom.terms, fact.args):
-                    if isinstance(term, Var) and term.name == root:
-                        value = arg
-                        break
-                break
-        if value is None:
-            raise InternalError(
-                f"fact {fact} reached a root split without a unifying atom "
-                f"containing {root}"
-            )
-        groups.setdefault(value, []).append(fact)
-    return groups
-
-
-def substitute_all(atoms: Sequence[Atom], var: str, value: str) -> list[Atom]:
-    return [a.substituted({var: value}) for a in atoms]
 
 
 # a vector: counts by world size (ints), or one probability (a Fraction)
@@ -174,9 +150,10 @@ def weighted_count(query: Query, facts: Sequence[Fact], total: Total,
     ``NotHierarchicalError``.
 
     ``total(facts)`` is the weight of all worlds over ``facts``, and
-    ``ground(atom, fact)`` is the vector of a lone ground atom whose one
-    possible image is ``fact`` (``None`` when absent), paired with the
-    leaf the tree keeps for it (``None`` for none).
+    ``ground(atom, fact)`` is the vector of a rule atom whose variables
+    the root splits above have all bound and whose one possible image is
+    ``fact`` (``None`` when absent), paired with the leaf the tree keeps
+    for it (``None`` for none).
 
     The tree is ``None`` when it holds no leaf; a leaf as ``ground``
     returned it; or a convolution chain, a list with one ``(prefix,
@@ -190,46 +167,95 @@ def weighted_count(query: Query, facts: Sequence[Fact], total: Total,
     if not is_hierarchical(rule):
         raise NotHierarchicalError("weighted counting requires a "
                                    "hierarchical rule")
-    return _count(rule.atoms, facts, total, ground)
-
-
-def _count(atoms: Sequence[Atom], facts: Sequence[Fact], total: Total,
-           ground: Ground) -> tuple[Vector, Any]:
+    atoms = rule.atoms
     if not atoms:
         return total(facts), None
-    components = split_components(atoms)
+    components, plans = _compile(atoms, frozenset())
     buckets, free = bucket_facts(atoms, components, facts)
-    if len(components) == 1 and not free:
-        component = [atoms[i] for i in components[0]]
-        if len(component) == 1 and component[0].is_ground:
-            # every fact here unifies with the ground atom, so the facts
-            # are its one possible image or nothing
-            return ground(component[0], facts[0] if facts else None)
-        return _root_split(component, facts, total, ground)
+    if len(plans) == 1 and not free:
+        return plans[0].solve(buckets[0], total, ground)
     parts = [(total(free), None)] if free else []
-    for component, bucket in zip(components, buckets):
-        parts.append(_count([atoms[i] for i in component], bucket, total,
-                            ground))
+    for plan, bucket in zip(plans, buckets):
+        parts.append(plan.solve(bucket, total, ground))
     return _product(parts)
 
 
-def _root_split(atoms: list[Atom], facts: Sequence[Fact], total: Total,
-                ground: Ground) -> tuple[Vector, Any]:
-    root = root_variable(atoms)
-    if root is None:
-        raise NotHierarchicalError(
-            "entangled component without a shared variable; the rule is "
-            "not hierarchical"
-        )
-    # the component fails exactly when every root value's sub-problem
-    # fails; failures over disjoint fact groups multiply
-    parts = []
-    for value, group in sorted(partition_by_root(atoms, facts, root).items()):
-        sat, child = _count(substitute_all(atoms, root, value), group, total,
-                            ground)
-        parts.append((_complement(total(group), sat), child))
-    fails, tree = _product(parts)
-    return _complement(total(facts), fails), tree
+class _Leaf(NamedTuple):
+    """A lone atom whose variables are all bound: the facts that reach it
+    are its one possible image or nothing."""
+
+    atom: Atom
+
+    def solve(self, facts: Sequence[Fact], total: Total,
+              ground: Ground) -> tuple[Vector, Any]:
+        return ground(self.atom, facts[0] if facts else None)
+
+
+class _Split(NamedTuple):
+    """A connected component solved through its root variable, found in
+    each relation's atom at ``position[relation name]``."""
+
+    position: dict[str, int]
+    below: _Plan
+
+    def solve(self, facts: Sequence[Fact], total: Total,
+              ground: Ground) -> tuple[Vector, Any]:
+        groups: defaultdict[str, list[Fact]] = defaultdict(list)
+        for fact in facts:
+            groups[fact.args[self.position[fact.relation.name]]].append(fact)
+        # the component fails exactly when every root value's sub-problem
+        # fails; failures over disjoint fact groups multiply
+        parts = []
+        for _value, group in sorted(groups.items()):
+            sat, child = self.below.solve(group, total, ground)
+            parts.append((_complement(total(group), sat), child))
+        fails, tree = _product(parts)
+        return _complement(total(facts), fails), tree
+
+
+class _Product(NamedTuple):
+    """Independent components, the one of each relation's atom at
+    ``part_of[relation name]``."""
+
+    parts: list[_Plan]
+    part_of: dict[str, int]
+
+    def solve(self, facts: Sequence[Fact], total: Total,
+              ground: Ground) -> tuple[Vector, Any]:
+        routed: list[list[Fact]] = [[] for _ in self.parts]
+        for fact in facts:
+            routed[self.part_of[fact.relation.name]].append(fact)
+        return _product([plan.solve(group, total, ground)
+                         for plan, group in zip(self.parts, routed)])
+
+
+# a node of the compiled recursion; solve(facts, total, ground) is the
+# weighted count of the worlds over the facts routed to it, and its tree
+_Plan = Union[_Leaf, _Split, _Product]
+
+
+def _compile(atoms: Sequence[Atom], bound: frozenset[str]
+             ) -> tuple[list[list[int]], list[_Plan]]:
+    """The components of ``atoms`` once the variables in ``bound`` are
+    bound, and the plan of each."""
+    unbound = [[v for v in atom.variables if v not in bound]
+               for atom in atoms]
+    components = split_components(unbound)
+    plans: list[_Plan] = []
+    for component in components:
+        if len(component) == 1 and not unbound[component[0]]:
+            plans.append(_Leaf(atoms[component[0]]))
+            continue
+        root = root_variable([unbound[i] for i in component])
+        members = [atoms[i] for i in component]
+        inner, below = _compile(members, bound | {root})
+        position = {atom.relation.name: atom.terms.index(Var(root))
+                    for atom in members}
+        part_of = {members[i].relation.name: pi
+                   for pi, part in enumerate(inner) for i in part}
+        plans.append(_Split(position, below[0] if len(below) == 1
+                            else _Product(below, part_of)))
+    return components, plans
 
 
 def _complement(total: Vector, vector: Vector) -> Vector:

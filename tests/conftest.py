@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 from shapfact.model import (Atom, CQNeg, Const, Database, Fact, Provenance,
-                            RelationSym, Schema, UCQNeg, Var)
+                            RelationSym, Schema, UCQNeg, Var,
+                            single_disjunct)
 from shapfact.parsing import parse_facts, parse_query, parse_schema
 from shapfact.structure import (VerdictKind, classify, is_hierarchical,
                                 is_polarity_consistent, is_self_join_free)
@@ -321,3 +322,57 @@ def random_prob_instance(rng: random.Random, *, max_uncertain: int = 12
                 p = Fraction(rng.choice((0, 1)))
             facts.append(Fact(f.relation, f.args, f.provenance, p))
         return Database(db.schema, facts), query
+
+
+# Hierarchical self-join-free rules with the features the shared recursion
+# must route around: constants, repeated variables, zero-ary atoms, several
+# components and nested root splits.  Every schema also declares N/1, which
+# no rule uses.
+RULE_SHAPES = {
+    "constant": ("relation R/2\nrelation S/1",
+                 "q() :- R(x, K), not S(x)."),
+    "repeated_variable": ("relation R/2\nrelation S/2",
+                          "q() :- R(x, x), S(x, y)."),
+    "zero_ary": ("relation A/0\nrelation B/0\nrelation R/1",
+                 "q() :- A(), R(x), not B()."),
+    "two_components": ("relation R/1\nrelation S/1\nrelation T/2\n"
+                       "relation U/1",
+                       "q() :- R(x), not S(x), T(y, z), U(y)."),
+    "nested_with_constant": ("relation R/1\nrelation S/2\nrelation T/3",
+                             "q() :- R(x), S(x, y), not T(x, y, K)."),
+    "running_example": ("relation Stud/1\nrelation TA/1\nrelation Reg/2",
+                        Q1),
+    "reversed_negation": ("relation R/2\nrelation S/2\nrelation T/1",
+                          "q() :- R(x, y), not S(y, x), T(x)."),
+}
+
+_SHAPE_DOMAIN = ("a", "b", "c", "K")
+_SHAPE_PROBABILITIES = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+
+
+def random_shaped_instance(rng: random.Random, shape: str, *,
+                           max_endo: int = 8) -> tuple[Database, CQNeg]:
+    """The rule of ``RULE_SHAPES[shape]`` over random facts on a
+    four-constant domain that holds the rules' constant ``K``.
+
+    Each relation, N included, gets up to three facts, so some facts match
+    no atom (N's, a constant other than ``K``, distinct values under a
+    repeated variable).  At most ``max_endo`` facts are endogenous; each
+    of those carries a probability strictly between 0 and 1, the others
+    none (certain), so one database serves the counting, Shapley and
+    probability engines."""
+    schema_text, rule = RULE_SHAPES[shape]
+    schema = parse_schema(schema_text + "\nrelation N/1")
+    facts: list[Fact] = []
+    endo_budget = max_endo
+    for rel in schema.relations:
+        tuples = {tuple(rng.choice(_SHAPE_DOMAIN) for _ in range(rel.arity))
+                  for _ in range(rng.randint(1, 3))}
+        for args in sorted(tuples):
+            if endo_budget and rng.random() < 0.7:
+                endo_budget -= 1
+                facts.append(Fact(rel, args, Provenance.ENDOGENOUS,
+                                  rng.choice(_SHAPE_PROBABILITIES)))
+            else:
+                facts.append(Fact(rel, args, Provenance.EXOGENOUS))
+    return Database(schema, facts), single_disjunct(parse_query(rule, schema))

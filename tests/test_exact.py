@@ -1,20 +1,26 @@
 """Counting-engine tests: the polynomial algorithm against the oracle."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import (STAFF_Q1_SAT_COUNTS, STAFF_Q1_VALUES,
-                      random_hierarchical_instance, staff_fact)
+from conftest import (Q2, RULE_SHAPES, STAFF_Q1_SAT_COUNTS, STAFF_Q1_VALUES,
+                      random_hierarchical_instance, random_shaped_instance,
+                      staff_fact)
+from shapfact import decompose
 from shapfact.errors import (FactNotEndogenousError, NotHierarchicalError,
                              SelfJoinError)
 from shapfact.exact import (count_satisfying_subsets, shapley_exact,
                             shapley_exact_all)
-from shapfact.model import single_disjunct
+from shapfact.model import (Atom, CQNeg, Const, Database, Fact, Provenance,
+                            Var, active_domain, single_disjunct)
 from shapfact.naive import (brute_count_satisfying, brute_shapley,
                             brute_shapley_all, eval_boolean)
 from shapfact.parsing import parse_facts, parse_query, parse_schema
+from shapfact.prob import brute_prob, prob_eval_hierarchical
+from shapfact.rewriting import rewrite
 
 
 def test_staff_q1_count_vector(staff_db, q1):
@@ -87,7 +93,7 @@ def test_matches_oracle_on_random_hierarchical_instances():
         assert got == expected
 
 
-def test_cross_check_mode_runs(staff_db, q1):
+def test_staff_engine_agrees_with_oracle(staff_db, q1):
     # double entry: the engine and the enumeration oracle agree
     assert count_satisfying_subsets(staff_db, q1) \
         == brute_count_satisfying(staff_db, q1) == STAFF_Q1_SAT_COUNTS
@@ -141,3 +147,105 @@ def test_axioms_beyond_the_oracle(staff_schema, q1):
     # the single-fact entry point reads the same pass
     for fact in rng.sample(list(db.endogenous), 5):
         assert shapley_exact(db, q1, fact) == values[fact]
+
+
+def test_engines_match_oracles_across_rule_shapes():
+    # 100 seeded draws per shape: counts, Shapley values and lifted
+    # probability against their enumeration oracles
+    rng = random.Random(314159)
+    draws = nontrivial = 0
+    for shape in RULE_SHAPES:
+        for _ in range(100):
+            db, query = random_shaped_instance(rng, shape)
+            assert count_satisfying_subsets(db, query) \
+                == brute_count_satisfying(db, query)
+            values = shapley_exact_all(db, query)
+            assert values == brute_shapley_all(db, query)
+            assert prob_eval_hierarchical(db, query) == brute_prob(db, query)
+            draws += 1
+            nontrivial += any(values.values())
+    # an oracle comparison of all-zero values shows little
+    assert nontrivial >= draws // 5
+
+
+def _renamed(db, query, names):
+    facts = [Fact(f.relation, tuple(names[a] for a in f.args), f.provenance,
+                  f.probability) for f in db.facts]
+    atoms = tuple(
+        Atom(a.relation, tuple(Const(names[t.value]) if isinstance(t, Const)
+                               else t for t in a.terms), a.negated)
+        for a in query.atoms)
+    return Database(db.schema, facts), CQNeg(atoms)
+
+
+def test_order_reversing_renaming_keeps_every_value():
+    rng = random.Random(8642)
+    for shape in RULE_SHAPES:
+        for _ in range(20):
+            db, query = random_shaped_instance(rng, shape)
+            constants = active_domain(db, query)
+            # the smallest constant becomes the largest, and so on
+            names = {c: f"v{len(constants) - i:02d}"
+                     for i, c in enumerate(constants)}
+            new_db, new_query = _renamed(db, query, names)
+            moved = {Fact(f.relation, tuple(names[a] for a in f.args)): v
+                     for f, v in shapley_exact_all(db, query).items()}
+            assert shapley_exact_all(new_db, new_query) == moved
+            assert prob_eval_hierarchical(new_db, new_query) \
+                == prob_eval_hierarchical(db, query)
+
+
+def _unmatchable(db, query):
+    """Endogenous facts that no atom of the rule matches: one of the
+    unused relation N, and one with fresh, pairwise distinct values for
+    each atom holding a constant or a repeated variable."""
+    facts = [Fact(db.schema["N"], ("fresh",), Provenance.ENDOGENOUS,
+                  Fraction(1, 2))]
+    for atom in query.atoms:
+        variables = [t for t in atom.terms if isinstance(t, Var)]
+        if len(variables) < len(atom.terms) \
+                or len(set(variables)) < len(variables):
+            args = tuple(f"fresh{i}" for i in range(len(atom.terms)))
+            facts.append(Fact(atom.relation, args, Provenance.ENDOGENOUS,
+                              Fraction(1, 2)))
+    return facts
+
+
+def test_unmatchable_facts_are_null_players():
+    rng = random.Random(9753)
+    kinds = Counter()
+    for shape in RULE_SHAPES:
+        for _ in range(20):
+            db, query = random_shaped_instance(rng, shape)
+            extra = _unmatchable(db, query)
+            kinds.update(f.relation.name for f in extra)
+            grown = Database(db.schema, db.facts + tuple(extra))
+            values = shapley_exact_all(db, query)
+            assert shapley_exact_all(grown, query) \
+                == {**values, **dict.fromkeys(extra, 0)}
+            assert prob_eval_hierarchical(grown, query) \
+                == prob_eval_hierarchical(db, query)
+    # the unused relation; constant mismatches (R of "constant", T of
+    # "nested_with_constant"); a repeated-variable mismatch (R(x, x))
+    assert kinds["N"] == 140 and kinds["R"] == 40 and kinds["T"] == 20
+
+
+def test_each_fact_is_unified_once_per_count(staff_db_exo, monkeypatch):
+    db, rule, _trace = rewrite(staff_db_exo,
+                               parse_query(Q2, staff_db_exo.schema))
+    checked = Counter()
+    unifies = decompose._unifies
+
+    def spy(fact, atom):
+        checked[fact] += 1
+        return unifies(fact, atom)
+
+    monkeypatch.setattr(decompose, "_unifies", spy)
+    relations = {atom.relation.name for atom in rule.atoms}
+    expected = Counter(f for f in db.facts if f.relation.name in relations)
+    assert len(expected) > 20
+    shapley_exact_all(db, rule)
+    assert checked == expected
+    checked.clear()
+    prob_eval_hierarchical(db, rule)
+    assert checked == expected
