@@ -50,24 +50,13 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _CHUNK_BYTES = 1 << 18
 
 
-class SplitMix64:
-    """Tiny deterministic 64-bit generator (SplitMix64 finaliser)."""
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-
-def substream_key(seed: int, stream: int) -> int:
-    """A 64-bit Philox key for one substream of the plan seed; the
-    estimator samples from substream 0."""
-    return SplitMix64((seed + (stream + 1) * _GOLDEN) & _MASK64).next_u64()
+def _philox_key(seed: int) -> int:
+    """The 64-bit Philox key of a plan seed: the SplitMix64 finaliser
+    applied to ``seed + 2 * golden``."""
+    z = (seed + 2 * _GOLDEN) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 @dataclass(frozen=True)
@@ -106,9 +95,7 @@ def shapley_additive_fpras(db: Database, query: Query, plan: SamplingPlan
     # rank column n reads -1 and column n + 1 reads n: the pads of P and N
     pos = _padded([p for p, _ in profiles], n)
     neg = _padded([m for _, m in profiles], n + 1)
-    gen = np.random.Generator(
-        np.random.Philox(key=substream_key(plan.seed, 0))
-    )
+    gen = np.random.Generator(np.random.Philox(key=_philox_key(plan.seed)))
     totals = np.zeros(n, dtype=np.int64)
     # the most one sampled row holds at once, in 8-byte entries: four per
     # fact (key, slot, rank, difference array) and three per profile (start,

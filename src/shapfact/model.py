@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
+from . import errors
 from .errors import DuplicateFactError, FactNotEndogenousError
 
 #: Relation names generated by the exogenous-facts rewrite start with this
@@ -58,7 +59,13 @@ class Const:
     def __str__(self) -> str:
         if _BARE_CONSTANT.match(self.value):
             return self.value
-        return "'" + self.value.replace("'", "\\'") + "'"
+        return quoted(self.value)
+
+
+def quoted(value: str) -> str:
+    """``value`` as a quoted constant: a backslash escapes each ``\\`` and
+    ``'``, and the reader drops the backslash before any character."""
+    return "'" + value.replace("\\", "\\\\").replace("'", "\\'") + "'"
 
 
 Term = Union[Var, Const]
@@ -387,35 +394,44 @@ def active_domain(db: Database, query: Optional[Query] = None) -> tuple[str, ...
     return tuple(sorted(values))
 
 
+def fact_violations(fact: Fact, schema: Schema) -> list[tuple[type, str]]:
+    """Typed violations of one fact against ``schema``: its relation is
+    declared, its arity matches, it is not endogenous in an exogenous
+    relation, and its probability, if any, lies in [0, 1]."""
+    rel = schema.get(fact.relation.name)
+    if rel is None:
+        return [(errors.UnknownRelationError,
+                 f"fact {fact}: relation {fact.relation.name} is not in the "
+                 f"schema")]
+    problems: list[tuple[type, str]] = []
+    if len(fact.args) != rel.arity:
+        problems.append((errors.ArityError,
+                         f"fact {fact}: arity {len(fact.args)} != "
+                         f"declared {rel.arity}"))
+    if rel.exogenous_only and fact.endogenous:
+        problems.append((errors.DuplicateFactError,
+                         f"fact {fact}: relation {rel.name} is declared "
+                         f"exogenous but the fact is endogenous"))
+    if fact.probability is not None and not 0 <= fact.probability <= 1:
+        problems.append((errors.BadProbabilityError,
+                         f"fact {fact}: probability {fact.probability} "
+                         f"outside [0, 1]"))
+    return problems
+
+
+def schema_violations(schema: Schema) -> list[tuple[type, str]]:
+    """Typed violations: relations that use the reserved prefix."""
+    return [(errors.ReservedNameError,
+             f"relation {rel.name} uses the reserved prefix {RESERVED_PREFIX}")
+            for rel in schema.relations
+            if rel.name.startswith(RESERVED_PREFIX)]
+
+
 def database_violations(db: Database) -> list[tuple[type, str]]:
     """Typed violations: ``(exception class, message)`` pairs."""
-    from . import errors
-
-    problems: list[tuple[type, str]] = []
-    for rel in db.schema.relations:
-        if rel.name.startswith(RESERVED_PREFIX):
-            problems.append((errors.ReservedNameError,
-                             f"relation {rel.name} uses the reserved prefix "
-                             f"{RESERVED_PREFIX}"))
+    problems = schema_violations(db.schema)
     for fact in db.facts:
-        rel = db.schema.get(fact.relation.name)
-        if rel is None:
-            problems.append((errors.UnknownRelationError,
-                             f"fact {fact}: relation {fact.relation.name} "
-                             f"is not in the schema"))
-            continue
-        if len(fact.args) != rel.arity:
-            problems.append((errors.ArityError,
-                             f"fact {fact}: arity {len(fact.args)} != "
-                             f"declared {rel.arity}"))
-        if rel.exogenous_only and fact.endogenous:
-            problems.append((errors.DuplicateFactError,
-                             f"fact {fact}: relation {rel.name} is declared "
-                             f"exogenous but the fact is endogenous"))
-        if fact.probability is not None and not (0 <= fact.probability <= 1):
-            problems.append((errors.BadProbabilityError,
-                             f"fact {fact}: probability {fact.probability} "
-                             f"outside [0, 1]"))
+        problems += fact_violations(fact, db.schema)
     return problems
 
 
@@ -433,8 +449,6 @@ def query_violations(query: Query,
     relation symbol (and with the schema if one is supplied), and the
     reserved relation-name prefix.
     """
-    from . import errors
-
     problems: list[tuple[type, str]] = []
     for i, disjunct in enumerate(disjuncts_of(query)):
         label = f"rule {i + 1}"

@@ -22,10 +22,19 @@ constants, whatever their capitalisation::
 
     exo  Stud(Adam)
     endo TA(Adam)
-    prob 1/2 Reg(Adam, OS)
+    prob 1/2 Reg(Adam, OS)   # a comment
+    endo Reg('New York', 'it\\'s')
 
-``#`` starts a comment in all three formats.  Probabilities are exact:
-either a decimal literal or ``num/den``.
+One compiled pattern reads a whole fact line: the keyword, the relation
+name, the constants and an optional comment; ``--fact`` references are read
+by the same atom pattern.  Probabilities are exact: either a decimal
+literal or ``num/den``.
+
+A constant outside the bare shape (letters, digits, ``_``) is quoted with
+single quotes.  Inside the quotes a backslash escapes the character after
+it, so the writer escapes ``\\`` and ``'`` and the reader drops the
+backslash before any character.  ``#`` starts a comment in all three
+formats, but only outside quotes.
 """
 
 from __future__ import annotations
@@ -49,16 +58,25 @@ from .model import (
     Schema,
     UCQNeg,
     Var,
-    database_violations,
     disjuncts_of,
+    fact_violations,
     is_variable_token,
     query_violations,
+    quoted,
     raise_first,
+    schema_violations,
 )
 
 # ---------------------------------------------------------------------------
 # tokenizer
 # ---------------------------------------------------------------------------
+
+# one constant of a fact: a bare word, or a quoted token in which a
+# backslash escapes the character after it
+_BARE = r"[A-Za-z0-9_]+"
+_QUOTED = r"'(?:[^'\\]|\\.)*'"
+_CONSTANT = f"(?:{_BARE}|{_QUOTED})"
+_CONSTANT_RE = re.compile(_CONSTANT)
 
 _TOKEN_RE = re.compile(
     r"""
@@ -66,7 +84,7 @@ _TOKEN_RE = re.compile(
   | (?P<comment>\#[^\n]*)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<number>[0-9][A-Za-z0-9_]*)
-  | (?P<string>'(?:[^'\\]|\\.)*')
+  | (?P<string>""" + _QUOTED + r""")
   | (?P<implies>:-)
   | (?P<lparen>\()
   | (?P<rparen>\))
@@ -111,9 +129,12 @@ def _tokenize(text: str) -> list[Token]:
     return tokens
 
 
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+
 def _unquote(text: str) -> str:
-    assert text.startswith("'") and text.endswith("'")
-    return text[1:-1].replace("\\'", "'")
+    """The constant a quoted token spells (the inverse of ``quoted``)."""
+    return _ESCAPE.sub(r"\1", text[1:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -301,55 +322,29 @@ def parse_schema(text: str) -> Schema:
     return Schema(relations)
 
 
-def _parse_ground_atom(text: str, lineno: int) -> tuple[str, tuple[str, ...]]:
-    """Parse ``Name(c, ...)`` where every argument is a constant."""
-    try:
-        tokens = _tokenize(text)
-    except errors.QuerySyntaxError as exc:
-        raise errors.SchemaSyntaxError(f"line {lineno}: {exc}") from exc
-    pos = 0
+# ``Name(c, ...)`` with constant arguments
+_ATOM = (rf"(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*"
+         rf"\(\s*(?P<args>(?:{_CONSTANT}(?:\s*,\s*{_CONSTANT})*)?)\s*\)")
+_ATOM_RE = re.compile(_ATOM)
+# a whole fact line; blank and comment-only lines match with no keyword
+_FACT_LINE = re.compile(
+    rf"\s*(?:(?:(?P<keyword>exo|endo)|prob\s+(?P<p>\S+))\s+{_ATOM}\s*)?"
+    r"(?:#.*)?"
+)
 
-    def expect(kind: str) -> Token:
-        nonlocal pos
-        tok = tokens[pos]
-        if tok.kind != kind:
-            raise errors.SchemaSyntaxError(
-                f"line {lineno}: malformed fact: {text}"
-            )
-        pos += 1
-        return tok
 
-    name = expect("ident").text
-    expect("lparen")
-    args: list[str] = []
-    if tokens[pos].kind != "rparen":
-        while True:
-            tok = tokens[pos]
-            if tok.kind in ("ident", "number"):
-                args.append(tok.text)
-                pos += 1
-            elif tok.kind == "string":
-                args.append(_unquote(tok.text))
-                pos += 1
-            else:
-                raise errors.SchemaSyntaxError(
-                    f"line {lineno}: malformed argument in: {text}"
-                )
-            if tokens[pos].kind == "comma":
-                pos += 1
-                continue
-            break
-    expect("rparen")
-    expect("eof")
-    return name, tuple(args)
+def _args(text: str) -> tuple[str, ...]:
+    return tuple(_unquote(c) if c[0] == "'" else c
+                 for c in _CONSTANT_RE.findall(text))
 
 
 def parse_fact_reference(text: str) -> tuple[str, tuple[str, ...]]:
     """Parse a fact written as ``Name(c, ...)``, e.g. for ``--fact``."""
-    return _parse_ground_atom(text.strip(), 1)
-
-
-_FACT_LINE = re.compile(r"(exo|endo|prob)\s+(.*)\Z")
+    m = _ATOM_RE.fullmatch(text.strip())
+    if m is None:
+        raise errors.SchemaSyntaxError(
+            f"expected a fact 'Name(c, ...)', got: {text}")
+    return m["name"], _args(m["args"])
 
 
 def parse_facts(text: str, schema: Schema) -> Database:
@@ -358,62 +353,51 @@ def parse_facts(text: str, schema: Schema) -> Database:
     Identical duplicate lines are deduplicated; lines that disagree about an
     already-seen fact's provenance or probability are an error.
     """
+    raise_first(schema_violations(schema))
     facts: list[Fact] = []
-    for lineno, line in _content_lines(text):
-        m = _FACT_LINE.match(line)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        m = _FACT_LINE.fullmatch(line)
         if m is None:
             raise errors.SchemaSyntaxError(
-                f"line {lineno}: expected 'exo|endo|prob ...', got: {line}"
+                f"line {lineno}: expected 'exo|endo|prob p Name(c, ...)', "
+                f"got: {line.strip()}"
             )
-        keyword, rest = m.group(1), m.group(2).strip()
+        name = m["name"]
+        if name is None:
+            continue
+        args = _args(m["args"])
+        rel = schema.get(name) or RelationSym(name, len(args))
         probability: Optional[Fraction] = None
-        if keyword == "prob":
-            parts = rest.split(None, 1)
-            if len(parts) != 2:
-                raise errors.SchemaSyntaxError(
-                    f"line {lineno}: expected 'prob p Name(...)', got: {line}"
-                )
+        if m["keyword"] == "exo":
+            provenance = Provenance.EXOGENOUS
+        elif m["keyword"] == "endo":
+            provenance = Provenance.ENDOGENOUS
+        else:
             try:
-                probability = Fraction(parts[0])
+                probability = Fraction(m["p"])
             except (ValueError, ZeroDivisionError) as exc:
                 raise errors.BadProbabilityError(
-                    f"line {lineno}: bad probability {parts[0]!r}"
+                    f"line {lineno}: bad probability {m['p']!r}"
                 ) from exc
-            if not 0 <= probability <= 1:
-                raise errors.BadProbabilityError(
-                    f"line {lineno}: probability {probability} outside [0, 1]"
-                )
-            rest = parts[1]
-        name, args = _parse_ground_atom(rest, lineno)
-        rel = schema.get(name)
-        if rel is None:
-            raise errors.UnknownRelationError(
-                f"line {lineno}: relation {name} is not declared in the schema"
-            )
-        if keyword == "exo":
-            provenance = Provenance.EXOGENOUS
-        elif keyword == "endo":
-            provenance = Provenance.ENDOGENOUS
-        else:  # prob
-            if rel.exogenous_only and probability != 1:
-                raise errors.BadProbabilityError(
-                    f"line {lineno}: relation {name} is declared exogenous; "
-                    f"its facts must have probability 1"
-                )
             provenance = (Provenance.EXOGENOUS if rel.exogenous_only
                           else Provenance.ENDOGENOUS)
-        facts.append(Fact(rel, args, provenance, probability))
-    db = Database(schema, facts)
-    raise_first(database_violations(db))
-    return db
+        fact = Fact(rel, args, provenance, probability)
+        problems = fact_violations(fact, schema)
+        if problems:
+            raise_first([(kind, f"line {lineno}: {message}")
+                         for kind, message in problems])
+        if rel.exogenous_only and probability not in (None, 1):
+            raise errors.BadProbabilityError(
+                f"line {lineno}: relation {name} is declared exogenous; "
+                f"its facts must have probability 1"
+            )
+        facts.append(fact)
+    return Database(schema, facts)
 
 
 # ---------------------------------------------------------------------------
 # rendering (inverse of the parsers above)
 # ---------------------------------------------------------------------------
-
-_BARE_ARG = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z|[0-9][A-Za-z0-9_]*\Z")
-
 
 def format_query(query: Query) -> str:
     return "\n".join(str(d) for d in disjuncts_of(query))
@@ -424,9 +408,7 @@ def format_schema(schema: Schema) -> str:
 
 
 def _format_arg(value: str) -> str:
-    if _BARE_ARG.match(value):
-        return value
-    return "'" + value.replace("'", "\\'") + "'"
+    return value if re.fullmatch(_BARE, value) else quoted(value)
 
 
 def format_fact(fact: Fact) -> str:

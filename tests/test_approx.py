@@ -7,8 +7,7 @@ import pytest
 
 from conftest import QRSTNR, staff_fact
 from shapfact import approx
-from shapfact.approx import (SplitMix64, make_plan, shapley_additive_fpras,
-                             substream_key)
+from shapfact.approx import _philox_key, make_plan, shapley_additive_fpras
 from shapfact.errors import InputError
 from shapfact.naive import (brute_shapley, eval_boolean, gen_gap_instance,
                             hom_profiles)
@@ -28,16 +27,10 @@ def test_plan_validation():
         make_plan(0.05, 1.5)
 
 
-def test_splitmix_streams_are_deterministic_and_distinct():
-    a = SplitMix64(42)
-    b = SplitMix64(42)
-    c = SplitMix64(43)
-    xs = [a.next_u64() for _ in range(5)]
-    assert xs == [b.next_u64() for _ in range(5)]
-    assert xs != [c.next_u64() for _ in range(5)]
-    assert all(0 <= x < 2 ** 64 for x in xs)
-    assert substream_key(7, 0) != substream_key(7, 1)
-    assert substream_key(7, 1) == substream_key(7, 1)
+def test_philox_key_is_pinned():
+    # the key fixes every sampled draw, so these pin the sampled reports
+    assert _philox_key(0) == 0x6E789E6AA1B965F4
+    assert _philox_key(7) == 0x044C3CD7F43C661C
 
 
 def test_estimates_are_reproducible(staff_db, q1):
@@ -79,8 +72,7 @@ def _literal_estimates(db, query, plan):
     """The definition, one order at a time: sort each row of the plan's
     arrival keys into an order, evaluate the query on every prefix, and
     credit each flip to the fact that arrived."""
-    gen = np.random.Generator(np.random.Philox(key=substream_key(plan.seed,
-                                                                 0)))
+    gen = np.random.Generator(np.random.Philox(key=_philox_key(plan.seed)))
     keys = gen.integers(0, 1 << 64, size=(plan.samples, db.n_endogenous),
                         dtype=np.uint64)
     totals = dict.fromkeys(db.endogenous, 0)

@@ -10,7 +10,8 @@ from shapfact.errors import (ArityError, BadProbabilityError,
                              DuplicateFactError, QuerySyntaxError,
                              ReservedNameError, SafetyError,
                              SchemaSyntaxError, UnknownRelationError)
-from shapfact.model import Atom, CQNeg, Const, Provenance, RelationSym, Var
+from shapfact.model import (Atom, CQNeg, Const, Database, Fact, Provenance,
+                            RelationSym, Var)
 from shapfact.parsing import (format_database, format_fact, format_query,
                               format_schema, parse_fact_reference,
                               parse_facts, parse_query, parse_schema)
@@ -132,6 +133,82 @@ def test_malformed_lines_report_line_numbers():
         parse_facts("endo R(a)\nR(b)", schema)
 
 
+# every spelling of a fact line pins what the one line pattern keeps; the
+# line under test is line 2
+_FACT_LINES = [
+    ("endo P ( a , b )", [("P", ("a", "b"), "endo", None)]),
+    ("exo Z()", [("Z", (), "exo", None)]),
+    ("endo P(9z, _x)", [("P", ("9z", "_x"), "endo", None)]),
+    ("exo\tR(a)  # trailing comment", [("R", ("a",), "exo", None)]),
+    ("endo P('a#b', 'x y')#", [("P", ("a#b", "x y"), "endo", None)]),
+    ("prob 0.25 R(a)", [("R", ("a",), "endo", Fraction(1, 4))]),
+    ("prob 1/3 R(a)", [("R", ("a",), "endo", Fraction(1, 3))]),
+    ("prob 1 E(a)", [("E", ("a",), "exo", Fraction(1))]),
+    ("", []),
+    ("   # only a comment", []),
+    ("endo R(a,)", SchemaSyntaxError),
+    ("endo R(a b)", SchemaSyntaxError),
+    ("endo R('x)", SchemaSyntaxError),
+    ("endo R(a).", SchemaSyntaxError),
+    ("endo R(a) extra", SchemaSyntaxError),
+    ("exoR(a)", SchemaSyntaxError),
+    ("prob 1/2", SchemaSyntaxError),
+    ("R(b)", SchemaSyntaxError),
+    ("prob nope R(a)", BadProbabilityError),
+    ("prob 1/0 R(a)", BadProbabilityError),
+    ("prob 3/2 R(a)", BadProbabilityError),
+    ("prob 1/2 E(a)", BadProbabilityError),
+    ("endo S(a)", UnknownRelationError),
+    ("endo P(a)", ArityError),
+    ("endo E(a)", DuplicateFactError),
+]
+
+
+@pytest.mark.parametrize("line, expected", _FACT_LINES)
+def test_fact_line_grammar(line, expected):
+    schema = parse_schema("relation R/1\nrelation P/2\nrelation Z/0\n"
+                          "relation E/1 exogenous")
+    text = f"# line 1\n{line}\n"
+    if isinstance(expected, type):
+        with pytest.raises(expected, match="^line 2: "):
+            parse_facts(text, schema)
+    else:
+        db = parse_facts(text, schema)
+        assert [(f.relation.name, f.args, f.provenance.value, f.probability)
+                for f in db.facts] == expected
+
+
+_ATOMS = [
+    ("R ( a , b )", ("R", ("a", "b"))),
+    ("Z()", ("Z", ())),
+    (" R(9z, _x) ", ("R", ("9z", "_x"))),
+    ("R('x y', 'it\\'s', 'a#b')", ("R", ("x y", "it's", "a#b"))),
+    (r"R('a\\b', 'a\'b')", ("R", ("a\\b", "a'b"))),
+    ("R(a,)", None),
+    ("R(a b)", None),
+    ("R('x)", None),
+    ("R(a).", None),
+    ("R(a) extra", None),
+    ("R", None),
+    ("(a)", None),
+]
+
+
+@pytest.mark.parametrize("text, expected", _ATOMS)
+def test_fact_references_share_the_fact_line_atom(text, expected):
+    if expected is None:
+        with pytest.raises(SchemaSyntaxError):
+            parse_fact_reference(text)
+        with pytest.raises(SchemaSyntaxError):
+            parse_facts(f"endo {text}", parse_schema("relation R/1"))
+    else:
+        name, args = expected
+        schema = parse_schema(f"relation {name}/{len(args)}")
+        assert parse_fact_reference(text) == expected
+        fact = parse_facts(f"endo {text}", schema).facts[0]
+        assert (fact.relation.name, fact.args) == expected
+
+
 def test_fact_reference_accepts_quoted_lowercase():
     assert parse_fact_reference("R(cx_0)") == ("R", ("cx_0",))
     assert parse_fact_reference("R('cx_0')") == ("R", ("cx_0",))
@@ -159,7 +236,10 @@ def test_format_fact_spells_provenance_and_probability():
 
 _names = st.sampled_from(["R", "S", "T", "U"])
 _vars = st.sampled_from(["x", "y", "z"])
-_consts = st.sampled_from(["A", "B", "c1"])
+# some need quotes (a comment mark, a space, a quote, backslashes);
+# `lower` is bare in fact files but quoted in queries
+_consts = st.sampled_from(["A", "B", "c1", "a#b", "x y", "it's", "a\\",
+                           "a\\'b", "lower", "9z"])
 
 
 @st.composite
@@ -201,19 +281,19 @@ def test_query_round_trip(rule):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(_names, st.sampled_from(["exo", "endo"]),
+@given(st.lists(st.tuples(_names, st.sampled_from(list(Provenance)),
                           st.tuples(_consts, _consts)),
                 min_size=0, max_size=6))
 def test_database_round_trip(rows):
     schema = parse_schema("relation R/2\nrelation S/2\n"
                           "relation T/2\nrelation U/2")
-    lines = []
+    facts = []
     seen = {}
     for name, prov, args in rows:
         if seen.setdefault((name, args), prov) != prov:
             continue  # keep provenance consistent per fact
-        lines.append(f"{prov} {name}({args[0]}, {args[1]})")
-    db = parse_facts("\n".join(lines), schema)
+        facts.append(Fact(schema[name], args, prov))
+    db = Database(schema, facts)
     reparsed = parse_facts(format_database(db), schema)
     assert reparsed.facts == db.facts
     assert ([f.provenance for f in reparsed.facts]
