@@ -50,7 +50,7 @@ from typing import (Any, Callable, Collection, Iterable, NamedTuple, Optional,
 
 from .errors import InternalError, NotHierarchicalError, SelfJoinError
 from .model import Atom, Const, Fact, Query, Var, single_disjunct
-from .structure import is_hierarchical, is_self_join_free
+from .structure import is_hierarchical, is_self_join_free, split_components
 
 
 def _unifies(fact: Fact, atom: Atom) -> bool:
@@ -69,33 +69,6 @@ def _unifies(fact: Fact, atom: Atom) -> bool:
             if prior != value:
                 return False
     return True
-
-
-def split_components(variables: Sequence[Collection[str]]
-                     ) -> list[list[int]]:
-    """Indices of atoms, given by their variables, grouped into
-    variable-sharing connected components, ordered by smallest member
-    index.  Atoms without variables form singletons."""
-    parent = list(range(len(variables)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    by_var: dict[str, int] = {}
-    for i, names in enumerate(variables):
-        for v in names:
-            if v in by_var:
-                rep = find(by_var[v])
-                parent[find(i)] = rep
-            else:
-                by_var[v] = i
-    groups: dict[int, list[int]] = {}
-    for i in range(len(variables)):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values())
 
 
 def bucket_facts(atoms: Sequence[Atom], components: Sequence[Sequence[int]],

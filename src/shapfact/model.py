@@ -383,8 +383,8 @@ class Database:
 
 def active_domain(db: Database, query: Optional[Query] = None) -> tuple[str, ...]:
     """All constants of the database plus, if given, those of the query,
-    sorted.  This is the domain over which negated exogenous relations are
-    complemented."""
+    sorted.  This is the domain over which the exogenous rewrite ranges the
+    variables that no positive exogenous atom binds."""
     values: set[str] = set()
     for fact in db.facts:
         values.update(fact.args)

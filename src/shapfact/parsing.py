@@ -350,11 +350,12 @@ def parse_fact_reference(text: str) -> tuple[str, tuple[str, ...]]:
 def parse_facts(text: str, schema: Schema) -> Database:
     """Parse fact lines into a database over ``schema``.
 
-    Identical duplicate lines are deduplicated; lines that disagree about an
-    already-seen fact's provenance or probability are an error.
+    Identical duplicate lines are deduplicated; a line that disagrees about
+    an already-seen fact's provenance or probability is an error naming
+    both lines.
     """
     raise_first(schema_violations(schema))
-    facts: list[Fact] = []
+    first_seen: dict[tuple[str, tuple[str, ...]], tuple[int, Fact]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         m = _FACT_LINE.fullmatch(line)
         if m is None:
@@ -391,8 +392,14 @@ def parse_facts(text: str, schema: Schema) -> Database:
                 f"line {lineno}: relation {name} is declared exogenous; "
                 f"its facts must have probability 1"
             )
-        facts.append(fact)
-    return Database(schema, facts)
+        prior_line, prior = first_seen.setdefault(fact.key, (lineno, fact))
+        if (prior.provenance is not fact.provenance
+                or prior.probability != fact.probability):
+            raise errors.DuplicateFactError(
+                f"line {lineno}: {format_fact(fact)} conflicts with line "
+                f"{prior_line}: {format_fact(prior)}"
+            )
+    return Database(schema, [fact for _, fact in first_seen.values()])
 
 
 # ---------------------------------------------------------------------------

@@ -3,20 +3,24 @@
 Some rules are non-hierarchical only *through* relations whose facts are
 all exogenous.  Since those relations never change across coalitions, they
 can be compiled into fresh exogenous relations whose shape makes the rule
-hierarchical again, after which the exact engine applies.  The compilation
-has three phases, each a sequence of small steps:
+hierarchical again, after which the exact engine applies.
 
-1. **complement** every negated exogenous atom: a fresh relation holds all
-   tuples over the active domain *not* in the original, and the atom turns
-   positive;
-2. **join** each group of exogenous atoms chained by variables that occur
-   nowhere else: the group becomes a single fresh atom over all its
-   variables;
-3. **project-pad** each remaining exogenous atom: project its facts onto
-   the variables shared with the rest of the rule, then pad with full
-   domain columns until the atom's variable set equals that of some
-   ordinary atom containing the shared variables.  An atom sharing no
-   variables at all degenerates to a zero-ary guard ("is it non-empty").
+The compilation takes one **materialise** step per component of the
+exogenous atoms, that is per group of exogenous atoms joined by variables
+that occur in exogenous atoms only.  The step replaces the component by
+one fresh exogenous atom.  Its variables are the component's *shared*
+variables (those also occurring outside it), then the other variables of
+the first ordinary atom that contains them all.  Its tuples are the
+assignments under which the component holds on its own facts:
+
+* the homomorphisms of the component's positive atoms,
+* with every variable that no positive atom binds ranging over the active
+  domain,
+* minus every assignment that sends a negated atom onto a fact,
+
+projected onto the shared variables and padded with every active-domain
+value in the remaining columns.  A component sharing no variable becomes
+a zero-ary guard ("does the component hold at all").
 
 Every step preserves the truth value of the rule on every coalition, hence
 every endogenous fact's attribution — the package's tests replay the
@@ -30,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 from .errors import (
     BlowupExceededError,
@@ -40,6 +44,7 @@ from .errors import (
     SelfJoinError,
 )
 from .model import (
+    RESERVED_PREFIX,
     Atom,
     CQNeg,
     Database,
@@ -52,7 +57,7 @@ from .model import (
     single_disjunct,
 )
 from .structure import (
-    _exo_component_indices,
+    exogenous_atom_components,
     exogenous_variables,
     has_non_hierarchical_path,
     is_hierarchical,
@@ -63,22 +68,23 @@ from .structure import (
 #: Refuse any rewrite step that would materialise more tuples than this.
 DEFAULT_BLOWUP_CAP = 10_000_000
 
-COMPLEMENT = "complement-negated"
-JOIN = "join-component"
-PAD = "project-pad"
+MATERIALISE = "materialise"
 
 
 @dataclass(frozen=True)
 class RewriteStep:
-    """One materialisation step, with enough detail to replay it.
+    """One materialise step, with enough detail to replay it.
 
-    ``atom_indices`` are positions in the rule *at the time of the step*;
-    ``proj_vars``/``pad_vars`` only apply to project-pad steps.  The
+    ``component`` names the relations of the exogenous atoms the step
+    replaces; since the rule is self-join-free, each names one atom.
+    ``relation`` is the fresh exogenous relation over ``proj_vars`` (the
+    component's shared variables) followed by ``pad_vars`` (the other
+    variables of the ordinary atom that contains them).  The
     ``consumed``/``produced``/size fields are a human-readable record and
     play no role in replay."""
 
-    kind: str
-    atom_indices: tuple[int, ...]
+    kind: ClassVar[str] = MATERIALISE
+    component: tuple[str, ...]
     relation: RelationSym
     proj_vars: tuple[str, ...] = ()
     pad_vars: tuple[str, ...] = ()
@@ -105,137 +111,60 @@ class RewriteTrace:
         return "\n".join(lines)
 
 
-def complement_relation(rel: RelationSym, facts: Iterable[Fact],
-                        domain: Sequence[str],
-                        target: Optional[RelationSym] = None,
-                        cap: int = DEFAULT_BLOWUP_CAP) -> tuple[Fact, ...]:
-    """All tuples over ``domain ** arity`` absent from ``facts``, as
-    exogenous facts of ``target`` (default: ``rel`` itself)."""
-    total = len(domain) ** rel.arity
-    if total > cap:
-        raise BlowupExceededError(
-            f"complement of {rel.name}/{rel.arity} over a domain of "
-            f"{len(domain)} values would hold up to {total} tuples "
-            f"(cap {cap})"
-        )
-    out_rel = target or rel
-    present = {f.args for f in facts}
-    ordered = sorted(domain)
-    return tuple(
-        Fact(out_rel, args, Provenance.EXOGENOUS)
-        for args in itertools.product(ordered, repeat=rel.arity)
-        if args not in present
-    )
-
-
-# ---------------------------------------------------------------------------
-# step application (pure; used both by the driver and by replay)
-# ---------------------------------------------------------------------------
-
-
 def apply_step(db: Database, rule: CQNeg, step: RewriteStep,
                domain: Sequence[str],
                cap: int = DEFAULT_BLOWUP_CAP) -> tuple[Database, CQNeg, int]:
     """Apply one recorded step; returns the new database, the new rule, and
-    the number of tuples materialised."""
-    if step.kind == COMPLEMENT:
-        return _apply_complement(db, rule, step, domain, cap)
-    if step.kind == JOIN:
-        return _apply_join(db, rule, step, cap)
-    if step.kind == PAD:
-        return _apply_pad(db, rule, step, domain, cap)
-    raise InternalError(f"unknown rewrite step kind {step.kind!r}")
+    the number of tuples materialised.
 
-
-def _replace_atom(rule: CQNeg, index: int, atom: Atom) -> CQNeg:
-    atoms = list(rule.atoms)
-    atoms[index] = atom
-    return CQNeg(tuple(atoms), head=rule.head)
-
-
-def _apply_complement(db: Database, rule: CQNeg, step: RewriteStep,
-                      domain: Sequence[str], cap: int
-                      ) -> tuple[Database, CQNeg, int]:
-    (index,) = step.atom_indices
-    atom = rule.atoms[index]
-    facts = complement_relation(atom.relation,
-                                db.relation_facts(atom.relation.name),
-                                domain, target=step.relation, cap=cap)
-    new_rule = _replace_atom(rule, index,
-                             Atom(step.relation, atom.terms, negated=False))
-    new_db = db.with_relations_replaced([atom.relation.name],
-                                        [step.relation], facts)
-    return new_db, new_rule, len(facts)
-
-
-def _apply_join(db: Database, rule: CQNeg, step: RewriteStep,
-                cap: int) -> tuple[Database, CQNeg, int]:
+    Refuses with :class:`BlowupExceededError` before building any fact when
+    the homomorphisms of the positive atoms, times the domain size to the
+    power of the variables they leave unbound, exceed ``cap``."""
     from .naive import _index, iter_homomorphisms
 
-    atoms = [rule.atoms[i] for i in step.atom_indices]
-    if any(a.negated for a in atoms):
-        raise InternalError("join step reached a negated atom; complements "
-                            "must run first")
-    var_order = step.proj_vars
-    index = _index(f for a in atoms
+    component = [a for a in rule.atoms if a.relation.name in step.component]
+    positive = [a for a in component if not a.negated]
+    negated = [a for a in component if a.negated]
+    bound = {v for a in positive for v in a.variables}
+    free = [v for v in dict.fromkeys(v for a in negated for v in a.variables)
+            if v not in bound]
+    width = len(domain) ** (len(free) + len(step.pad_vars))
+    index = _index(f for a in positive
                    for f in db.relation_facts(a.relation.name))
-    tuples: set[tuple[str, ...]] = set()
-    for h in iter_homomorphisms(atoms, index):
-        tuples.add(tuple(h[v] for v in var_order))
-        if len(tuples) > cap:
-            raise BlowupExceededError(
-                f"joining {len(atoms)} exogenous atoms exceeded the cap "
-                f"{cap}"
-            )
-    facts = tuple(Fact(step.relation, args, Provenance.EXOGENOUS)
-                  for args in sorted(tuples))
-    new_atom = Atom(step.relation, tuple(Var(v) for v in var_order))
-    keep = set(step.atom_indices[1:])
-    new_atoms = [new_atom if i == step.atom_indices[0] else a
-                 for i, a in enumerate(rule.atoms) if i not in keep]
-    new_rule = CQNeg(tuple(new_atoms), head=rule.head)
-    new_db = db.with_relations_replaced(
-        [a.relation.name for a in atoms], [step.relation], facts)
-    return new_db, new_rule, len(facts)
-
-
-def _apply_pad(db: Database, rule: CQNeg, step: RewriteStep,
-               domain: Sequence[str], cap: int
-               ) -> tuple[Database, CQNeg, int]:
-    from .naive import _index, iter_homomorphisms
-
-    (index_pos,) = step.atom_indices
-    atom = rule.atoms[index_pos]
-    if atom.negated:
-        raise InternalError("pad step reached a negated atom; complements "
-                            "must run first")
-    rel_index = _index(db.relation_facts(atom.relation.name))
-    projected: set[tuple[str, ...]] = set()
-    for h in iter_homomorphisms([atom], rel_index):
-        projected.add(tuple(h[v] for v in step.proj_vars))
-    pad_total = len(domain) ** len(step.pad_vars)
-    if len(projected) * pad_total > cap:
+    homs: list[dict[str, str]] = []
+    count = 0
+    for h in iter_homomorphisms(positive, index):
+        count += 1
+        if count * width <= cap:
+            homs.append(h)
+    if count * width > cap:
         raise BlowupExceededError(
-            f"padding {atom.relation.name} with {len(step.pad_vars)} domain "
-            f"columns would hold {len(projected) * pad_total} tuples "
-            f"(cap {cap})"
+            f"materialising {' + '.join(map(str, component))} over a domain "
+            f"of {len(domain)} values would hold up to {count * width} "
+            f"tuples (cap {cap})"
         )
     ordered = sorted(domain)
+    present = {a.relation.name: db.tuples(a.relation.name) for a in negated}
+    projected: set[tuple[str, ...]] = set()
+    for h in homs:
+        for values in itertools.product(ordered, repeat=len(free)):
+            h.update(zip(free, values))
+            if not any(a.substituted(h).ground_args()
+                       in present[a.relation.name] for a in negated):
+                projected.add(tuple(h[v] for v in step.proj_vars))
     facts = tuple(
         Fact(step.relation, args + pad, Provenance.EXOGENOUS)
         for args in sorted(projected)
         for pad in itertools.product(ordered, repeat=len(step.pad_vars))
     )
-    terms = tuple(Var(v) for v in step.proj_vars + step.pad_vars)
-    new_rule = _replace_atom(rule, index_pos, Atom(step.relation, terms))
-    new_db = db.with_relations_replaced([atom.relation.name],
-                                        [step.relation], facts)
+    new_atom = Atom(step.relation,
+                    tuple(Var(v) for v in step.proj_vars + step.pad_vars))
+    new_rule = CQNeg(tuple(new_atom if a is component[0] else a
+                           for a in rule.atoms if a not in component[1:]),
+                     head=rule.head)
+    new_db = db.with_relations_replaced(step.component, [step.relation],
+                                        facts)
     return new_db, new_rule, len(facts)
-
-
-# ---------------------------------------------------------------------------
-# the driver
-# ---------------------------------------------------------------------------
 
 
 def rewrite(db: Database, query: Query,
@@ -269,74 +198,27 @@ def rewrite(db: Database, query: Query,
                     f"{fact} is endogenous"
                 )
     domain = active_domain(db, query)
-    working = {n for n in exo_names
-               if any(a.relation.name == n for a in rule.atoms)}
-    ever_exo = set(working)
+    exo_vars = exogenous_variables(rule, exo_names)
+    ordinary = [a for a in rule.atoms if a.relation.name not in exo_names]
     steps: list[RewriteStep] = []
-    seq = 0
-
-    def fresh(kind: str, arity: int) -> RelationSym:
-        nonlocal seq
-        seq += 1
-        return RelationSym(f"__exo_{seq}_{kind}", arity, exogenous_only=True)
-
-    def run(step: RewriteStep) -> RewriteStep:
-        nonlocal db, rule
-        sizes = tuple(len(db.relation_facts(rule.atoms[i].relation.name))
-                      for i in step.atom_indices)
-        consumed = tuple(str(rule.atoms[i]) for i in step.atom_indices)
-        db, rule, produced_count = apply_step(db, rule, step, domain, cap)
-        new_atom = next(a for a in rule.atoms
-                        if a.relation.name == step.relation.name)
-        done = replace(step, consumed=consumed, produced=str(new_atom),
-                       sizes_before=sizes, size_after=produced_count)
-        steps.append(done)
-        ever_exo.add(step.relation.name)
-        return done
-
-    # phase 1: complement negated exogenous atoms (1:1, indices stable)
-    for i in range(len(rule.atoms)):
-        atom = rule.atoms[i]
-        if atom.negated and atom.relation.name in working:
-            sym = fresh("co", len(atom.terms))
-            run(RewriteStep(COMPLEMENT, (i,), sym))
-            working.discard(atom.relation.name)
-            working.add(sym.name)
-
-    # phase 2: join multi-atom exogenous components (indices shift, so
-    # recompute components after every join)
-    while True:
-        components = [c for c in _exo_component_indices(rule, frozenset(working))
-                      if len(c) >= 2]
-        if not components:
-            break
-        target = components[0]
-        var_order: dict[str, None] = {}
-        for i in target:
-            for v in rule.atoms[i].variables:
-                var_order.setdefault(v, None)
-        names = {rule.atoms[i].relation.name for i in target}
-        sym = fresh("join", len(var_order))
-        run(RewriteStep(JOIN, tuple(target), sym,
-                        proj_vars=tuple(var_order)))
-        working -= names
-        working.add(sym.name)
-
-    # phase 3: project each remaining exogenous atom onto its shared
-    # variables and pad to a containing ordinary atom (1:1, stable)
-    for i in range(len(rule.atoms)):
-        atom = rule.atoms[i]
-        if atom.relation.name not in working:
-            continue
-        exo_vars = exogenous_variables(rule, frozenset(working))
-        proj = tuple(v for v in atom.variables if v not in exo_vars)
+    for seq, component in enumerate(
+            exogenous_atom_components(rule, exo_names), start=1):
+        proj = tuple(dict.fromkeys(v for a in component for v in a.variables
+                                   if v not in exo_vars))
         pad: tuple[str, ...] = ()
         if proj:
-            beta = _containing_atom(rule, ever_exo, proj)
+            beta = _containing_atom(ordinary, proj)
             pad = tuple(v for v in beta.variables if v not in proj)
-        sym = fresh("pad", len(proj) + len(pad))
-        run(RewriteStep(PAD, (i,), sym, proj_vars=proj, pad_vars=pad))
-        working.discard(atom.relation.name)
+        names = tuple(a.relation.name for a in component)
+        sym = RelationSym(f"{RESERVED_PREFIX}{seq}", len(proj) + len(pad),
+                          exogenous_only=True)
+        step = RewriteStep(names, sym, proj_vars=proj, pad_vars=pad)
+        sizes = tuple(len(db.relation_facts(n)) for n in names)
+        db, rule, produced_count = apply_step(db, rule, step, domain, cap)
+        produced = next(a for a in rule.atoms if a.relation == sym)
+        steps.append(replace(step, consumed=tuple(map(str, component)),
+                             produced=str(produced), sizes_before=sizes,
+                             size_after=produced_count))
 
     if not is_hierarchical(rule) or not is_self_join_free(rule):
         raise InternalError(
@@ -348,12 +230,10 @@ def rewrite(db: Database, query: Query,
     return db, rule, trace
 
 
-def _containing_atom(rule: CQNeg, ever_exo: set[str],
-                     needed: tuple[str, ...]) -> Atom:
+def _containing_atom(ordinary: Sequence[Atom], needed: tuple[str, ...]
+                     ) -> Atom:
     want = set(needed)
-    for atom in rule.atoms:
-        if atom.relation.name in ever_exo:
-            continue
+    for atom in ordinary:
         if want <= set(atom.variables):
             return atom
     raise InternalError(

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Collection, Optional, Sequence
 
 from .model import Atom, CQNeg, Query, disjuncts_of
 
@@ -143,20 +143,12 @@ def exogenous_variables(query: CQNeg, x: Optional[frozenset[str]] = None
     return frozenset(in_exo - in_rest)
 
 
-def _exo_component_indices(query: CQNeg,
-                           x: Optional[frozenset[str]] = None
-                           ) -> tuple[tuple[int, ...], ...]:
-    """Connected components of the exogenous atoms, as atom-index tuples.
-
-    Two exogenous atoms are adjacent iff they share an exogenous-only
-    variable; sharing a variable that also occurs outside the exogenous
-    atoms does not connect them.
-    """
-    names = resolve_exogenous(query, x)
-    exo_vars = exogenous_variables(query, x)
-    members = [i for i, a in enumerate(query.atoms)
-               if a.relation.name in names]
-    parent = {i: i for i in members}
+def split_components(variables: Sequence[Collection[str]]
+                     ) -> list[list[int]]:
+    """Indices of atoms, given by their variables, grouped into
+    variable-sharing connected components, ordered by smallest member
+    index.  Atoms without variables form singletons."""
+    parent = list(range(len(variables)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -165,26 +157,35 @@ def _exo_component_indices(query: CQNeg,
         return i
 
     by_var: dict[str, int] = {}
-    for i in members:
-        for v in query.atoms[i].variables:
-            if v not in exo_vars:
-                continue
+    for i, names in enumerate(variables):
+        for v in names:
             if v in by_var:
-                parent[find(i)] = find(by_var[v])
+                rep = find(by_var[v])
+                parent[find(i)] = rep
             else:
                 by_var[v] = i
     groups: dict[int, list[int]] = {}
-    for i in members:
+    for i in range(len(variables)):
         groups.setdefault(find(i), []).append(i)
-    return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+    return sorted(groups.values())
 
 
 def exogenous_atom_components(query: CQNeg,
                               x: Optional[frozenset[str]] = None
                               ) -> tuple[tuple[Atom, ...], ...]:
-    """The components of :func:`_exo_component_indices`, as atoms."""
-    return tuple(tuple(query.atoms[i] for i in comp)
-                 for comp in _exo_component_indices(query, x))
+    """Connected components of the exogenous atoms, each in rule order,
+    ordered by their first atom.
+
+    Two exogenous atoms are adjacent iff they share an exogenous-only
+    variable; sharing a variable that also occurs outside the exogenous
+    atoms does not connect them.
+    """
+    names = resolve_exogenous(query, x)
+    exo_vars = exogenous_variables(query, names)
+    members = [a for a in query.atoms if a.relation.name in names]
+    groups = split_components([[v for v in a.variables if v in exo_vars]
+                               for a in members])
+    return tuple(tuple(members[i] for i in group) for group in groups)
 
 
 def gaifman_adjacency(query: CQNeg) -> dict[str, set[str]]:

@@ -114,8 +114,9 @@ def test_bad_probability_values():
 
 def test_conflicting_fact_lines():
     schema = parse_schema("relation R/1")
-    with pytest.raises(DuplicateFactError):
+    with pytest.raises(DuplicateFactError, match="line 2") as err:
         parse_facts("endo R(a)\nexo R(a)", schema)
+    assert "line 1" in str(err.value)
     # identical repetitions are fine
     db = parse_facts("endo R(a)\nendo R(a)", schema)
     assert len(db.facts) == 1

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (Q1, Q2, random_hierarchical_instance,
-                      random_prob_instance)
+from conftest import (Q1, Q2, random_exo_rewrite_instance,
+                      random_hierarchical_instance, random_prob_instance)
 from shapfact.errors import (BadProbabilityError, CapExceededError,
                              HasNonHierPathError, NotHierarchicalError)
 from shapfact.exact import count_satisfying_subsets
@@ -66,6 +66,24 @@ def test_probability_one_half_is_the_satisfying_share():
         satisfying = sum(count_satisfying_subsets(db, query))
         assert prob_eval_hierarchical(halves, query) == Fraction(
             satisfying, 2 ** db.n_endogenous)
+
+
+def test_rewrite_route_matches_enumeration_on_random_instances():
+    # non-hierarchical rules that only the exogenous rewrite makes
+    # tractable; the exogenous facts stay certain.  Most draws give 0 or 1,
+    # so a floor keeps the comparison from being vacuous.
+    rng = random.Random(86420)
+    draws, strict = 300, 0
+    for _ in range(draws):
+        db, query = random_exo_rewrite_instance(rng, max_endo=8)
+        priced = Database(db.schema, [
+            Fact(f.relation, f.args, f.provenance,
+                 Fraction(rng.randint(1, 7), 8) if f.endogenous else None)
+            for f in db.facts])
+        want = brute_prob(priced, query)
+        assert prob_eval(priced, query) == want
+        strict += 0 < want < 1
+    assert strict >= draws // 20
 
 
 def test_refuses_non_hierarchical_rules(staff_db, q2):

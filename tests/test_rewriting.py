@@ -13,26 +13,29 @@ from shapfact.exact import shapley_exact_all
 from shapfact.model import RESERVED_PREFIX, single_disjunct
 from shapfact.naive import brute_shapley_all
 from shapfact.parsing import parse_facts, parse_query, parse_schema
-from shapfact.rewriting import (COMPLEMENT, JOIN, PAD, apply_step, rewrite,
-                                shapley_exo)
-from shapfact.structure import is_hierarchical, is_self_join_free
+from shapfact.rewriting import MATERIALISE, apply_step, rewrite, shapley_exo
+from shapfact.structure import (exogenous_atom_components, is_hierarchical,
+                                is_self_join_free)
 
 
 def test_course_query_rewrite_shape(staff_db_exo):
     q = parse_query(Q2, staff_db_exo.schema)
     new_db, new_rule, trace = rewrite(staff_db_exo, q)
-    assert [s.kind for s in trace.steps] == [COMPLEMENT, PAD, PAD]
+    # one step per exogenous component: {Stud(x)} and {not Course(y, CS)}
+    assert [s.kind for s in trace.steps] == [MATERIALISE, MATERIALISE]
+    assert [s.component for s in trace.steps] == [("Stud",), ("Course",)]
     assert is_hierarchical(new_rule) and is_self_join_free(new_rule)
     # original endogenous facts survive untouched
     assert new_db.endogenous == staff_db_exo.endogenous
-    # three distinct namespaced relations were minted; the complement one
-    # is later consumed by a pad, so two survive into the final schema
+    # two distinct namespaced relations were minted, and both survive into
+    # the final schema in place of Stud and Course
     minted = [s.relation.name for s in trace.steps]
-    assert len(set(minted)) == 3
+    assert len(set(minted)) == 2
     assert all(n.startswith(RESERVED_PREFIX) for n in minted)
     fresh = [r.name for r in new_db.schema.relations
              if r.name.startswith(RESERVED_PREFIX)]
-    assert sorted(fresh) == sorted(minted[1:])
+    assert sorted(fresh) == sorted(minted)
+    assert not {"Stud", "Course"} & {r.name for r in new_db.schema.relations}
 
 
 def test_course_query_values_preserved(staff_db_exo):
@@ -76,8 +79,9 @@ def test_replay_reproduces_rewrite_exactly(staff_db_exo):
     assert rule == final_rule
 
 
-def test_join_phase_on_shared_exogenous_variable():
-    # S and P share z, which occurs in no other atom, so they merge first
+def test_shared_exogenous_variable_gives_one_step():
+    # S and P share z, which occurs in no other atom, so one step
+    # materialises them together
     schema = parse_schema("relation R/2\nrelation S/2 exogenous\n"
                           "relation P/2 exogenous\nrelation T/2")
     db = parse_facts(
@@ -93,8 +97,7 @@ def test_join_phase_on_shared_exogenous_variable():
     )
     q = parse_query(NOPATH_Q, schema)
     new_db, new_rule, trace = rewrite(db, q)
-    kinds = [s.kind for s in trace.steps]
-    assert JOIN in kinds
+    assert [set(s.component) for s in trace.steps] == [{"S", "P"}]
     got = {f.key: v for f, v in shapley_exact_all(new_db, new_rule).items()}
     expected = {f.key: v for f, v in brute_shapley_all(db, q).items()}
     assert got == expected
@@ -174,21 +177,28 @@ def test_rejects_endogenous_facts_in_exogenous_relations():
 
 
 def test_blowup_cap_refusal():
-    # complementing a 3-column relation over a 30-constant domain would
-    # materialise 27000 tuples; cap below that and the rewrite declines
-    schema = parse_schema("relation R/1\nrelation S/3 exogenous")
-    lines = ["endo R(a%d)" % i for i in range(30)]
+    # S(x) shares x with T(x, y), so its step pads with y: 10 S facts
+    # times a 20-constant domain project to 200 tuples, and a cap of 100
+    # refuses before any of them is built
+    schema = parse_schema("relation R/1\nrelation S/1 exogenous\n"
+                          "relation T/2")
+    lines = ["exo S(s%d)" % i for i in range(10)]
+    lines += ["endo R(r%d)" % i for i in range(10)]
     db = parse_facts("\n".join(lines), schema)
-    q = parse_query("q() :- R(x), not S(x, x, x).", schema)
-    with pytest.raises(BlowupExceededError):
-        rewrite(db, q, cap=10_000)
+    q = parse_query("q() :- R(y), S(x), not T(x, y).", schema)
+    with pytest.raises(BlowupExceededError, match="200 tuples"):
+        rewrite(db, q, cap=100)
+    _, _, trace = rewrite(db, q, cap=200)
+    assert [s.size_after for s in trace.steps] == [200]
 
 
 def test_matches_oracle_on_random_instances():
     rng = random.Random(555)
     for _ in range(30):
         db, q = random_exo_rewrite_instance(rng, max_endo=7)
-        new_db, new_rule, _ = rewrite(db, q)
+        new_db, new_rule, trace = rewrite(db, q)
+        assert len(trace.steps) == len(
+            exogenous_atom_components(single_disjunct(q)))
         got = {f.key: v
                for f, v in shapley_exact_all(new_db, new_rule).items()}
         expected = {f.key: v for f, v in brute_shapley_all(db, q).items()}
