@@ -30,10 +30,10 @@ from .errors import (ArityError, BadProbabilityError, BlowupExceededError,
                      CapExceededError, DuplicateFactError,
                      FactNotEndogenousError, HasNonHierPathError, InputError,
                      InternalError, NotHierarchicalError,
-                     NotPolarityConsistentError, QuerySyntaxError,
-                     RefusedError, ReservedNameError, SafetyError,
-                     SchemaSyntaxError, SelfJoinError, ShapfactError,
-                     UnknownFactError, UnknownRelationError,
+                     NotPolarityConsistentError, ProvenanceError,
+                     QuerySyntaxError, RefusedError, ReservedNameError,
+                     SafetyError, SchemaSyntaxError, SelfJoinError,
+                     ShapfactError, UnknownFactError, UnknownRelationError,
                      UnsupportedQueryError)
 from .exact import count_satisfying_subsets, shapley_exact, shapley_exact_all
 from .model import (Atom, CQNeg, Const, Database, Fact, Provenance, Query,
@@ -79,7 +79,8 @@ __all__ = [
     "ShapfactError", "InputError", "RefusedError", "InternalError",
     "QuerySyntaxError", "SchemaSyntaxError", "UnknownRelationError",
     "ArityError", "SafetyError", "ReservedNameError", "DuplicateFactError",
-    "BadProbabilityError", "UnknownFactError", "FactNotEndogenousError",
+    "ProvenanceError", "BadProbabilityError", "UnknownFactError",
+    "FactNotEndogenousError",
     "UnsupportedQueryError", "SelfJoinError", "NotHierarchicalError",
     "HasNonHierPathError", "NotPolarityConsistentError", "CapExceededError",
     "BlowupExceededError",

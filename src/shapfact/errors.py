@@ -64,6 +64,11 @@ class DuplicateFactError(InputError):
     provenance or probability."""
 
 
+class ProvenanceError(InputError):
+    """An endogenous fact in a relation whose facts must all be
+    exogenous."""
+
+
 class BadProbabilityError(InputError):
     """A fact probability is outside [0, 1], or a deterministic fact was
     required but a properly probabilistic one was found."""

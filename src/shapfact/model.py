@@ -20,7 +20,7 @@ import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from . import errors
 from .errors import DuplicateFactError, FactNotEndogenousError
@@ -28,6 +28,11 @@ from .errors import DuplicateFactError, FactNotEndogenousError
 #: Relation names generated by the exogenous-facts rewrite start with this
 #: prefix; user schemas must not use it.
 RESERVED_PREFIX = "__exo_"
+
+#: The characters ``str.splitlines`` breaks a line at.  No constant may
+#: hold one, since a fact line could not carry it.
+LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE_BREAK = re.compile(f"[{LINE_BREAKS}]")
 
 _BARE_CONSTANT = re.compile(r"[A-Z_][A-Za-z0-9_]*\Z|[0-9][A-Za-z0-9_]*\Z")
 _VARIABLE_TOKEN = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
@@ -102,7 +107,8 @@ class Schema:
         self._by_name: dict[str, RelationSym] = {}
         for rel in relations:
             if rel.name in self._by_name:
-                raise DuplicateFactError(f"relation {rel.name} declared twice")
+                raise errors.SchemaSyntaxError(
+                    f"relation {rel.name} declared twice")
             self._by_name[rel.name] = rel
 
     @property
@@ -143,22 +149,6 @@ class Atom:
             if isinstance(t, Var):
                 seen.setdefault(t.name, None)
         return tuple(seen)
-
-    @property
-    def is_ground(self) -> bool:
-        return all(isinstance(t, Const) for t in self.terms)
-
-    def substituted(self, mapping: Mapping[str, str]) -> "Atom":
-        """Replace variables by constants according to ``mapping``."""
-        terms = tuple(
-            Const(mapping[t.name]) if isinstance(t, Var) and t.name in mapping else t
-            for t in self.terms
-        )
-        return Atom(self.relation, terms, self.negated)
-
-    def ground_args(self) -> tuple[str, ...]:
-        assert self.is_ground
-        return tuple(t.value for t in self.terms)  # type: ignore[union-attr]
 
     def __str__(self) -> str:
         body = f"{self.relation.name}({', '.join(str(t) for t in self.terms)})"
@@ -396,8 +386,9 @@ def active_domain(db: Database, query: Optional[Query] = None) -> tuple[str, ...
 
 def fact_violations(fact: Fact, schema: Schema) -> list[tuple[type, str]]:
     """Typed violations of one fact against ``schema``: its relation is
-    declared, its arity matches, it is not endogenous in an exogenous
-    relation, and its probability, if any, lies in [0, 1]."""
+    declared, its arity matches, no constant holds a line break, it is not
+    endogenous in an exogenous relation, and its probability, if any, lies
+    in [0, 1] and is 1 in an exogenous relation."""
     rel = schema.get(fact.relation.name)
     if rel is None:
         return [(errors.UnknownRelationError,
@@ -408,14 +399,23 @@ def fact_violations(fact: Fact, schema: Schema) -> list[tuple[type, str]]:
         problems.append((errors.ArityError,
                          f"fact {fact}: arity {len(fact.args)} != "
                          f"declared {rel.arity}"))
+    for arg in fact.args:
+        if _LINE_BREAK.search(arg):
+            problems.append((errors.SchemaSyntaxError,
+                             f"fact of {rel.name}: constant {arg!r} holds a "
+                             f"line break"))
     if rel.exogenous_only and fact.endogenous:
-        problems.append((errors.DuplicateFactError,
+        problems.append((errors.ProvenanceError,
                          f"fact {fact}: relation {rel.name} is declared "
                          f"exogenous but the fact is endogenous"))
     if fact.probability is not None and not 0 <= fact.probability <= 1:
         problems.append((errors.BadProbabilityError,
                          f"fact {fact}: probability {fact.probability} "
                          f"outside [0, 1]"))
+    elif rel.exogenous_only and fact.probability not in (None, 1):
+        problems.append((errors.BadProbabilityError,
+                         f"fact {fact}: relation {rel.name} is declared "
+                         f"exogenous; its facts must have probability 1"))
     return problems
 
 

@@ -5,8 +5,8 @@ Query syntax (Datalog-ish, one rule per statement)::
     q() :- Stud(x), not TA(x), Reg(x, y).
 
 * identifiers starting with a lowercase letter are variables;
-* identifiers starting with an uppercase letter or a digit, and quoted
-  tokens (``'New York'``), are constants;
+* identifiers starting with an uppercase letter, a digit or ``_``, and
+  quoted tokens (``'New York'``), are constants;
 * ``not`` negates the atom that follows;
 * a union is written as several rules with the same head — there is no
   ``;`` operator.
@@ -25,27 +25,30 @@ constants, whatever their capitalisation::
     prob 1/2 Reg(Adam, OS)   # a comment
     endo Reg('New York', 'it\\'s')
 
-One compiled pattern reads a whole fact line: the keyword, the relation
-name, the constants and an optional comment; ``--fact`` references are read
-by the same atom pattern.  Probabilities are exact: either a decimal
-literal or ``num/den``.
+One compiled atom pattern, ``Name(c, ...)``, reads query atoms, fact lines
+and ``--fact`` references, with one constant pattern for the arguments.  A
+query rule is its head ``name() :-``, then literals (an optional ``not`` and
+an atom), each followed by ``,`` or, after the last, ``.``; rules may span
+lines.  A fact line is a keyword, ``exo``, ``endo`` or ``prob p``, then an
+atom.  Probabilities are exact: either a decimal literal or ``num/den``.
 
 A constant outside the bare shape (letters, digits, ``_``) is quoted with
 single quotes.  Inside the quotes a backslash escapes the character after
 it, so the writer escapes ``\\`` and ``'`` and the reader drops the
-backslash before any character.  ``#`` starts a comment in all three
-formats, but only outside quotes.
+backslash before any character.  No constant holds a line break.  ``#``
+starts a comment, up to the end of the line, in all three formats, but only
+outside quotes.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NoReturn, Optional
 
 from . import errors
 from .model import (
+    LINE_BREAKS,
     RESERVED_PREFIX,
     Atom,
     Const,
@@ -56,6 +59,7 @@ from .model import (
     Query,
     RelationSym,
     Schema,
+    Term,
     UCQNeg,
     Var,
     disjuncts_of,
@@ -68,66 +72,20 @@ from .model import (
 )
 
 # ---------------------------------------------------------------------------
-# tokenizer
+# the shared patterns
 # ---------------------------------------------------------------------------
 
-# one constant of a fact: a bare word, or a quoted token in which a
-# backslash escapes the character after it
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+# one constant: a bare word, or a quoted token in which a backslash escapes
+# the character after it; neither holds a line break
 _BARE = r"[A-Za-z0-9_]+"
-_QUOTED = r"'(?:[^'\\]|\\.)*'"
+_QUOTED = rf"'(?:[^'\\{LINE_BREAKS}]|\\[^{LINE_BREAKS}])*'"
 _CONSTANT = f"(?:{_BARE}|{_QUOTED})"
 _CONSTANT_RE = re.compile(_CONSTANT)
-
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<number>[0-9][A-Za-z0-9_]*)
-  | (?P<string>""" + _QUOTED + r""")
-  | (?P<implies>:-)
-  | (?P<lparen>\()
-  | (?P<rparen>\))
-  | (?P<comma>,)
-  | (?P<period>\.)
-  | (?P<semicolon>;)
-    """,
-    re.VERBOSE,
-)
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise errors.QuerySyntaxError(
-                f"unexpected character {text[pos]!r}",
-                line, pos - line_start + 1,
-            )
-        kind = m.lastgroup or ""
-        value = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, value, line, pos - line_start + 1))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + value.rfind("\n") + 1
-        pos = m.end()
-    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
-    return tokens
-
+# ``Name(c, ...)``
+_ATOM = (rf"(?P<name>{_NAME})\s*"
+         rf"\(\s*(?P<args>(?:{_CONSTANT}(?:\s*,\s*{_CONSTANT})*)?)\s*\)")
+_ATOM_RE = re.compile(_ATOM)
 
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
@@ -137,134 +95,49 @@ def _unquote(text: str) -> str:
     return _ESCAPE.sub(r"\1", text[1:-1])
 
 
+def _args(text: str) -> tuple[str, ...]:
+    return tuple(_unquote(c) if c[0] == "'" else c
+                 for c in _CONSTANT_RE.findall(text))
+
+
 # ---------------------------------------------------------------------------
-# query parser
+# queries
 # ---------------------------------------------------------------------------
 
+# quoted tokens are kept, so that a ``#`` inside quotes is not a comment
+_COMMENT = re.compile(rf"{_QUOTED}|#.*")
+_SPACE = re.compile(r"\s*")
+_HEAD = re.compile(rf"\s*(?P<head>{_NAME})\s*\((?P<args>[^)]*)\)\s*:-")
+# a relation named ``not`` must follow a ``not``: ``not(x)`` is refused
+_LITERAL = re.compile(rf"\s*(?:(?P<negated>not\s+)|(?!not\b)){_ATOM}")
+_SEPARATOR = re.compile(r"\s*([,.])")
 
-class _QueryParser:
-    """Recursive-descent parser over the token list."""
 
-    def __init__(self, tokens: list[Token], schema: Optional[Schema]):
-        self.tokens = tokens
-        self.pos = 0
-        self.schema = schema
-        # relations seen so far when parsing without a schema; arity is
-        # pinned by first use
-        self.inferred: dict[str, RelationSym] = {}
+def _blank_comment(m: re.Match) -> str:
+    return m[0] if m[0][0] == "'" else " " * len(m[0])
 
-    # -- primitives ---------------------------------------------------------
 
-    def _peek(self) -> Token:
-        return self.tokens[self.pos]
+def _fail(text: str, pos: int, message: str) -> NoReturn:
+    """Raise at the first non-blank character from ``pos``."""
+    at = _SPACE.match(text, pos).end()
+    if text.startswith(";", at):
+        message = ("';' is not part of the syntax; write a union as "
+                   "several rules with the same head")
+    raise errors.QuerySyntaxError(message, text.count("\n", 0, at) + 1,
+                                  at - text.rfind("\n", 0, at))
 
-    def _advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
 
-    def _expect(self, kind: str, what: str) -> Token:
-        tok = self._peek()
-        if tok.kind != kind:
-            self._fail(f"expected {what}, found {tok.text or 'end of input'!r}")
-        return self._advance()
+def _match(pattern: re.Pattern, text: str, pos: int, what: str) -> re.Match:
+    m = pattern.match(text, pos)
+    if m is None:
+        _fail(text, pos, f"expected {what}")
+    return m
 
-    def _fail(self, message: str) -> None:
-        tok = self._peek()
-        if tok.kind == "semicolon":
-            message = ("';' is not part of the syntax; write a union as "
-                       "several rules with the same head")
-        raise errors.QuerySyntaxError(message, tok.line, tok.column)
 
-    # -- grammar ------------------------------------------------------------
-
-    def parse(self) -> UCQNeg:
-        rules: list[CQNeg] = []
-        head: Optional[str] = None
-        while self._peek().kind != "eof":
-            name, body = self._rule()
-            if head is None:
-                head = name
-            elif name != head:
-                self._fail(f"all rules must share one head; got {name!r} "
-                           f"after {head!r}")
-            rules.append(CQNeg(tuple(body), head=head))
-        if not rules:
-            raise errors.QuerySyntaxError("no rules in query text", 1, 1)
-        return UCQNeg(tuple(rules), head=head or "q")
-
-    def _rule(self) -> tuple[str, list[Atom]]:
-        head = self._expect("ident", "rule head").text
-        self._expect("lparen", "'('")
-        if self._peek().kind != "rparen":
-            self._fail("the head takes no arguments (Boolean query)")
-        self._advance()
-        self._expect("implies", "':-'")
-        body = [self._literal()]
-        while self._peek().kind == "comma":
-            self._advance()
-            body.append(self._literal())
-        self._expect("period", "'.' at end of rule")
-        return head, body
-
-    def _literal(self) -> Atom:
-        negated = False
-        tok = self._peek()
-        if tok.kind == "ident" and tok.text == "not":
-            self._advance()
-            negated = True
-        return self._atom(negated)
-
-    def _atom(self, negated: bool) -> Atom:
-        name_tok = self._expect("ident", "relation name")
-        name = name_tok.text
-        self._expect("lparen", "'('")
-        terms: list = []
-        if self._peek().kind != "rparen":
-            terms.append(self._term())
-            while self._peek().kind == "comma":
-                self._advance()
-                terms.append(self._term())
-        self._expect("rparen", "')'")
-        rel = self._resolve(name, len(terms), name_tok)
-        return Atom(rel, tuple(terms), negated)
-
-    def _term(self):
-        tok = self._peek()
-        if tok.kind == "ident":
-            self._advance()
-            if is_variable_token(tok.text):
-                return Var(tok.text)
-            return Const(tok.text)
-        if tok.kind == "number":
-            self._advance()
-            return Const(tok.text)
-        if tok.kind == "string":
-            self._advance()
-            return Const(_unquote(tok.text))
-        self._fail("expected a term (variable or constant)")
-        raise AssertionError("unreachable")
-
-    def _resolve(self, name: str, arity: int, tok: Token) -> RelationSym:
-        if name.startswith(RESERVED_PREFIX):
-            raise errors.ReservedNameError(
-                f"line {tok.line}: relation name {name} uses the reserved "
-                f"prefix {RESERVED_PREFIX}"
-            )
-        if self.schema is not None:
-            rel = self.schema.get(name)
-            if rel is None:
-                raise errors.UnknownRelationError(
-                    f"line {tok.line}: relation {name} is not declared in "
-                    f"the schema"
-                )
-            return rel
-        rel = self.inferred.get(name)
-        if rel is None:
-            rel = RelationSym(name, arity)
-            self.inferred[name] = rel
-        return rel
+def _term(token: str) -> Term:
+    if token[0] == "'":
+        return Const(_unquote(token))
+    return Var(token) if is_variable_token(token) else Const(token)
 
 
 def parse_query(text: str, schema: Optional[Schema] = None) -> UCQNeg:
@@ -272,9 +145,38 @@ def parse_query(text: str, schema: Optional[Schema] = None) -> UCQNeg:
 
     With a schema, relation names are resolved against it (and carry its
     exogenous markers); without one, relation symbols are inferred with the
-    arity of their first occurrence.  Safety and arity violations raise.
+    arity of their first occurrence.  Syntax errors raise
+    ``QuerySyntaxError`` at the line and column where the text stops
+    matching; then safety, arity, reserved and undeclared relation names
+    are checked by ``query_violations``.
     """
-    query = _QueryParser(_tokenize(text), schema).parse()
+    text = _COMMENT.sub(_blank_comment, text)
+    inferred: dict[str, RelationSym] = {}
+    rules: list[CQNeg] = []
+    pos = _SPACE.match(text).end()
+    while pos < len(text):
+        m = _match(_HEAD, text, pos, "a rule head 'name() :-'")
+        head = m["head"]
+        if m["args"].strip():
+            _fail(text, pos, "the head takes no arguments (Boolean query)")
+        if rules and head != rules[0].head:
+            _fail(text, pos, f"all rules must share one head; got "
+                             f"{head!r} after {rules[0].head!r}")
+        atoms: list[Atom] = []
+        while not atoms or m[1] == ",":
+            m = _match(_LITERAL, text, m.end(),
+                       "a literal 'R(t, ...)' or 'not R(t, ...)'")
+            terms = tuple(map(_term, _CONSTANT_RE.findall(m["args"])))
+            name = m["name"]
+            rel = ((schema.get(name) if schema is not None else None)
+                   or inferred.setdefault(name, RelationSym(name, len(terms))))
+            atoms.append(Atom(rel, terms, m["negated"] is not None))
+            m = _match(_SEPARATOR, text, m.end(), "',' or '.' after a literal")
+        rules.append(CQNeg(tuple(atoms), head=head))
+        pos = _SPACE.match(text, m.end()).end()
+    if not rules:
+        raise errors.QuerySyntaxError("no rules in query text", 1, 1)
+    query = UCQNeg(tuple(rules), head=rules[0].head)
     raise_first(query_violations(query, schema))
     return query
 
@@ -284,7 +186,7 @@ def parse_query(text: str, schema: Optional[Schema] = None) -> UCQNeg:
 # ---------------------------------------------------------------------------
 
 _SCHEMA_LINE = re.compile(
-    r"relation\s+([A-Za-z_][A-Za-z0-9_]*)\s*/\s*([0-9]+)"
+    rf"relation\s+({_NAME})\s*/\s*([0-9]+)"
     r"(?:\s+(exogenous))?\s*\Z"
 )
 
@@ -322,20 +224,11 @@ def parse_schema(text: str) -> Schema:
     return Schema(relations)
 
 
-# ``Name(c, ...)`` with constant arguments
-_ATOM = (rf"(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*"
-         rf"\(\s*(?P<args>(?:{_CONSTANT}(?:\s*,\s*{_CONSTANT})*)?)\s*\)")
-_ATOM_RE = re.compile(_ATOM)
 # a whole fact line; blank and comment-only lines match with no keyword
 _FACT_LINE = re.compile(
     rf"\s*(?:(?:(?P<keyword>exo|endo)|prob\s+(?P<p>\S+))\s+{_ATOM}\s*)?"
     r"(?:#.*)?"
 )
-
-
-def _args(text: str) -> tuple[str, ...]:
-    return tuple(_unquote(c) if c[0] == "'" else c
-                 for c in _CONSTANT_RE.findall(text))
 
 
 def parse_fact_reference(text: str) -> tuple[str, tuple[str, ...]]:
@@ -387,11 +280,6 @@ def parse_facts(text: str, schema: Schema) -> Database:
         if problems:
             raise_first([(kind, f"line {lineno}: {message}")
                          for kind, message in problems])
-        if rel.exogenous_only and probability not in (None, 1):
-            raise errors.BadProbabilityError(
-                f"line {lineno}: relation {name} is declared exogenous; "
-                f"its facts must have probability 1"
-            )
         prior_line, prior = first_seen.setdefault(fact.key, (lineno, fact))
         if (prior.provenance is not fact.provenance
                 or prior.probability != fact.probability):

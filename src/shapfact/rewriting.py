@@ -38,9 +38,9 @@ from typing import ClassVar, Optional, Sequence
 
 from .errors import (
     BlowupExceededError,
-    DuplicateFactError,
     HasNonHierPathError,
     InternalError,
+    ProvenanceError,
     SelfJoinError,
 )
 from .model import (
@@ -120,7 +120,7 @@ def apply_step(db: Database, rule: CQNeg, step: RewriteStep,
     Refuses with :class:`BlowupExceededError` before building any fact when
     the homomorphisms of the positive atoms, times the domain size to the
     power of the variables they leave unbound, exceed ``cap``."""
-    from .naive import _index, iter_homomorphisms
+    from .naive import _image, _index, iter_homomorphisms
 
     component = [a for a in rule.atoms if a.relation.name in step.component]
     positive = [a for a in component if not a.negated]
@@ -149,8 +149,8 @@ def apply_step(db: Database, rule: CQNeg, step: RewriteStep,
     for h in homs:
         for values in itertools.product(ordered, repeat=len(free)):
             h.update(zip(free, values))
-            if not any(a.substituted(h).ground_args()
-                       in present[a.relation.name] for a in negated):
+            if not any(_image(a, h)[1] in present[a.relation.name]
+                       for a in negated):
                 projected.add(tuple(h[v] for v in step.proj_vars))
     facts = tuple(
         Fact(step.relation, args + pad, Provenance.EXOGENOUS)
@@ -193,7 +193,7 @@ def rewrite(db: Database, query: Query,
     for name in sorted(exo_names):
         for fact in db.relation_facts(name):
             if fact.endogenous:
-                raise DuplicateFactError(
+                raise ProvenanceError(
                     f"relation {name} is treated as exogenous but fact "
                     f"{fact} is endogenous"
                 )

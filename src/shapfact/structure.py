@@ -46,28 +46,6 @@ def _atom_vars(query: CQNeg) -> list[frozenset[str]]:
     return [frozenset(a.variables) for a in query.atoms]
 
 
-def _atoms_with(query: CQNeg) -> dict[str, frozenset[int]]:
-    """For each variable, the set of atom indices containing it."""
-    where: dict[str, set[int]] = {}
-    for i, atom in enumerate(query.atoms):
-        for v in atom.variables:
-            where.setdefault(v, set()).add(i)
-    return {v: frozenset(s) for v, s in where.items()}
-
-
-def is_hierarchical(query: CQNeg) -> bool:
-    """True iff for all variables u, v the atom sets containing them are
-    nested or disjoint."""
-    where = _atoms_with(query)
-    names = sorted(where)
-    for i, u in enumerate(names):
-        for v in names[i + 1:]:
-            a, b = where[u], where[v]
-            if a & b and not (a <= b or b <= a):
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class TripletWitness:
     """Three atoms certifying non-hierarchy: ``atom_x`` contains ``x`` but
@@ -114,6 +92,12 @@ def find_non_hierarchical_triplet(query: CQNeg) -> Optional[TripletWitness]:
                         xs[0], ys[0], (i, j, k),
                     )
     return None
+
+
+def is_hierarchical(query: CQNeg) -> bool:
+    """True iff for all variables u, v the atom sets containing them are
+    nested or disjoint, that is, iff no witness triplet exists."""
+    return find_non_hierarchical_triplet(query) is None
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +334,8 @@ def classify(query: CQNeg, x: Optional[frozenset[str]] = None) -> Verdict:
     """
     names = resolve_exogenous(query, x)
     sjf = is_self_join_free(query)
-    if is_hierarchical(query):
+    triplet = find_non_hierarchical_triplet(query)
+    if triplet is None:
         if not sjf:
             return Verdict(VerdictKind.UNKNOWN_SELF_JOIN,
                            detail="hierarchical but not self-join-free")
@@ -363,8 +348,6 @@ def classify(query: CQNeg, x: Optional[frozenset[str]] = None) -> Verdict:
                                   "self-join-free")
         return Verdict(VerdictKind.PTIME_EXO_REWRITE)
     if not names:
-        triplet = find_non_hierarchical_triplet(query)
-        assert triplet is not None  # non-hierarchical guarantees one
         return Verdict(VerdictKind.HARD_NON_HIERARCHICAL, witness=triplet)
     return Verdict(VerdictKind.HARD_NON_HIER_PATH, witness=path)
 

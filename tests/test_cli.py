@@ -5,6 +5,8 @@ import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -25,6 +27,7 @@ else:  # pytest itself depends on tomli before 3.11
     import tomli as tomllib
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 SCHEMA = str(DATA / "staff_schema.txt")
 SCHEMA_EXO = str(DATA / "staff_schema_exo.txt")
@@ -354,3 +357,24 @@ def test_exact_commands_do_not_import_numpy():
                             capture_output=True, text=True, env=_src_env())
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_readme_quick_start_prints_its_output_block(tmp_path, monkeypatch,
+                                                     capsys):
+    """The README's quick start, run as written, prints the output block
+    that follows it, byte for byte."""
+    section = README.read_text().split("## Quick start\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    script, expected = re.findall(r"^```(?:sh)?\n(.*?)^```$", section,
+                                  re.DOTALL | re.MULTILINE)
+    for name, body in re.findall(r"^cat > (\S+) <<'EOF'\n(.*?)^EOF$",
+                                 script, re.DOTALL | re.MULTILINE):
+        (tmp_path / name).write_text(body)
+    command = shlex.split(re.search(r"^shapfact .*", script.replace(
+        "\\\n", ""), re.DOTALL | re.MULTILINE)[0])
+    assert command[-2:] == ["--format", "table"]
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exited:
+        main(command[1:])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out == expected

@@ -6,11 +6,13 @@ import pytest
 
 from conftest import staff_fact
 from shapfact import brute_shapley, relevance, shapley_exact, shapley_exo
-from shapfact.errors import (DuplicateFactError, FactNotEndogenousError,
+from shapfact.errors import (BadProbabilityError, DuplicateFactError,
+                             FactNotEndogenousError, ProvenanceError,
                              ReservedNameError, SafetyError,
-                             UnsupportedQueryError)
+                             SchemaSyntaxError, UnsupportedQueryError)
 from shapfact.model import (Atom, CQNeg, Const, Database, Fact, Provenance,
                             RelationSym, Schema, UCQNeg, Var, active_domain,
+                            database_violations, raise_first,
                             single_disjunct, validate_database,
                             validate_query)
 from shapfact.parsing import parse_query
@@ -122,7 +124,6 @@ def test_reserved_prefix_rejected_in_database():
     problems = validate_database(db)
     assert problems
     with pytest.raises(ReservedNameError):
-        from shapfact.model import raise_first, database_violations
         raise_first(database_violations(db))
 
 
@@ -130,6 +131,32 @@ def test_exogenous_only_relation_cannot_hold_endogenous_facts():
     rel = RelationSym("R", 1, exogenous_only=True)
     db = Database(Schema([rel]), [Fact(rel, ("c",), Provenance.ENDOGENOUS)])
     assert validate_database(db)
+    with pytest.raises(ProvenanceError):
+        raise_first(database_violations(db))
+
+
+def test_exogenous_only_relation_facts_have_probability_one():
+    rel = RelationSym("E", 1, exogenous_only=True)
+    sure = Fact(rel, ("a",), Provenance.EXOGENOUS, Fraction(1))
+    assert validate_database(Database(Schema([rel]), [sure])) == []
+    db = Database(Schema([rel]), [
+        Fact(rel, ("a",), Provenance.EXOGENOUS, Fraction(1, 2))])
+    assert validate_database(db)
+    with pytest.raises(BadProbabilityError):
+        raise_first(database_violations(db))
+
+
+def test_constants_cannot_hold_line_breaks():
+    for broken in ("a\nb", "a\r", "\u2028"):
+        db = Database(Schema([R1]), [Fact(R1, (broken,))])
+        assert validate_database(db)
+        with pytest.raises(SchemaSyntaxError):
+            raise_first(database_violations(db))
+
+
+def test_schema_refuses_a_relation_declared_twice():
+    with pytest.raises(SchemaSyntaxError, match="declared twice"):
+        Schema([R1, RelationSym("R", 2)])
 
 
 def test_single_disjunct_refuses_unions():
@@ -142,9 +169,6 @@ def test_single_disjunct_refuses_unions():
 def test_atom_str_and_substitution():
     atom = Atom(S2, (Var("x"), Const("OS")), negated=True)
     assert str(atom) == "not S(x, OS)"
-    ground = atom.substituted({"x": "Adam"})
-    assert ground.is_ground
-    assert ground.ground_args() == ("Adam", "OS")
 
 
 def test_probability_on_fact():

@@ -1,5 +1,6 @@
 """Parser/printer tests: grammar corner cases, errors, round-trips."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shapfact.errors import (ArityError, BadProbabilityError,
-                             DuplicateFactError, QuerySyntaxError,
-                             ReservedNameError, SafetyError,
-                             SchemaSyntaxError, UnknownRelationError)
+                             DuplicateFactError, ProvenanceError,
+                             QuerySyntaxError, ReservedNameError,
+                             SafetyError, SchemaSyntaxError,
+                             UnknownRelationError)
 from shapfact.model import (Atom, CQNeg, Const, Database, Fact, Provenance,
                             RelationSym, Var)
 from shapfact.parsing import (format_database, format_fact, format_query,
@@ -47,7 +49,7 @@ def test_semicolon_gets_a_helpful_hint():
 def test_missing_period_reported_with_position():
     with pytest.raises(QuerySyntaxError) as err:
         parse_query("q() :- R(x)")
-    assert err.value.line == 1
+    assert (err.value.line, err.value.column) == (1, 12)
 
 
 def test_not_keyword_and_spacing():
@@ -79,6 +81,65 @@ def test_reserved_prefix_rejected_everywhere():
 def test_unsafe_rule_rejected_at_parse_time():
     with pytest.raises(SafetyError):
         parse_query("q() :- R(x), not S(x, y).")
+
+
+# every spelling of a query pins the rules it reads, or the error type with
+# the start of its message: the line and column where the text stops
+# matching, or the rule that a relation check names
+_QUERY_SCHEMA = ("relation R/1\nrelation S/2\nrelation r/1\n"
+                 "relation notR/1\nrelation not/1")
+_QUERY_TEXTS = [
+    ("q() :- R(x),  # a student\n  not S(x, y),\n  # a whole line\n"
+     "  S(y, x).  # done",
+     ["q() :- R(x), not S(x, y), S(y, x)."]),
+    ("q() :- S(x, 'a#b'), S(x, 'it\\'s # no comment').",
+     ["q() :- S(x, 'a#b'), S(x, 'it\\'s # no comment')."]),
+    ("q():-R(x),not S(x,x).", ["q() :- R(x), not S(x, x)."]),
+    ("q() :- R(x), not\nS(x, x).", ["q() :- R(x), not S(x, x)."]),
+    ("q() :- R(x), not # why\n  S(x, x).", ["q() :- R(x), not S(x, x)."]),
+    ("q() :- notR(x).", ["q() :- notR(x)."]),
+    ("q() :- R(x), not not(x).", ["q() :- R(x), not not(x)."]),
+    ("q() :- r(x), S(x, 'x').", ["q() :- r(x), S(x, 'x')."]),
+    ("q() :- S(9z, _x), S(A, not).", ["q() :- S(9z, _x), S(A, not)."]),
+    ("q ( ) :-\n  R(x)\n.\nq() :- S(x, y) .",
+     ["q() :- R(x).", "q() :- S(x, y)."]),
+    ("q() :- R(x), not(x).",
+     (QuerySyntaxError, "line 1, column 14: expected a literal")),
+    ("q() :- R(x), not (x).",
+     (QuerySyntaxError, "line 1, column 14: expected a literal")),
+    ("q(x) :- R(x).",
+     (QuerySyntaxError, "line 1, column 1: the head takes no arguments")),
+    ("q() :- R(x)", (QuerySyntaxError, "line 1, column 12: expected ','")),
+    ("q() :- R(x),\n  S(x y).",
+     (QuerySyntaxError, "line 2, column 3: expected a literal")),
+    ("q() :- R(x); S(x, y).",
+     (QuerySyntaxError, "line 1, column 12: ';' is not part of the syntax; "
+                        "write a union as several rules with the same head")),
+    ("q() :- R(x).\n  p() :- R(x).",
+     (QuerySyntaxError, "line 2, column 3: all rules must share one head")),
+    ("", (QuerySyntaxError, "line 1, column 1: no rules in query text")),
+    ("  # only a comment\n", (QuerySyntaxError, "line 1, column 1: no rules")),
+    ("q() :- R(x).\n__exo_1(x).",
+     (QuerySyntaxError, "line 2, column 1: expected a rule head")),
+    ("q() :- R(x), __exo_1(x).", (ReservedNameError, "rule 1: relation name "
+                                                     "__exo_1 uses")),
+    ("q() :- R(x).\nq() :- T(x).",
+     (UnknownRelationError, "rule 2: relation T is not in the schema")),
+    ("q() :- S(x, 'a\nb').",
+     (QuerySyntaxError, "line 1, column 8: expected a literal")),
+]
+
+
+@pytest.mark.parametrize("text, expected", _QUERY_TEXTS)
+def test_query_text_grammar(text, expected):
+    schema = parse_schema(_QUERY_SCHEMA)
+    if isinstance(expected, tuple):
+        kind, start = expected
+        with pytest.raises(kind, match=f"^{re.escape(start)}"):
+            parse_query(text, schema)
+    else:
+        assert [str(rule) for rule in parse_query(text, schema).disjuncts] \
+            == expected
 
 
 def test_comments_and_blank_lines_ignored():
@@ -161,7 +222,7 @@ _FACT_LINES = [
     ("prob 1/2 E(a)", BadProbabilityError),
     ("endo S(a)", UnknownRelationError),
     ("endo P(a)", ArityError),
-    ("endo E(a)", DuplicateFactError),
+    ("endo E(a)", ProvenanceError),
 ]
 
 
@@ -192,6 +253,7 @@ _ATOMS = [
     ("R(a) extra", None),
     ("R", None),
     ("(a)", None),
+    ("R('a\nb')", None),
 ]
 
 

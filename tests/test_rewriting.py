@@ -7,8 +7,8 @@ import pytest
 from conftest import (GAIFMAN_QPRIME, GAIFMAN_QPRIME_X, NOPATH_Q,
                       PATH_QPRIME, Q2, SP_X, random_exo_rewrite_instance,
                       staff_fact)
-from shapfact.errors import (BlowupExceededError, DuplicateFactError,
-                             HasNonHierPathError, SelfJoinError)
+from shapfact.errors import (BlowupExceededError, HasNonHierPathError,
+                             ProvenanceError, SelfJoinError)
 from shapfact.exact import shapley_exact_all
 from shapfact.model import RESERVED_PREFIX, single_disjunct
 from shapfact.naive import brute_shapley_all
@@ -172,7 +172,7 @@ def test_rejects_endogenous_facts_in_exogenous_relations():
     schema = parse_schema("relation R/1\nrelation S/1")
     db = parse_facts("endo R(a)\nendo S(a)", schema)
     q = parse_query("q() :- R(x), not S(x).", schema)
-    with pytest.raises(DuplicateFactError):
+    with pytest.raises(ProvenanceError):
         rewrite(db, q, x=frozenset({"S"}))
 
 
