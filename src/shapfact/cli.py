@@ -15,7 +15,6 @@ requested method does not apply, or a cap would be exceeded).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,7 +34,6 @@ from .structure import VerdictKind, classify_query
 
 DEFAULT_EPSILON = 0.05
 DEFAULT_DELTA = 0.1
-CAP_ENV_VAR = "SHAPFACT_CAP"
 
 
 @dataclass
@@ -52,7 +50,7 @@ class Invocation:
     epsilon: float = DEFAULT_EPSILON
     delta: float = DEFAULT_DELTA
     seed: int = 0
-    cap: Optional[int] = None
+    cap: int = naive.DEFAULT_CAP
     fmt: str = "json"
     trace: bool = False
     n: int = 1
@@ -105,19 +103,6 @@ def _lookup_fact(db: Database, reference: str) -> Fact:
     return db.require_endogenous(Fact(RelationSym(name, len(args)), args))
 
 
-def _brute_cap(inv: Invocation) -> int:
-    if inv.cap is not None:
-        return inv.cap
-    env = os.environ.get(CAP_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InputError(f"{CAP_ENV_VAR} must be an integer, "
-                             f"got {env!r}") from exc
-    return naive.DEFAULT_CAP
-
-
 def resolve_method(query: Query, db: Database, requested: str,
                    cap: int) -> str:
     """Map ``auto`` to the cheapest applicable method.
@@ -160,8 +145,7 @@ def _cmd_shapley(inv: Invocation) -> Report:
     schema = _load_schema(inv)
     query = _load_query(inv, schema)
     db = _load_database(inv, schema)
-    cap = _brute_cap(inv)
-    method = resolve_method(query, db, inv.method, cap)
+    method = resolve_method(query, db, inv.method, inv.cap)
     targets = _target_facts(inv, db)
 
     seed: Optional[int] = None
@@ -176,9 +160,9 @@ def _cmd_shapley(inv: Invocation) -> Report:
         values = exact.shapley_exact_all(new_db, new_rule)
     elif method == "brute":
         if inv.all_facts:
-            values = naive.brute_shapley_all(db, query, cap=cap)
+            values = naive.brute_shapley_all(db, query, cap=inv.cap)
         else:
-            values = {f: naive.brute_shapley(db, query, f, cap=cap)
+            values = {f: naive.brute_shapley(db, query, f, cap=inv.cap)
                       for f in targets}
     elif method == "approx":
         plan = approx.make_plan(inv.epsilon, inv.delta, seed=inv.seed)
@@ -229,7 +213,7 @@ def _cmd_prob(inv: Invocation) -> Report:
     db = _load_database(inv, schema)
     if inv.method == "brute":
         method = "brute"
-        answer = prob.brute_prob(db, query, cap=_brute_cap(inv))
+        answer = prob.brute_prob(db, query, cap=inv.cap)
     elif inv.method in ("auto", "lifted"):
         method = "lifted"
         answer = prob.prob_eval(db, single_disjunct(query))
@@ -333,9 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int,
+    p.add_argument("--cap", type=int, default=naive.DEFAULT_CAP,
                    help=f"endogenous-fact limit for enumeration "
-                        f"(default {naive.DEFAULT_CAP}, or ${CAP_ENV_VAR})")
+                        f"(default {naive.DEFAULT_CAP})")
     p.add_argument("--trace", action="store_true",
                    help="include the rewrite steps in the output")
 
@@ -347,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p)
     p.add_argument("--method", choices=("auto", "lifted", "brute"),
                    default="auto")
-    p.add_argument("--cap", type=int)
+    p.add_argument("--cap", type=int, default=naive.DEFAULT_CAP)
 
     p = sub.add_parser("gen-gap",
                        help="emit a family instance whose attribution "

@@ -49,26 +49,9 @@ from typing import (Any, Callable, Collection, Iterable, NamedTuple, Optional,
                     Sequence, Union)
 
 from .errors import InternalError, NotHierarchicalError, SelfJoinError
-from .model import Atom, Const, Fact, Query, Var, single_disjunct
+from .model import Atom, Fact, Query, Var, single_disjunct
+from .naive import _match
 from .structure import is_hierarchical, is_self_join_free, split_components
-
-
-def _unifies(fact: Fact, atom: Atom) -> bool:
-    """True iff the fact, of the atom's relation, could be an image of the
-    atom: same arity, equal constants positionwise, and equal values
-    wherever the atom repeats a variable."""
-    if len(fact.args) != len(atom.terms):
-        return False
-    seen: dict[str, str] = {}
-    for term, value in zip(atom.terms, fact.args):
-        if isinstance(term, Const):
-            if term.value != value:
-                return False
-        else:
-            prior = seen.setdefault(term.name, value)
-            if prior != value:
-                return False
-    return True
 
 
 def bucket_facts(atoms: Sequence[Atom], components: Sequence[Sequence[int]],
@@ -89,7 +72,7 @@ def bucket_facts(atoms: Sequence[Atom], components: Sequence[Sequence[int]],
     free: list[Fact] = []
     for fact in facts:
         found = owner.get(fact.relation.name)
-        if found is not None and _unifies(fact, found[0]):
+        if found is not None and _match(found[0], fact.args, {}) is not None:
             buckets[found[1]].append(fact)
         else:
             free.append(fact)

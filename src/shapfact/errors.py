@@ -56,7 +56,9 @@ class SafetyError(InputError):
 
 
 class ReservedNameError(InputError):
-    """A relation name uses the reserved ``__exo_`` prefix."""
+    """A relation name uses the reserved ``__exo_`` prefix, or a schema
+    declares a relation named ``not``, which query text could only name
+    negated."""
 
 
 class DuplicateFactError(InputError):

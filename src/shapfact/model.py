@@ -399,11 +399,7 @@ def fact_violations(fact: Fact, schema: Schema) -> list[tuple[type, str]]:
         problems.append((errors.ArityError,
                          f"fact {fact}: arity {len(fact.args)} != "
                          f"declared {rel.arity}"))
-    for arg in fact.args:
-        if _LINE_BREAK.search(arg):
-            problems.append((errors.SchemaSyntaxError,
-                             f"fact of {rel.name}: constant {arg!r} holds a "
-                             f"line break"))
+    problems += line_break_violations(fact)
     if rel.exogenous_only and fact.endogenous:
         problems.append((errors.ProvenanceError,
                          f"fact {fact}: relation {rel.name} is declared "
@@ -417,6 +413,14 @@ def fact_violations(fact: Fact, schema: Schema) -> list[tuple[type, str]]:
                          f"fact {fact}: relation {rel.name} is declared "
                          f"exogenous; its facts must have probability 1"))
     return problems
+
+
+def line_break_violations(fact: Fact) -> list[tuple[type, str]]:
+    """Typed violations: constants of ``fact`` that hold a line break."""
+    return [(errors.SchemaSyntaxError,
+             f"fact of {fact.relation.name}: constant {arg!r} holds a line "
+             f"break")
+            for arg in fact.args if _LINE_BREAK.search(arg)]
 
 
 def schema_violations(schema: Schema) -> list[tuple[type, str]]:

@@ -42,7 +42,7 @@ from .model import (
 )
 
 #: Default ceiling on the number of endogenous facts the subset enumeration
-#: will accept (2^cap worlds).  The CLI can override it via SHAPFACT_CAP.
+#: will accept (2^cap worlds).  The CLI's ``--cap`` overrides it.
 DEFAULT_CAP = 20
 
 FactSource = Union[Database, Iterable[Fact]]

@@ -17,6 +17,9 @@ relations whose facts are all exogenous::
     relation Stud/1 exogenous
     relation TA/1
 
+A relation may not be named ``not``, which a query could name only after
+another ``not``, nor start with the rewrite's prefix ``__exo_``.
+
 Fact files carry one fact per line.  Arguments in fact files are always
 constants, whatever their capitalisation::
 
@@ -65,6 +68,7 @@ from .model import (
     disjuncts_of,
     fact_violations,
     is_variable_token,
+    line_break_violations,
     query_violations,
     quoted,
     raise_first,
@@ -215,6 +219,10 @@ def parse_schema(text: str) -> Schema:
                 f"line {lineno}: relation name {name} uses the reserved "
                 f"prefix {RESERVED_PREFIX}"
             )
+        if name == "not":
+            raise errors.ReservedNameError(
+                f"line {lineno}: relation name not is reserved for negation"
+            )
         if name in seen:
             raise errors.SchemaSyntaxError(
                 f"line {lineno}: relation {name} declared twice"
@@ -307,6 +315,9 @@ def _format_arg(value: str) -> str:
 
 
 def format_fact(fact: Fact) -> str:
+    """``fact`` as a fact line; a constant holding a line break, which no
+    line could carry, is refused with ``SchemaSyntaxError``."""
+    raise_first(line_break_violations(fact))
     atom = f"{fact.relation.name}({', '.join(_format_arg(a) for a in fact.args)})"
     if fact.probability is not None:
         return f"prob {fact.probability} {atom}"

@@ -14,10 +14,11 @@ others.  The probability that the query holds is computed three ways:
   the worlds over any facts weigh ``[1]`` in total, and a ground atom is
   ``[p]`` (positive) or ``[1 - p]`` (negated), ``p = 0`` for a missing
   fact.
-* :func:`prob_eval` — first rewrite away a set of deterministic
-  relations (see :mod:`shapfact.rewriting`), then run the lifted engine.
-  Rules that keep a non-hierarchical path through ordinary relations are
-  refused with the witness attached.
+* :func:`prob_eval` — first rewrite away the relations the schema
+  declares ``exogenous``, whose facts must be deterministic (see
+  :mod:`shapfact.rewriting`), then run the lifted engine.  Rules that keep
+  a non-hierarchical path through ordinary relations are refused with the
+  witness attached.
 
 All arithmetic is exact (:class:`fractions.Fraction`)."""
 
@@ -31,7 +32,7 @@ from . import decompose
 from .errors import BadProbabilityError, CapExceededError
 from .model import Atom, Database, Fact, Query, single_disjunct
 from .naive import DEFAULT_CAP, eval_boolean
-from .rewriting import DEFAULT_BLOWUP_CAP, rewrite
+from .rewriting import rewrite
 from .structure import resolve_exogenous
 
 
@@ -80,24 +81,21 @@ def _ground(atom: Atom, fact: Optional[Fact]) -> tuple[list, None]:
     return [1 - p if atom.negated else p], None
 
 
-def prob_eval(db: Database, query: Query,
-              x: Optional[frozenset[str]] = None,
-              cap: int = DEFAULT_BLOWUP_CAP) -> Fraction:
+def prob_eval(db: Database, query: Query) -> Fraction:
     """Query probability after rewriting away deterministic relations.
 
-    The relations in ``x`` (default: the schema's exogenous markers) must
-    hold only deterministic facts; the rewrite eliminates them, and the
-    lifted engine prices the rest.  Raises ``HasNonHierPathError`` (with
+    The relations the schema declares ``exogenous`` must hold only
+    deterministic facts; the rewrite eliminates them, and the lifted engine
+    prices the rest.  Raises ``HasNonHierPathError`` (with
     witness) when a non-hierarchical path survives, ``SelfJoinError`` on
     repeated relations."""
     rule = single_disjunct(query)
-    names = resolve_exogenous(rule, x)
-    for name in sorted(names):
+    for name in sorted(resolve_exogenous(rule)):
         for fact in db.relation_facts(name):
             if fact_probability(fact) != 1:
                 raise BadProbabilityError(
                     f"relation {name} is treated as deterministic but fact "
                     f"{fact} has probability {fact_probability(fact)}"
                 )
-    new_db, new_rule, _trace = rewrite(db, rule, names, cap)
+    new_db, new_rule, _trace = rewrite(db, rule)
     return prob_eval_hierarchical(new_db, new_rule)

@@ -20,7 +20,9 @@ assignments under which the component holds on its own facts:
 
 projected onto the shared variables and padded with every active-domain
 value in the remaining columns.  A component sharing no variable becomes
-a zero-ary guard ("does the component hold at all").
+a zero-ary guard ("does the component hold at all").  The exogenous
+relations are the ones the schema declares ``exogenous``, and a step that
+would materialise more than :data:`BLOWUP_CAP` tuples is refused.
 
 Every step preserves the truth value of the rule on every coalition, hence
 every endogenous fact's attribution — the package's tests replay the
@@ -34,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import ClassVar, Optional, Sequence
+from typing import Sequence
 
 from .errors import (
     BlowupExceededError,
@@ -54,6 +56,8 @@ from .model import (
     RelationSym,
     Var,
     active_domain,
+    raise_first,
+    schema_violations,
     single_disjunct,
 )
 from .structure import (
@@ -65,10 +69,9 @@ from .structure import (
     resolve_exogenous,
 )
 
-#: Refuse any rewrite step that would materialise more tuples than this.
-DEFAULT_BLOWUP_CAP = 10_000_000
-
-MATERIALISE = "materialise"
+#: Refuse any rewrite step that would materialise more tuples than this;
+#: read when each step runs.
+BLOWUP_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -83,7 +86,6 @@ class RewriteStep:
     ``consumed``/``produced``/size fields are a human-readable record and
     play no role in replay."""
 
-    kind: ClassVar[str] = MATERIALISE
     component: tuple[str, ...]
     relation: RelationSym
     proj_vars: tuple[str, ...] = ()
@@ -105,21 +107,20 @@ class RewriteTrace:
                  f"{', '.join(self.exogenous) or '(none)'}"]
         for i, s in enumerate(self.steps, start=1):
             src = " + ".join(s.consumed)
-            lines.append(f"step {i} [{s.kind}] {src} -> {s.produced} "
+            lines.append(f"step {i} [materialise] {src} -> {s.produced} "
                          f"({'+'.join(map(str, s.sizes_before)) or '0'} "
                          f"tuples in, {s.size_after} out)")
         return "\n".join(lines)
 
 
 def apply_step(db: Database, rule: CQNeg, step: RewriteStep,
-               domain: Sequence[str],
-               cap: int = DEFAULT_BLOWUP_CAP) -> tuple[Database, CQNeg, int]:
+               domain: Sequence[str]) -> tuple[Database, CQNeg, int]:
     """Apply one recorded step; returns the new database, the new rule, and
     the number of tuples materialised.
 
     Refuses with :class:`BlowupExceededError` before building any fact when
     the homomorphisms of the positive atoms, times the domain size to the
-    power of the variables they leave unbound, exceed ``cap``."""
+    power of the variables they leave unbound, exceed :data:`BLOWUP_CAP`."""
     from .naive import _image, _index, iter_homomorphisms
 
     component = [a for a in rule.atoms if a.relation.name in step.component]
@@ -135,13 +136,13 @@ def apply_step(db: Database, rule: CQNeg, step: RewriteStep,
     count = 0
     for h in iter_homomorphisms(positive, index):
         count += 1
-        if count * width <= cap:
+        if count * width <= BLOWUP_CAP:
             homs.append(h)
-    if count * width > cap:
+    if count * width > BLOWUP_CAP:
         raise BlowupExceededError(
             f"materialising {' + '.join(map(str, component))} over a domain "
             f"of {len(domain)} values would hold up to {count * width} "
-            f"tuples (cap {cap})"
+            f"tuples (cap {BLOWUP_CAP})"
         )
     ordered = sorted(domain)
     present = {a.relation.name: db.tuples(a.relation.name) for a in negated}
@@ -167,9 +168,7 @@ def apply_step(db: Database, rule: CQNeg, step: RewriteStep,
     return new_db, new_rule, len(facts)
 
 
-def rewrite(db: Database, query: Query,
-            x: Optional[frozenset[str]] = None,
-            cap: int = DEFAULT_BLOWUP_CAP
+def rewrite(db: Database, query: Query
             ) -> tuple[Database, CQNeg, RewriteTrace]:
     """Eliminate the exogenous relations from a rule.
 
@@ -178,13 +177,15 @@ def rewrite(db: Database, query: Query,
     relations exogenous.  The result is a hierarchical self-join-free rule
     over a database with the same endogenous facts, the same truth value on
     every coalition, and hence the same attribution for every endogenous
-    fact.
+    fact.  A schema that declares a relation with the prefix of the fresh
+    relations is refused with ``ReservedNameError`` before any step.
     """
+    raise_first(schema_violations(db.schema))
     rule = single_disjunct(query)
     if not is_self_join_free(rule):
         raise SelfJoinError("the rewrite requires a self-join-free rule")
-    exo_names = resolve_exogenous(rule, x)
-    path = has_non_hierarchical_path(rule, exo_names)
+    exo_names = resolve_exogenous(rule)
+    path = has_non_hierarchical_path(rule)
     if path is not None:
         raise HasNonHierPathError(
             f"non-hierarchical path survives the exogenous relations: {path}",
@@ -198,11 +199,11 @@ def rewrite(db: Database, query: Query,
                     f"{fact} is endogenous"
                 )
     domain = active_domain(db, query)
-    exo_vars = exogenous_variables(rule, exo_names)
+    exo_vars = exogenous_variables(rule)
     ordinary = [a for a in rule.atoms if a.relation.name not in exo_names]
     steps: list[RewriteStep] = []
-    for seq, component in enumerate(
-            exogenous_atom_components(rule, exo_names), start=1):
+    for seq, component in enumerate(exogenous_atom_components(rule),
+                                    start=1):
         proj = tuple(dict.fromkeys(v for a in component for v in a.variables
                                    if v not in exo_vars))
         pad: tuple[str, ...] = ()
@@ -214,7 +215,7 @@ def rewrite(db: Database, query: Query,
                           exogenous_only=True)
         step = RewriteStep(names, sym, proj_vars=proj, pad_vars=pad)
         sizes = tuple(len(db.relation_facts(n)) for n in names)
-        db, rule, produced_count = apply_step(db, rule, step, domain, cap)
+        db, rule, produced_count = apply_step(db, rule, step, domain)
         produced = next(a for a in rule.atoms if a.relation == sym)
         steps.append(replace(step, consumed=tuple(map(str, component)),
                              produced=str(produced), sizes_before=sizes,
@@ -242,13 +243,11 @@ def _containing_atom(ordinary: Sequence[Atom], needed: tuple[str, ...]
     )
 
 
-def shapley_exo(db: Database, query: Query, fact: Fact,
-                x: Optional[frozenset[str]] = None,
-                cap: int = DEFAULT_BLOWUP_CAP) -> Fraction:
+def shapley_exo(db: Database, query: Query, fact: Fact) -> Fraction:
     """Shapley value of an endogenous fact, computed by rewriting the
     exogenous relations away and running the exact engine."""
     from .exact import shapley_exact
 
     stored = db.require_endogenous(fact)
-    new_db, new_rule, _trace = rewrite(db, query, x, cap)
+    new_db, new_rule, _trace = rewrite(db, query)
     return shapley_exact(new_db, new_rule, stored)

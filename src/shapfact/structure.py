@@ -6,10 +6,11 @@ The analyses here are purely syntactic.  The central notions:
 * **hierarchical**: for every two variables, the sets of atoms containing
   them are nested or disjoint.  Hierarchical self-join-free queries admit
   exact attribution in polynomial time.
-* **non-hierarchical path** (relative to a set ``X`` of exogenous
-  relations): a connectivity pattern between two non-``X`` atoms that
-  survives even when every ``X`` relation is fixed.  Its absence is what the
-  exogenous rewrite needs; its presence makes attribution #P-hard.
+* **non-hierarchical path** (relative to the exogenous relations, those
+  the schema declares ``exogenous``): a connectivity pattern between two
+  non-exogenous atoms that survives even when every exogenous relation is
+  fixed.  Its absence is what the exogenous rewrite needs; its presence
+  makes attribution #P-hard.
 * **polarity consistency**: every relation occurs only positively or only
   negatively; the relevance algorithms require it.
 
@@ -105,24 +106,19 @@ def is_hierarchical(query: CQNeg) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def resolve_exogenous(query: CQNeg, x: Optional[frozenset[str]] = None
-                      ) -> frozenset[str]:
-    """The set of exogenous relation names in effect: an explicit ``x`` if
-    given, else the relations the query's atoms mark ``exogenous_only``."""
-    if x is not None:
-        return frozenset(x)
+def resolve_exogenous(query: CQNeg) -> frozenset[str]:
+    """The exogenous relation names: those the query's atoms mark
+    ``exogenous_only``, as the schema declares them."""
     return frozenset(a.relation.name for a in query.atoms
                      if a.relation.exogenous_only)
 
 
-def exogenous_variables(query: CQNeg, x: Optional[frozenset[str]] = None
-                        ) -> frozenset[str]:
+def exogenous_variables(query: CQNeg) -> frozenset[str]:
     """Variables that occur in exogenous atoms only."""
-    names = resolve_exogenous(query, x)
     in_exo: set[str] = set()
     in_rest: set[str] = set()
     for atom in query.atoms:
-        target = in_exo if atom.relation.name in names else in_rest
+        target = in_exo if atom.relation.exogenous_only else in_rest
         target.update(atom.variables)
     return frozenset(in_exo - in_rest)
 
@@ -154,8 +150,7 @@ def split_components(variables: Sequence[Collection[str]]
     return sorted(groups.values())
 
 
-def exogenous_atom_components(query: CQNeg,
-                              x: Optional[frozenset[str]] = None
+def exogenous_atom_components(query: CQNeg
                               ) -> tuple[tuple[Atom, ...], ...]:
     """Connected components of the exogenous atoms, each in rule order,
     ordered by their first atom.
@@ -164,9 +159,8 @@ def exogenous_atom_components(query: CQNeg,
     variable; sharing a variable that also occurs outside the exogenous
     atoms does not connect them.
     """
-    names = resolve_exogenous(query, x)
-    exo_vars = exogenous_variables(query, names)
-    members = [a for a in query.atoms if a.relation.name in names]
+    exo_vars = exogenous_variables(query)
+    members = [a for a in query.atoms if a.relation.exogenous_only]
     groups = split_components([[v for v in a.variables if v in exo_vars]
                                for a in members])
     return tuple(tuple(members[i] for i in group) for group in groups)
@@ -201,9 +195,7 @@ class PathWitness:
         return f"({self.atom_x}, {self.atom_y}) via {route}"
 
 
-def has_non_hierarchical_path(query: CQNeg,
-                              x: Optional[frozenset[str]] = None
-                              ) -> Optional[PathWitness]:
+def has_non_hierarchical_path(query: CQNeg) -> Optional[PathWitness]:
     """Find a non-hierarchical path relative to the exogenous relations.
 
     Sought: two atoms with relations outside the exogenous set, a variable
@@ -213,10 +205,9 @@ def has_non_hierarchical_path(query: CQNeg,
     atoms.  Deterministic: least atom-index pair, then least (x, y), then a
     shortest path by BFS with sorted neighbour order.
     """
-    names = resolve_exogenous(query, x)
     adj = gaifman_adjacency(query)
     candidates = [i for i, a in enumerate(query.atoms)
-                  if a.relation.name not in names]
+                  if not a.relation.exogenous_only]
     vars_of = _atom_vars(query)
     for ai in candidates:
         for bi in candidates:
@@ -324,7 +315,7 @@ class Verdict:
         return payload
 
 
-def classify(query: CQNeg, x: Optional[frozenset[str]] = None) -> Verdict:
+def classify(query: CQNeg) -> Verdict:
     """Place one conjunctive rule in the tractability landscape.
 
     Hardness verdicts are structural and hold regardless of self-joins;
@@ -332,7 +323,6 @@ def classify(query: CQNeg, x: Optional[frozenset[str]] = None) -> Verdict:
     polynomial-time algorithms assume it), so a would-be tractable query
     with a repeated relation comes back ``UnknownSelfJoin``.
     """
-    names = resolve_exogenous(query, x)
     sjf = is_self_join_free(query)
     triplet = find_non_hierarchical_triplet(query)
     if triplet is None:
@@ -340,19 +330,18 @@ def classify(query: CQNeg, x: Optional[frozenset[str]] = None) -> Verdict:
             return Verdict(VerdictKind.UNKNOWN_SELF_JOIN,
                            detail="hierarchical but not self-join-free")
         return Verdict(VerdictKind.PTIME_HIERARCHICAL)
-    path = has_non_hierarchical_path(query, names)
+    path = has_non_hierarchical_path(query)
     if path is None:
         if not sjf:
             return Verdict(VerdictKind.UNKNOWN_SELF_JOIN,
                            detail="no non-hierarchical path but not "
                                   "self-join-free")
         return Verdict(VerdictKind.PTIME_EXO_REWRITE)
-    if not names:
+    if not resolve_exogenous(query):
         return Verdict(VerdictKind.HARD_NON_HIERARCHICAL, witness=triplet)
     return Verdict(VerdictKind.HARD_NON_HIER_PATH, witness=path)
 
 
-def classify_query(query: Query, x: Optional[frozenset[str]] = None
-                   ) -> tuple[Verdict, ...]:
+def classify_query(query: Query) -> tuple[Verdict, ...]:
     """Classify each disjunct of a (possibly union) query."""
-    return tuple(classify(d, x) for d in disjuncts_of(query))
+    return tuple(classify(d) for d in disjuncts_of(query))

@@ -20,7 +20,7 @@ from conftest import (AUTHOR_Q, AUTHOR_X, GAIFMAN_Q, GAIFMAN_Q_X,
                       PATH_QPRIME, Q2, Q3, QRSTNR, SP_X, STAFF_Q1_VALUES,
                       random_exo_rewrite_instance,
                       random_hierarchical_instance, random_instance,
-                      random_prob_instance, staff_fact)
+                      random_prob_instance, staff_fact, with_exogenous)
 from shapfact.approx import make_plan, shapley_additive_fpras
 from shapfact.cli import Invocation, run
 from shapfact.errors import NotPolarityConsistentError
@@ -212,8 +212,9 @@ def test_08_lifted_probability_matches_enumeration(staff_schema_exo):
 
 
 def test_09_classification_landscape(staff_schema, staff_schema_exo):
-    def kind_of(text, schema=None, x=None):
-        return classify(single_disjunct(parse_query(text, schema)), x)
+    def kind_of(text, schema=None, exogenous=()):
+        return classify(with_exogenous(
+            single_disjunct(parse_query(text, schema)), exogenous))
 
     assert (kind_of("q() :- Stud(x), not TA(x), Reg(x, y).",
                     staff_schema).kind
@@ -226,13 +227,14 @@ def test_09_classification_landscape(staff_schema, staff_schema_exo):
 
     assert (kind_of(Q2, staff_schema_exo).kind
             is VerdictKind.PTIME_EXO_REWRITE)
-    assert (kind_of(AUTHOR_Q, x=AUTHOR_X).kind
+    assert (kind_of(AUTHOR_Q, exogenous=AUTHOR_X).kind
             is VerdictKind.PTIME_EXO_REWRITE)
-    assert kind_of(NOPATH_Q, x=SP_X).kind is VerdictKind.PTIME_EXO_REWRITE
-    assert (kind_of(GAIFMAN_QPRIME, x=GAIFMAN_QPRIME_X).kind
+    assert (kind_of(NOPATH_Q, exogenous=SP_X).kind
+            is VerdictKind.PTIME_EXO_REWRITE)
+    assert (kind_of(GAIFMAN_QPRIME, exogenous=GAIFMAN_QPRIME_X).kind
             is VerdictKind.PTIME_EXO_REWRITE)
 
-    for text, x in ((PATH_QPRIME, SP_X), (GAIFMAN_Q, GAIFMAN_Q_X)):
-        verdict = kind_of(text, x=x)
+    for text, exogenous in ((PATH_QPRIME, SP_X), (GAIFMAN_Q, GAIFMAN_Q_X)):
+        verdict = kind_of(text, exogenous=exogenous)
         assert verdict.kind is VerdictKind.HARD_NON_HIER_PATH
         assert verdict.witness is not None  # obstructing variable path

@@ -19,6 +19,7 @@ import shapfact
 from conftest import DATA, Q2, STAFF_Q1_VALUES
 from shapfact.cli import (Invocation, build_parser, invocation_from_args,
                           main, resolve_method, run)
+from shapfact.naive import DEFAULT_CAP
 from shapfact.parsing import parse_query
 
 if sys.version_info >= (3, 11):
@@ -168,17 +169,17 @@ def test_exit_two_on_obstructing_path(tmp_path):
     assert "refused:" in err
 
 
-def test_cap_environment_variable(monkeypatch):
-    monkeypatch.setenv("SHAPFACT_CAP", "3")
+def test_cap_option_moves_auto_to_approx():
     payload = _payload(command="shapley", schema=SCHEMA, facts=FACTS,
-                       query=Q2_PATH, fact="TA(Adam)")
+                       query=Q2_PATH, fact="TA(Adam)", cap=3)
     assert payload["method"] == "approx"
 
-    monkeypatch.setenv("SHAPFACT_CAP", "banana")
-    code, _, err = _run(command="shapley", schema=SCHEMA, facts=FACTS,
-                        query=Q2_PATH, fact="TA(Adam)")
-    assert code == 1
-    assert "SHAPFACT_CAP" in err
+    args = ["shapley", "--schema", SCHEMA, "--facts", FACTS, "--query",
+            Q2_PATH, "--fact", "TA(Adam)"]
+    parser = build_parser()
+    assert invocation_from_args(parser.parse_args(args)).cap == DEFAULT_CAP
+    assert invocation_from_args(
+        parser.parse_args(args + ["--cap", "3"])).cap == 3
 
 
 def test_approx_echoes_plan_and_lands_close():

@@ -234,15 +234,16 @@ def test_each_fact_is_unified_once_per_count(staff_db_exo, monkeypatch):
     db, rule, _trace = rewrite(staff_db_exo,
                                parse_query(Q2, staff_db_exo.schema))
     checked = Counter()
-    unifies = decompose._unifies
+    match = decompose._match
 
-    def spy(fact, atom):
-        checked[fact] += 1
-        return unifies(fact, atom)
+    def spy(atom, args, binding):
+        checked[atom.relation.name, args] += 1
+        return match(atom, args, binding)
 
-    monkeypatch.setattr(decompose, "_unifies", spy)
+    monkeypatch.setattr(decompose, "_match", spy)
     relations = {atom.relation.name for atom in rule.atoms}
-    expected = Counter(f for f in db.facts if f.relation.name in relations)
+    expected = Counter(f.key for f in db.facts
+                       if f.relation.name in relations)
     assert len(expected) > 20
     shapley_exact_all(db, rule)
     assert checked == expected

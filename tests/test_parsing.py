@@ -13,7 +13,7 @@ from shapfact.errors import (ArityError, BadProbabilityError,
                              SafetyError, SchemaSyntaxError,
                              UnknownRelationError)
 from shapfact.model import (Atom, CQNeg, Const, Database, Fact, Provenance,
-                            RelationSym, Var)
+                            RelationSym, Schema, Var)
 from shapfact.parsing import (format_database, format_fact, format_query,
                               format_schema, parse_fact_reference,
                               parse_facts, parse_query, parse_schema)
@@ -78,6 +78,15 @@ def test_reserved_prefix_rejected_everywhere():
         parse_schema("relation __exo_2_join/1")
 
 
+def test_relation_named_not_is_refused():
+    # a query could name it only negated: ``not not(x)`` reads, ``not(x)``
+    # does not
+    with pytest.raises(ReservedNameError,
+                       match="line 2: relation name not is reserved"):
+        parse_schema("relation R/1\nrelation not/1")
+    assert parse_schema("relation nota/1\nrelation Not/1").relations
+
+
 def test_unsafe_rule_rejected_at_parse_time():
     with pytest.raises(SafetyError):
         parse_query("q() :- R(x), not S(x, y).")
@@ -86,8 +95,7 @@ def test_unsafe_rule_rejected_at_parse_time():
 # every spelling of a query pins the rules it reads, or the error type with
 # the start of its message: the line and column where the text stops
 # matching, or the rule that a relation check names
-_QUERY_SCHEMA = ("relation R/1\nrelation S/2\nrelation r/1\n"
-                 "relation notR/1\nrelation not/1")
+_QUERY_SCHEMA = "relation R/1\nrelation S/2\nrelation r/1\nrelation notR/1"
 _QUERY_TEXTS = [
     ("q() :- R(x),  # a student\n  not S(x, y),\n  # a whole line\n"
      "  S(y, x).  # done",
@@ -98,7 +106,9 @@ _QUERY_TEXTS = [
     ("q() :- R(x), not\nS(x, x).", ["q() :- R(x), not S(x, x)."]),
     ("q() :- R(x), not # why\n  S(x, x).", ["q() :- R(x), not S(x, x)."]),
     ("q() :- notR(x).", ["q() :- notR(x)."]),
-    ("q() :- R(x), not not(x).", ["q() :- R(x), not not(x)."]),
+    # ``not not(x)`` reads, but no schema may declare a relation ``not``
+    ("q() :- R(x), not not(x).",
+     (UnknownRelationError, "rule 1: relation not is not in the schema")),
     ("q() :- r(x), S(x, 'x').", ["q() :- r(x), S(x, 'x')."]),
     ("q() :- S(9z, _x), S(A, not).", ["q() :- S(9z, _x), S(A, not)."]),
     ("q ( ) :-\n  R(x)\n.\nq() :- S(x, y) .",
@@ -285,12 +295,33 @@ def test_quoted_constants_round_trip():
     reparsed = parse_facts(format_database(db), schema)
     assert reparsed.facts == db.facts
     assert reparsed.facts[0].provenance == fact.provenance
+    # constants built in code, with every provenance and a probability
+    values = ("it's", "'", "a\\b", "\\", "x y", " lead", "lower", "mIxed")
+    db = Database(schema, [
+        Fact(schema["R"], (v,), list(Provenance)[i % 2],
+             Fraction(1, 3) if i % 4 == 1 else None)
+        for i, v in enumerate(values)])
+    reparsed = parse_facts(format_database(db), schema)
+    assert [(f.args, f.provenance, f.probability) for f in reparsed.facts] \
+        == [(f.args, f.provenance, f.probability) for f in db.facts]
+    assert len(reparsed.facts) == len(values)
 
 
 def test_format_fact_spells_provenance_and_probability():
     schema = parse_schema("relation Reg/2")
     db = parse_facts("prob 1/2 Reg(Adam, OS)", schema)
     assert format_fact(db.facts[0]) == "prob 1/2 Reg(Adam, OS)"
+
+
+def test_format_fact_refuses_a_line_break():
+    rel = RelationSym("R", 2)
+    db = Database(Schema([rel]), [Fact(rel, ("a", "a\nb"))])
+    with pytest.raises(SchemaSyntaxError,
+                       match=re.escape("fact of R: constant 'a\\nb' holds "
+                                       "a line break")):
+        format_fact(db.facts[0])
+    with pytest.raises(SchemaSyntaxError):
+        format_database(db)
 
 
 # ---------------------------------------------------------------------------

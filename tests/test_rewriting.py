@@ -4,17 +4,22 @@ import random
 
 import pytest
 
-from conftest import (GAIFMAN_QPRIME, GAIFMAN_QPRIME_X, NOPATH_Q,
-                      PATH_QPRIME, Q2, SP_X, random_exo_rewrite_instance,
-                      staff_fact)
+from conftest import (GAIFMAN_QPRIME, NOPATH_Q, PATH_QPRIME, Q2,
+                      random_exo_rewrite_instance, staff_fact,
+                      with_exogenous)
+from shapfact import rewriting
 from shapfact.errors import (BlowupExceededError, HasNonHierPathError,
-                             ProvenanceError, SelfJoinError)
+                             ProvenanceError, ReservedNameError,
+                             SelfJoinError)
 from shapfact.exact import shapley_exact_all
-from shapfact.model import RESERVED_PREFIX, single_disjunct
+from shapfact.model import (RESERVED_PREFIX, Database, Fact, Provenance,
+                            RelationSym, Schema, single_disjunct)
 from shapfact.naive import brute_shapley_all
 from shapfact.parsing import parse_facts, parse_query, parse_schema
-from shapfact.rewriting import MATERIALISE, apply_step, rewrite, shapley_exo
-from shapfact.structure import (exogenous_atom_components, is_hierarchical,
+from shapfact.prob import brute_prob, prob_eval
+from shapfact.rewriting import apply_step, rewrite, shapley_exo
+from shapfact.structure import (VerdictKind, classify_query,
+                                exogenous_atom_components, is_hierarchical,
                                 is_self_join_free)
 
 
@@ -22,7 +27,6 @@ def test_course_query_rewrite_shape(staff_db_exo):
     q = parse_query(Q2, staff_db_exo.schema)
     new_db, new_rule, trace = rewrite(staff_db_exo, q)
     # one step per exogenous component: {Stud(x)} and {not Course(y, CS)}
-    assert [s.kind for s in trace.steps] == [MATERIALISE, MATERIALISE]
     assert [s.component for s in trace.steps] == [("Stud",), ("Course",)]
     assert is_hierarchical(new_rule) and is_self_join_free(new_rule)
     # original endogenous facts survive untouched
@@ -65,7 +69,7 @@ def test_each_step_preserves_values(staff_db_exo):
     for step in trace.steps:
         db, rule, _ = apply_step(db, rule, step, trace.domain)
         now = {f.key: v for f, v in brute_shapley_all(db, rule).items()}
-        assert now == baseline, f"value drift after {step.kind}"
+        assert now == baseline, f"value drift after {step.component}"
 
 
 def test_replay_reproduces_rewrite_exactly(staff_db_exo):
@@ -171,12 +175,25 @@ def test_refuses_self_joins():
 def test_rejects_endogenous_facts_in_exogenous_relations():
     schema = parse_schema("relation R/1\nrelation S/1")
     db = parse_facts("endo R(a)\nendo S(a)", schema)
-    q = parse_query("q() :- R(x), not S(x).", schema)
+    # the rule says S is exogenous, the database holds S(a) endogenous
+    q = with_exogenous(
+        single_disjunct(parse_query("q() :- R(x), not S(x).", schema)), {"S"})
     with pytest.raises(ProvenanceError):
-        rewrite(db, q, x=frozenset({"S"}))
+        rewrite(db, q)
 
 
-def test_blowup_cap_refusal():
+def test_refuses_a_schema_that_declares_a_reserved_name():
+    # the first fresh relation would be __exo_1, which the schema holds
+    r, s, taken = (RelationSym("R", 1), RelationSym("S", 1, True),
+                   RelationSym(f"{RESERVED_PREFIX}1", 1))
+    db = Database(Schema([r, s, taken]),
+                  [Fact(r, ("a",)), Fact(s, ("a",), Provenance.EXOGENOUS)])
+    q = parse_query("q() :- R(x), S(x).", db.schema)
+    with pytest.raises(ReservedNameError, match="reserved prefix"):
+        rewrite(db, q)
+
+
+def test_blowup_cap_refusal(monkeypatch):
     # S(x) shares x with T(x, y), so its step pads with y: 10 S facts
     # times a 20-constant domain project to 200 tuples, and a cap of 100
     # refuses before any of them is built
@@ -186,9 +203,11 @@ def test_blowup_cap_refusal():
     lines += ["endo R(r%d)" % i for i in range(10)]
     db = parse_facts("\n".join(lines), schema)
     q = parse_query("q() :- R(y), S(x), not T(x, y).", schema)
+    monkeypatch.setattr(rewriting, "BLOWUP_CAP", 100)
     with pytest.raises(BlowupExceededError, match="200 tuples"):
-        rewrite(db, q, cap=100)
-    _, _, trace = rewrite(db, q, cap=200)
+        rewrite(db, q)
+    monkeypatch.setattr(rewriting, "BLOWUP_CAP", 200)
+    _, _, trace = rewrite(db, q)
     assert [s.size_after for s in trace.steps] == [200]
 
 
@@ -211,3 +230,39 @@ def test_trace_describe_is_readable(staff_db_exo):
     text = trace.describe()
     assert "exogenous relations: Course, Stud" in text
     assert text.count("step") == len(trace.steps)
+    assert text.count("[materialise]") == len(trace.steps)
+
+
+PRICED_STAFF = """
+prob 1 Stud(Adam)
+prob 1 Stud(Ben)
+prob 1 Course(AI, CS)
+prob 1 Course(OS, Sem)
+prob 1/2 TA(Adam)
+prob 3/4 TA(Ben)
+prob 1/2 Reg(Adam, OS)
+prob 1/4 Reg(Adam, AI)
+prob 7/8 Reg(Ben, OS)
+"""
+
+
+def test_exogenous_relations_come_from_the_schema(staff_schema,
+                                                  staff_schema_exo):
+    # the same Q2 over the same fact text: only the schema's exogenous
+    # markers on Stud and Course decide whether the rewrite applies
+    db = parse_facts(PRICED_STAFF, staff_schema)
+    q = parse_query(Q2, staff_schema)
+    assert classify_query(q)[0].kind is VerdictKind.HARD_NON_HIERARCHICAL
+    with pytest.raises(HasNonHierPathError):
+        rewrite(db, q)
+    with pytest.raises(HasNonHierPathError):
+        prob_eval(db, q)
+
+    db = parse_facts(PRICED_STAFF, staff_schema_exo)
+    q = parse_query(Q2, staff_schema_exo)
+    assert classify_query(q)[0].kind is VerdictKind.PTIME_EXO_REWRITE
+    _, _, trace = rewrite(db, q)
+    assert len(trace.steps) \
+        == len(exogenous_atom_components(single_disjunct(q))) == 2
+    assert prob_eval(db, q) == brute_prob(db, q)
+    assert 0 < prob_eval(db, q) < 1

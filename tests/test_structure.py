@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import (AUTHOR_Q, AUTHOR_X, GAIFMAN_Q, GAIFMAN_QPRIME,
                       GAIFMAN_QPRIME_X, GAIFMAN_Q_X, NOPATH_Q, PATH_QPRIME,
-                      Q1, Q2, Q3, Q4, QRSTNR, SP_X, random_instance)
+                      Q1, Q2, Q3, Q4, QRSTNR, SP_X, random_instance,
+                      with_exogenous)
 from shapfact.model import single_disjunct
 from shapfact.parsing import parse_query
 from shapfact.structure import (VerdictKind, classify, classify_query,
@@ -19,8 +20,10 @@ from shapfact.structure import (VerdictKind, classify, classify_query,
                                 relation_polarities)
 
 
-def rule(text):
-    return single_disjunct(parse_query(text))
+def rule(text, exogenous=()):
+    """The one rule of ``text``, with the relations in ``exogenous``
+    declared exogenous."""
+    return with_exogenous(single_disjunct(parse_query(text)), exogenous)
 
 
 def test_hierarchy_of_the_running_queries():
@@ -56,15 +59,15 @@ def test_no_triplet_for_hierarchical_query():
 
 def test_nearly_identical_queries_differ_in_path():
     """Swapping one variable in the P-atom decides tractability."""
-    assert has_non_hierarchical_path(rule(NOPATH_Q), SP_X) is None
-    w = has_non_hierarchical_path(rule(PATH_QPRIME), SP_X)
+    assert has_non_hierarchical_path(rule(NOPATH_Q, SP_X)) is None
+    w = has_non_hierarchical_path(rule(PATH_QPRIME, SP_X))
     assert w is not None
     assert {str(w.atom_x), str(w.atom_y)} == {"not R(x, w)", "T(y, w)"}
 
 
 def test_path_found_through_deleted_graph():
-    q = rule(GAIFMAN_Q)
-    w = has_non_hierarchical_path(q, GAIFMAN_Q_X)
+    q = rule(GAIFMAN_Q, GAIFMAN_Q_X)
+    w = has_non_hierarchical_path(q)
     assert w is not None
     # deterministic first witness of the sorted scan
     assert (str(w.atom_x), str(w.atom_y)) == ("not R(x)", "U(z, w)")
@@ -83,13 +86,13 @@ def test_path_found_through_deleted_graph():
 
 
 def test_no_path_in_the_eight_atom_query():
-    assert has_non_hierarchical_path(rule(GAIFMAN_QPRIME),
-                                     GAIFMAN_QPRIME_X) is None
+    assert has_non_hierarchical_path(rule(GAIFMAN_QPRIME,
+                                          GAIFMAN_QPRIME_X)) is None
 
 
 def test_exogenous_atom_components_of_the_eight_atom_query():
-    comps = exogenous_atom_components(rule(GAIFMAN_QPRIME),
-                                      GAIFMAN_QPRIME_X)
+    comps = exogenous_atom_components(rule(GAIFMAN_QPRIME,
+                                           GAIFMAN_QPRIME_X))
     rendered = {frozenset(str(a) for a in comp) for comp in comps}
     assert rendered == {
         frozenset({"not V(t)"}),
@@ -101,25 +104,25 @@ def test_exogenous_atom_components_of_the_eight_atom_query():
 def test_atoms_sharing_only_non_exogenous_variable_stay_apart():
     # y occurs in the non-exogenous atom T(y), so it cannot glue the two
     # exogenous atoms together
-    q = rule("q() :- T(y), S(x, y), P(y, z), not R(x, z).")
-    comps = exogenous_atom_components(q, frozenset({"S", "P"}))
+    q = rule("q() :- T(y), S(x, y), P(y, z), not R(x, z).", {"S", "P"})
+    comps = exogenous_atom_components(q)
     assert sorted(len(c) for c in comps) == [1, 1]
 
 
 def test_classification_of_named_queries():
     assert classify(rule(Q1)).kind is VerdictKind.PTIME_HIERARCHICAL
     assert classify(rule(Q2)).kind is VerdictKind.HARD_NON_HIERARCHICAL
-    assert classify(rule(Q2), frozenset({"Stud", "Course"})).kind \
+    assert classify(rule(Q2, {"Stud", "Course"})).kind \
         is VerdictKind.PTIME_EXO_REWRITE
-    assert classify(rule(AUTHOR_Q), AUTHOR_X).kind \
+    assert classify(rule(AUTHOR_Q, AUTHOR_X)).kind \
         is VerdictKind.PTIME_EXO_REWRITE
-    assert classify(rule(NOPATH_Q), SP_X).kind \
+    assert classify(rule(NOPATH_Q, SP_X)).kind \
         is VerdictKind.PTIME_EXO_REWRITE
-    assert classify(rule(PATH_QPRIME), SP_X).kind \
+    assert classify(rule(PATH_QPRIME, SP_X)).kind \
         is VerdictKind.HARD_NON_HIER_PATH
-    assert classify(rule(GAIFMAN_Q), GAIFMAN_Q_X).kind \
+    assert classify(rule(GAIFMAN_Q, GAIFMAN_Q_X)).kind \
         is VerdictKind.HARD_NON_HIER_PATH
-    assert classify(rule(GAIFMAN_QPRIME), GAIFMAN_QPRIME_X).kind \
+    assert classify(rule(GAIFMAN_QPRIME, GAIFMAN_QPRIME_X)).kind \
         is VerdictKind.PTIME_EXO_REWRITE
 
 
@@ -143,7 +146,7 @@ def test_verdict_json_shapes():
     payload = v.to_json()
     assert payload["kind"] == "HardNonHierarchical"
     assert payload["witness"]["type"] == "triplet"
-    v = classify(rule(PATH_QPRIME), SP_X)
+    v = classify(rule(PATH_QPRIME, SP_X))
     payload = v.to_json()
     assert payload["witness"]["type"] == "path"
     assert payload["witness"]["path"][0] == payload["witness"]["x"]
@@ -163,7 +166,7 @@ def test_path_with_no_exogenous_relations_iff_non_hierarchical():
     checked = 0
     for _ in range(300):
         _, q = random_instance(rng, max_endo=5)
-        path = has_non_hierarchical_path(q, frozenset())
+        path = has_non_hierarchical_path(q)
         assert (path is not None) == (not is_hierarchical(q))
         checked += 1
     assert checked == 300
@@ -173,5 +176,5 @@ def test_path_with_no_exogenous_relations_iff_non_hierarchical():
 @given(st.integers(0, 2 ** 32 - 1))
 def test_path_hierarchy_agreement_property(seed):
     _, q = random_instance(random.Random(seed), max_endo=3)
-    assert (has_non_hierarchical_path(q, frozenset()) is not None) \
+    assert (has_non_hierarchical_path(q) is not None) \
         == (not is_hierarchical(q))
