@@ -226,8 +226,6 @@ def _cmd_prob(inv: Invocation) -> Report:
 
 
 def _cmd_gen_gap(inv: Invocation) -> Report:
-    if inv.n < 1:
-        raise InputError("--n must be at least 1")
     instance = naive.gen_gap_instance(inv.n)
     out = Path(inv.out)
     try:
@@ -287,6 +285,14 @@ def run(inv: Invocation, stdout=None, stderr=None) -> int:
     return 0
 
 
+def _cap(text: str) -> int:
+    """An enumeration cap: a count of facts, so at least 0."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a count of at least 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="shapfact",
                      description="Attribute boolean query answers to "
@@ -317,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=naive.DEFAULT_CAP,
+    p.add_argument("--cap", type=_cap, default=naive.DEFAULT_CAP,
                    help=f"endogenous-fact limit for enumeration "
                         f"(default {naive.DEFAULT_CAP})")
     p.add_argument("--trace", action="store_true",
@@ -331,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p)
     p.add_argument("--method", choices=("auto", "lifted", "brute"),
                    default="auto")
-    p.add_argument("--cap", type=int, default=naive.DEFAULT_CAP)
+    p.add_argument("--cap", type=_cap, default=naive.DEFAULT_CAP)
 
     p = sub.add_parser("gen-gap",
                        help="emit a family instance whose attribution "

@@ -39,7 +39,8 @@ ground atoms have no leaves, so its tree is always ``None``.
 
 :func:`weighted_count` takes the whole query and refuses, for both
 engines, anything but a single self-join-free hierarchical rule before
-the recursion starts.
+the recursion starts: a rule that is not hierarchical has a component
+with no root variable, which compiling the plan refuses.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from typing import (Any, Callable, Collection, Iterable, NamedTuple, Optional,
 from .errors import InternalError, NotHierarchicalError, SelfJoinError
 from .model import Atom, Fact, Query, Var, single_disjunct
 from .naive import _match
-from .structure import is_hierarchical, is_self_join_free, split_components
+from .structure import is_self_join_free, split_components
 
 
 def bucket_facts(atoms: Sequence[Atom], components: Sequence[Sequence[int]],
@@ -102,8 +103,9 @@ def weighted_count(query: Query, facts: Sequence[Fact], total: Total,
     query, and its tree.
 
     The query must be a single self-join-free hierarchical rule; anything
-    else is refused with ``UnsupportedQueryError``, ``SelfJoinError`` or
-    ``NotHierarchicalError``.
+    else is refused with ``UnsupportedQueryError``, ``SelfJoinError`` or,
+    from :func:`root_variable` while the rule is planned and before any
+    fact is routed, ``NotHierarchicalError``.
 
     ``total(facts)`` is the weight of all worlds over ``facts``, and
     ``ground(atom, fact)`` is the vector of a rule atom whose variables
@@ -120,9 +122,6 @@ def weighted_count(query: Query, facts: Sequence[Fact], total: Total,
     if not is_self_join_free(rule):
         raise SelfJoinError("weighted counting requires a self-join-free "
                             "rule")
-    if not is_hierarchical(rule):
-        raise NotHierarchicalError("weighted counting requires a "
-                                   "hierarchical rule")
     atoms = rule.atoms
     if not atoms:
         return total(facts), None

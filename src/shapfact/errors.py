@@ -56,9 +56,9 @@ class SafetyError(InputError):
 
 
 class ReservedNameError(InputError):
-    """A relation name uses the reserved ``__exo_`` prefix, or a schema
-    declares a relation named ``not``, which query text could only name
-    negated."""
+    """A relation name is reserved: it starts with ``__exo_``, the prefix
+    of the exogenous rewrite's relations, or it is ``not``, the negation
+    keyword."""
 
 
 class DuplicateFactError(InputError):

@@ -423,12 +423,22 @@ def line_break_violations(fact: Fact) -> list[tuple[type, str]]:
             for arg in fact.args if _LINE_BREAK.search(arg)]
 
 
+def reserved_name_violations(name: str) -> list[tuple[type, str]]:
+    """Typed violations: ``name`` starts with the rewrite's prefix, or is
+    ``not``, which query text reads as negation."""
+    if name.startswith(RESERVED_PREFIX):
+        why = f"uses the reserved prefix {RESERVED_PREFIX}"
+    elif name == "not":
+        why = "is reserved for negation"
+    else:
+        return []
+    return [(errors.ReservedNameError, f"relation name {name} {why}")]
+
+
 def schema_violations(schema: Schema) -> list[tuple[type, str]]:
-    """Typed violations: relations that use the reserved prefix."""
-    return [(errors.ReservedNameError,
-             f"relation {rel.name} uses the reserved prefix {RESERVED_PREFIX}")
-            for rel in schema.relations
-            if rel.name.startswith(RESERVED_PREFIX)]
+    """Typed violations: relations with a reserved name."""
+    return [problem for rel in schema.relations
+            for problem in reserved_name_violations(rel.name)]
 
 
 def database_violations(db: Database) -> list[tuple[type, str]]:
@@ -450,8 +460,8 @@ def query_violations(query: Query,
 
     Checks, per disjunct: safety (every variable of a negated atom occurs in
     some positive atom of the same disjunct), arity agreement with the
-    relation symbol (and with the schema if one is supplied), and the
-    reserved relation-name prefix.
+    relation symbol (and with the schema if one is supplied), and reserved
+    relation names.
     """
     problems: list[tuple[type, str]] = []
     for i, disjunct in enumerate(disjuncts_of(query)):
@@ -471,11 +481,8 @@ def query_violations(query: Query,
                                  f"{label}: atom {atom} has "
                                  f"{len(atom.terms)} arguments, relation "
                                  f"declares {atom.relation.arity}"))
-            if atom.relation.name.startswith(RESERVED_PREFIX):
-                problems.append((errors.ReservedNameError,
-                                 f"{label}: relation name "
-                                 f"{atom.relation.name} uses the reserved "
-                                 f"prefix {RESERVED_PREFIX}"))
+            problems += [(kind, f"{label}: {message}") for kind, message
+                         in reserved_name_violations(atom.relation.name)]
             if schema is not None:
                 declared = schema.get(atom.relation.name)
                 if declared is None:

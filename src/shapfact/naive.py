@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
-from .errors import CapExceededError
+from .errors import CapExceededError, InputError
 from .model import (
     Atom,
     Const,
@@ -381,7 +381,7 @@ def gen_gap_instance(n: int) -> GapInstance:
     (of size n out of 2n+1) is flipped.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InputError(f"n must be at least 1, got {n}")
     rel_r = RelationSym("R", 1)
     rel_s = RelationSym("S", 2, exogenous_only=True)
     schema = Schema([rel_r, rel_s])

@@ -17,8 +17,9 @@ relations whose facts are all exogenous::
     relation Stud/1 exogenous
     relation TA/1
 
-A relation may not be named ``not``, which a query could name only after
-another ``not``, nor start with the rewrite's prefix ``__exo_``.
+Two kinds of relation name are reserved, in schemas and queries alike:
+``not``, the negation keyword, and names that start with ``__exo_``, the
+prefix of the relations the exogenous rewrite makes.
 
 Fact files carry one fact per line.  Arguments in fact files are always
 constants, whatever their capitalisation::
@@ -52,7 +53,6 @@ from typing import NoReturn, Optional
 from . import errors
 from .model import (
     LINE_BREAKS,
-    RESERVED_PREFIX,
     Atom,
     Const,
     CQNeg,
@@ -72,6 +72,7 @@ from .model import (
     query_violations,
     quoted,
     raise_first,
+    reserved_name_violations,
     schema_violations,
 )
 
@@ -112,7 +113,8 @@ def _args(text: str) -> tuple[str, ...]:
 _COMMENT = re.compile(rf"{_QUOTED}|#.*")
 _SPACE = re.compile(r"\s*")
 _HEAD = re.compile(rf"\s*(?P<head>{_NAME})\s*\((?P<args>[^)]*)\)\s*:-")
-# a relation named ``not`` must follow a ``not``: ``not(x)`` is refused
+# ``not(x)`` is no atom; ``not not(x)`` reads, and the reserved-name check
+# refuses it
 _LITERAL = re.compile(rf"\s*(?:(?P<negated>not\s+)|(?!not\b)){_ATOM}")
 _SEPARATOR = re.compile(r"\s*([,.])")
 
@@ -214,15 +216,8 @@ def parse_schema(text: str) -> Schema:
                 f"got: {line}"
             )
         name, arity, exo = m.group(1), int(m.group(2)), bool(m.group(3))
-        if name.startswith(RESERVED_PREFIX):
-            raise errors.ReservedNameError(
-                f"line {lineno}: relation name {name} uses the reserved "
-                f"prefix {RESERVED_PREFIX}"
-            )
-        if name == "not":
-            raise errors.ReservedNameError(
-                f"line {lineno}: relation name not is reserved for negation"
-            )
+        raise_first([(kind, f"line {lineno}: {message}")
+                     for kind, message in reserved_name_violations(name)])
         if name in seen:
             raise errors.SchemaSyntaxError(
                 f"line {lineno}: relation {name} declared twice"

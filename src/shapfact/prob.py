@@ -29,11 +29,10 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from . import decompose
-from .errors import BadProbabilityError, CapExceededError
-from .model import Atom, Database, Fact, Query, single_disjunct
+from .errors import CapExceededError
+from .model import Atom, Database, Fact, Query
 from .naive import DEFAULT_CAP, eval_boolean
 from .rewriting import rewrite
-from .structure import resolve_exogenous
 
 
 def fact_probability(fact: Fact) -> Fraction:
@@ -85,17 +84,9 @@ def prob_eval(db: Database, query: Query) -> Fraction:
     """Query probability after rewriting away deterministic relations.
 
     The relations the schema declares ``exogenous`` must hold only
-    deterministic facts; the rewrite eliminates them, and the lifted engine
-    prices the rest.  Raises ``HasNonHierPathError`` (with
-    witness) when a non-hierarchical path survives, ``SelfJoinError`` on
-    repeated relations."""
-    rule = single_disjunct(query)
-    for name in sorted(resolve_exogenous(rule)):
-        for fact in db.relation_facts(name):
-            if fact_probability(fact) != 1:
-                raise BadProbabilityError(
-                    f"relation {name} is treated as deterministic but fact "
-                    f"{fact} has probability {fact_probability(fact)}"
-                )
-    new_db, new_rule, _trace = rewrite(db, rule)
+    deterministic facts, which the rewrite checks (``BadProbabilityError``)
+    before it eliminates them; the lifted engine prices the rest.  Raises
+    ``HasNonHierPathError`` (with witness) when a non-hierarchical path
+    survives, ``SelfJoinError`` on repeated relations."""
+    new_db, new_rule, _trace = rewrite(db, query)
     return prob_eval_hierarchical(new_db, new_rule)

@@ -42,7 +42,6 @@ from .errors import (
     BlowupExceededError,
     HasNonHierPathError,
     InternalError,
-    ProvenanceError,
     SelfJoinError,
 )
 from .model import (
@@ -54,8 +53,10 @@ from .model import (
     Provenance,
     Query,
     RelationSym,
+    Schema,
     Var,
     active_domain,
+    fact_violations,
     raise_first,
     schema_violations,
     single_disjunct,
@@ -174,11 +175,13 @@ def rewrite(db: Database, query: Query
 
     Preconditions: a single self-join-free rule with no non-hierarchical
     path relative to the exogenous relations, and every fact of those
-    relations exogenous.  The result is a hierarchical self-join-free rule
-    over a database with the same endogenous facts, the same truth value on
-    every coalition, and hence the same attribution for every endogenous
-    fact.  A schema that declares a relation with the prefix of the fresh
-    relations is refused with ``ReservedNameError`` before any step.
+    relations valid by :func:`shapfact.model.fact_violations` against the
+    rule's relation symbols: exogenous, with no probability but 1.  The
+    result is a hierarchical self-join-free rule over a database with the
+    same endogenous facts, the same truth value on every coalition, and
+    hence the same attribution for every endogenous fact.  A schema that
+    declares a relation with the prefix of the fresh relations is refused
+    with ``ReservedNameError`` before any step.
     """
     raise_first(schema_violations(db.schema))
     rule = single_disjunct(query)
@@ -191,13 +194,10 @@ def rewrite(db: Database, query: Query
             f"non-hierarchical path survives the exogenous relations: {path}",
             witness=path,
         )
-    for name in sorted(exo_names):
-        for fact in db.relation_facts(name):
-            if fact.endogenous:
-                raise ProvenanceError(
-                    f"relation {name} is treated as exogenous but fact "
-                    f"{fact} is endogenous"
-                )
+    symbols = Schema(a.relation for a in rule.atoms)
+    raise_first([problem for name in sorted(exo_names)
+                 for fact in db.relation_facts(name)
+                 for problem in fact_violations(fact, symbols)])
     domain = active_domain(db, query)
     exo_vars = exogenous_variables(rule)
     ordinary = [a for a in rule.atoms if a.relation.name not in exo_names]

@@ -117,6 +117,15 @@ def test_exit_one_on_unparsable_query():
     assert out == ""
 
 
+def test_exit_one_on_a_relation_named_not():
+    # ``not not(x)`` reads, and no schema is there to declare ``not``
+    code, out, err = _run(command="classify",
+                          query="q() :- R(x), not not(x).")
+    assert code == 1
+    assert err.startswith("error: rule 1: relation name not is reserved")
+    assert out == ""
+
+
 def test_exit_one_on_missing_file():
     code, _, err = _run(command="classify", schema=SCHEMA,
                         query="no/such/file.txt")
@@ -225,6 +234,15 @@ def test_gen_gap_round_trip(tmp_path):
     assert payload["facts"][0]["value"] == "1/140"
 
 
+def test_gen_gap_refuses_size_zero(tmp_path, capsys):
+    out = tmp_path / "family"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["gen-gap", "--n", "0", "--out", str(out)])
+    assert excinfo.value.code == 1
+    assert capsys.readouterr().err.startswith("error: n must be at least 1")
+    assert not out.exists()
+
+
 def test_relevance_command_reports_witness():
     payload = _payload(command="relevance", schema=SCHEMA, facts=FACTS,
                        query=Q1_PATH, fact="TA(Adam)")
@@ -319,6 +337,18 @@ def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["no-such-command"])
     assert excinfo.value.code == 1
+
+
+@pytest.mark.parametrize("command, target",
+                         [("shapley", ["--all"]), ("prob", [])])
+def test_negative_cap_is_malformed_input(command, target, capsys):
+    # a cap counts facts; -1 is no count, not a cap that refuses everything
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--query", Q1_PATH, "--schema", SCHEMA, "--facts",
+              FACTS, "--method", "brute", "--cap", "-1", *target])
+    assert excinfo.value.code == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: shapfact {command}: argument --cap: expected a count")
 
 
 def test_console_script_is_installed():

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (Q2, RULE_SHAPES, STAFF_Q1_SAT_COUNTS, STAFF_Q1_VALUES,
-                      random_hierarchical_instance, random_shaped_instance,
-                      staff_fact)
+                      random_hierarchical_instance, random_instance,
+                      random_shaped_instance, staff_fact)
 from shapfact import decompose
 from shapfact.errors import (FactNotEndogenousError, NotHierarchicalError,
                              SelfJoinError)
@@ -21,6 +21,7 @@ from shapfact.naive import (brute_count_satisfying, brute_shapley,
 from shapfact.parsing import parse_facts, parse_query, parse_schema
 from shapfact.prob import brute_prob, prob_eval_hierarchical
 from shapfact.rewriting import rewrite
+from shapfact.structure import is_hierarchical
 
 
 def test_staff_q1_count_vector(staff_db, q1):
@@ -42,6 +43,25 @@ def test_single_fact_matches_all(staff_db, q1):
 def test_refuses_non_hierarchical(staff_db, q2):
     with pytest.raises(NotHierarchicalError):
         count_satisfying_subsets(staff_db, q2)
+
+
+def test_engines_refuse_exactly_the_non_hierarchical_rules():
+    # the recursion has no hierarchy pre-check: planning a rule that is
+    # not hierarchical meets a component with no root variable
+    rng = random.Random(27182)
+    kinds = Counter()
+    for _ in range(400):
+        db, query = random_instance(rng, max_endo=6, allow_self_joins=False)
+        hierarchical = is_hierarchical(query)
+        for engine in (count_satisfying_subsets, prob_eval_hierarchical):
+            if hierarchical:
+                engine(db, query)
+            else:
+                with pytest.raises(NotHierarchicalError):
+                    engine(db, query)
+        kinds[hierarchical] += 1
+    # both kinds of rule are drawn often enough to show something
+    assert min(kinds.values()) >= 50
 
 
 def test_refuses_self_joins():

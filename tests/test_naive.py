@@ -14,7 +14,8 @@ import pytest
 
 from conftest import (Q1, STAFF_Q1_SAT_COUNTS, STAFF_Q1_VALUES,
                       random_instance, staff_fact)
-from shapfact.errors import CapExceededError, FactNotEndogenousError
+from shapfact.errors import (CapExceededError, FactNotEndogenousError,
+                             InputError)
 from shapfact.model import Database, single_disjunct
 from shapfact.naive import (DEFAULT_CAP, SubsetOracle, brute_count_satisfying,
                             brute_relevance, brute_shapley,
@@ -99,14 +100,15 @@ def test_exogenous_fact_is_not_a_player(staff_db, q1):
 
 
 def test_cap_refusal():
+    n = DEFAULT_CAP + 1
     schema = parse_schema("relation R/1")
-    lines = "\n".join(f"endo R(c{i})" for i in range(23))
+    lines = "\n".join(f"endo R(c{i})" for i in range(n))
     db = parse_facts(lines, schema)
     q = parse_query("q() :- R(x).", schema)
     with pytest.raises(CapExceededError):
-        SubsetOracle(db, q, cap=DEFAULT_CAP)
+        SubsetOracle(db, q)
     # a raised cap unlocks it
-    assert brute_shapley(db, q, db.endogenous[0], cap=23) == Fraction(1, 23)
+    assert brute_shapley(db, q, db.endogenous[0], cap=n) == Fraction(1, n)
 
 
 def test_relevance_witness_replays():
@@ -154,6 +156,11 @@ def test_gap_instance_shape():
         == "q() :- R(x), S(x, y), not R(y)."
     assert inst.fact.args == ("cx_0",)
     assert inst.db.schema["S"].exogenous_only
+
+
+def test_gap_size_must_be_positive():
+    with pytest.raises(InputError, match="n must be at least 1, got 0"):
+        gen_gap_instance(0)
 
 
 def test_gap_values_small():

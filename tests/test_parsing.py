@@ -106,9 +106,9 @@ _QUERY_TEXTS = [
     ("q() :- R(x), not\nS(x, x).", ["q() :- R(x), not S(x, x)."]),
     ("q() :- R(x), not # why\n  S(x, x).", ["q() :- R(x), not S(x, x)."]),
     ("q() :- notR(x).", ["q() :- notR(x)."]),
-    # ``not not(x)`` reads, but no schema may declare a relation ``not``
+    # ``not not(x)`` reads, but ``not`` is a reserved relation name
     ("q() :- R(x), not not(x).",
-     (UnknownRelationError, "rule 1: relation not is not in the schema")),
+     (ReservedNameError, "rule 1: relation name not is reserved")),
     ("q() :- r(x), S(x, 'x').", ["q() :- r(x), S(x, 'x')."]),
     ("q() :- S(9z, _x), S(A, not).", ["q() :- S(9z, _x), S(A, not)."]),
     ("q ( ) :-\n  R(x)\n.\nq() :- S(x, y) .",

@@ -10,9 +10,11 @@ from conftest import (Q1, Q2, random_exo_rewrite_instance,
 from shapfact.errors import (BadProbabilityError, CapExceededError,
                              HasNonHierPathError, NotHierarchicalError)
 from shapfact.exact import count_satisfying_subsets
-from shapfact.model import Database, Fact
+from shapfact.model import (Database, Fact, Provenance, RelationSym,
+                            Schema)
 from shapfact.parsing import parse_facts, parse_query, parse_schema
 from shapfact.prob import brute_prob, prob_eval, prob_eval_hierarchical
+from shapfact.rewriting import rewrite
 
 
 def test_independent_conjunction():
@@ -131,6 +133,22 @@ def test_exogenous_relations_must_be_certain():
     with pytest.raises(BadProbabilityError):
         parse_facts("prob 1/2 R(a)\nprob 1/2 S(a)", schema)
     assert prob_eval(db, q) == 0  # S(a) surely present blocks R(a)
+
+
+def test_an_uncertain_exogenous_fact_built_in_code_is_refused():
+    # no parser stands in the way here: the rewrite, which prob_eval goes
+    # through, checks the facts of the exogenous relations itself
+    r, s = RelationSym("R", 1), RelationSym("S", 1, exogenous_only=True)
+    db = Database(Schema([r, s]), [
+        Fact(r, ("A",), probability=Fraction(1, 2)),
+        Fact(s, ("A",), Provenance.EXOGENOUS, Fraction(1, 2))])
+    q = parse_query("q() :- R(x), not S(x).", db.schema)
+    for engine in (rewrite, prob_eval):
+        with pytest.raises(BadProbabilityError,
+                           match=r"^fact S\(A\): relation S is declared "
+                                 r"exogenous; its facts must have "
+                                 r"probability 1$"):
+            engine(db, q)
 
 
 def test_world_enumeration_cap():
