@@ -218,6 +218,40 @@ def test_sampled_report_bytes_are_pinned(seed, digest):
         assert one["facts"] == [record]
 
 
+# whole reports of the exact engines, the exogenous rewrite and relevance,
+# in both formats; the digests were taken before the report records were
+# last reshaped, so a failure here means changed report bytes
+@pytest.mark.parametrize("kwargs, digest", [
+    (dict(schema=SCHEMA, query=Q1_PATH, method="exact"),
+     "efcc2c704adbba38a8908a0c064b36709cb79ce15e568fd035afd9719fa68187"),
+    (dict(schema=SCHEMA, query=Q1_PATH, method="exact", fmt="table"),
+     "47aa38e153de126b7f71fb7830bfc578f13163295bb5254297ae4c1b6ad92c88"),
+    (dict(schema=SCHEMA_EXO, query=Q2_PATH, method="exo"),
+     "5f7985727eb26edc4a4e2a6d67eecd28852c2988e77b8807e34fb25b16aad4a9"),
+    (dict(schema=SCHEMA_EXO, query=Q2_PATH, method="exo", trace=True),
+     "f06450c382f8c6a5b5bc1eaa0dcef42bb940ccd551f3492b944c894235da1ca2"),
+], ids=["exact", "exact-table", "exo", "exo-trace"])
+def test_exact_report_bytes_are_pinned(kwargs, digest):
+    code, out, err = _run(command="shapley", facts=FACTS, all_facts=True,
+                          **kwargs)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("json",
+     "31eb0432f6621e2985ee7b1e24bbabe3c005c0406a097c0f73944e07656de611"),
+    ("table",
+     "a616390e09023ebecdc113656b73d8c72052b30461fb511097c195590699c24f"),
+])
+def test_relevance_report_bytes_are_pinned(fmt, digest):
+    # TA(Adam) is negatively relevant, so the report carries a witness
+    code, out, err = _run(command="relevance", schema=SCHEMA, facts=FACTS,
+                          query=Q1_PATH, fact="TA(Adam)", fmt=fmt)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_gen_gap_round_trip(tmp_path):
     generated = _payload(command="gen-gap", n=3, out=str(tmp_path))
     assert generated["expected_value"]["value"] == "1/140"

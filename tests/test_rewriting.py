@@ -233,6 +233,16 @@ def test_trace_describe_is_readable(staff_db_exo):
     assert text.count("[materialise]") == len(trace.steps)
 
 
+def test_trace_describe_text_is_pinned(staff_db_exo):
+    q = parse_query(Q2, staff_db_exo.schema)
+    _, _, trace = rewrite(staff_db_exo, q)
+    assert trace.describe() == (
+        "domain size 12; exogenous relations: Course, Stud\n"
+        "step 1 [materialise] Stud(x) -> __exo_1(x) (4 tuples in, 4 out)\n"
+        "step 2 [materialise] not Course(y, CS) -> __exo_2(y, x) "
+        "(4 tuples in, 120 out)")
+
+
 PRICED_STAFF = """
 prob 1 Stud(Adam)
 prob 1 Stud(Ben)
