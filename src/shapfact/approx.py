@@ -30,9 +30,9 @@ arriving in that slot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, log
+from math import ceil, inf, log
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from .errors import InputError
@@ -61,24 +61,36 @@ def _philox_key(seed: int) -> int:
 
 @dataclass(frozen=True)
 class SamplingPlan:
-    """Everything that determines a sampling run (and hence its result)."""
+    """Everything that determines a sampling run (and hence its result):
+    the additive accuracy ``epsilon``, the failure probability ``delta``
+    and the ``seed``.  The number of sampled orders, ``samples``, is
+    derived as ``ceil(2 ln(2/δ) / ε²)``.  A plan refuses with
+    :class:`InputError` an ε or δ outside (0, 1), and an ε or δ so small
+    that this budget is not a finite number."""
 
     epsilon: float
     delta: float
     seed: int = 0
-    samples: int = 0
+    samples: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        if not 0 < self.epsilon < 1:
+            raise InputError(f"epsilon must be in (0, 1), got {self.epsilon}")
+        if not 0 < self.delta < 1:
+            raise InputError(f"delta must be in (0, 1), got {self.delta}")
+        square = self.epsilon * self.epsilon
+        budget = 2 * log(2 / self.delta) / square if square else inf
+        if budget == inf:
+            raise InputError(f"epsilon {self.epsilon} and delta {self.delta} "
+                             f"give no finite sample budget")
+        # the plan is frozen, so its one derived field is set here
+        object.__setattr__(self, "samples", ceil(budget))
 
 
 def make_plan(epsilon: float, delta: float, seed: int = 0) -> SamplingPlan:
-    """Fix the sample budget ``ceil(2 ln(2/δ) / ε²)`` for the requested
-    additive accuracy."""
-    if not 0 < epsilon < 1:
-        raise InputError(f"epsilon must be in (0, 1), got {epsilon}")
-    if not 0 < delta < 1:
-        raise InputError(f"delta must be in (0, 1), got {delta}")
-    samples = ceil(2 * log(2 / delta) / (epsilon * epsilon))
-    return SamplingPlan(epsilon=epsilon, delta=delta, seed=seed,
-                        samples=samples)
+    """The plan for the requested additive accuracy; the same as
+    ``SamplingPlan(epsilon, delta, seed)``."""
+    return SamplingPlan(epsilon, delta, seed)
 
 
 def shapley_additive_fpras(db: Database, query: Query, plan: SamplingPlan

@@ -28,8 +28,8 @@ from .model import (Database, Fact, Query, RelationSym, Schema, disjuncts_of,
 from .parsing import (format_database, format_query, format_schema,
                       parse_fact_reference, parse_facts, parse_query,
                       parse_schema)
-from .reporting import (FactRecord, Report, decimal_string, rational_string,
-                        render_json, render_table)
+from .reporting import (Report, decimal_string, rational_string, render_json,
+                        render_table)
 from .structure import VerdictKind, classify_query
 
 DEFAULT_EPSILON = 0.05
@@ -171,9 +171,9 @@ def _cmd_shapley(inv: Invocation) -> Report:
     else:
         raise InputError(f"unknown method {method!r}")
 
-    records = [FactRecord.for_fact(f, values[f]) for f in targets]
     verdicts = [v.to_json() for v in classify_query(query)]
-    return Report(method=method, query=format_query(query), facts=records,
+    return Report(method=method, query=format_query(query),
+                  facts=[(f, values[f]) for f in targets],
                   classification=verdicts, seed=seed, samples=samples,
                   extra=extra)
 
@@ -204,7 +204,7 @@ def _cmd_relevance(inv: Invocation) -> Report:
         "witness": _witness_json(result.witness),
     }}
     return Report(method="relevance", query=format_query(query),
-                  facts=[FactRecord.for_fact(fact)], extra=extra)
+                  facts=[(fact, None)], extra=extra)
 
 
 def _cmd_prob(inv: Invocation) -> Report:
@@ -252,7 +252,7 @@ def _cmd_gen_gap(inv: Invocation) -> Report:
                            "decimal": decimal_string(value)},
     }
     return Report(method="gen-gap", query=format_query(instance.query),
-                  facts=[FactRecord.for_fact(instance.fact)], extra=extra)
+                  facts=[(instance.fact, None)], extra=extra)
 
 
 _COMMANDS = {
@@ -262,6 +262,8 @@ _COMMANDS = {
     "prob": _cmd_prob,
     "gen-gap": _cmd_gen_gap,
 }
+
+_RENDERERS = {"json": render_json, "table": render_table}
 
 
 def run(inv: Invocation, stdout=None, stderr=None) -> int:
@@ -273,6 +275,13 @@ def run(inv: Invocation, stdout=None, stderr=None) -> int:
         print(f"unknown command {inv.command!r}", file=stderr)
         return 1
     try:
+        # a cap counts facts, so -1 is malformed, not a cap refusing all
+        if inv.cap < 0:
+            raise InputError(f"cap must be a count of at least 0, "
+                             f"got {inv.cap}")
+        if inv.fmt not in _RENDERERS:
+            raise InputError(f"format must be one of "
+                             f"{', '.join(_RENDERERS)}, got {inv.fmt!r}")
         report = handler(inv)
     except RefusedError as exc:
         print(f"refused: {exc}", file=stderr)
@@ -280,17 +289,8 @@ def run(inv: Invocation, stdout=None, stderr=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=stderr)
         return 1
-    text = render_json(report) if inv.fmt == "json" else render_table(report)
-    stdout.write(text)
+    stdout.write(_RENDERERS[inv.fmt](report))
     return 0
-
-
-def _cap(text: str) -> int:
-    """An enumeration cap: a count of facts, so at least 0."""
-    if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(
-            f"expected a count of at least 0, got {text!r}")
-    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--schema", help="relation declarations file")
         if facts:
             p.add_argument("--facts", help="database file")
-        p.add_argument("--format", dest="fmt", choices=("json", "table"),
+        p.add_argument("--format", dest="fmt", choices=tuple(_RENDERERS),
                        default="json")
 
     p = sub.add_parser("classify", help="tractability analysis of a query")
@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=_cap, default=naive.DEFAULT_CAP,
+    p.add_argument("--cap", type=int, default=naive.DEFAULT_CAP,
                    help=f"endogenous-fact limit for enumeration "
                         f"(default {naive.DEFAULT_CAP})")
     p.add_argument("--trace", action="store_true",
@@ -337,14 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p)
     p.add_argument("--method", choices=("auto", "lifted", "brute"),
                    default="auto")
-    p.add_argument("--cap", type=_cap, default=naive.DEFAULT_CAP)
+    p.add_argument("--cap", type=int, default=naive.DEFAULT_CAP)
 
     p = sub.add_parser("gen-gap",
                        help="emit a family instance whose attribution "
                             "values shrink super-exponentially")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--format", dest="fmt", choices=("json", "table"),
+    p.add_argument("--format", dest="fmt", choices=tuple(_RENDERERS),
                    default="json")
 
     return parser

@@ -194,10 +194,10 @@ class CQNeg:
 
 @dataclass(frozen=True)
 class UCQNeg:
-    """A union of conjunctive rules sharing one Boolean head."""
+    """A union of conjunctive rules; each rule carries the Boolean head,
+    which the query reader requires to be the same for all of them."""
 
     disjuncts: tuple[CQNeg, ...]
-    head: str = "q"
 
     def __str__(self) -> str:
         return "\n".join(str(d) for d in self.disjuncts)

@@ -209,7 +209,6 @@ class SubsetOracle:
                 f"{n} endogenous facts exceed the brute-force cap {cap}"
             )
         self.db = db
-        self.query = query
         self.n = n
         self.masks = [
             (_mask(p), _mask(m)) for p, m in hom_profiles(db, query)

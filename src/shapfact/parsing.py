@@ -182,7 +182,7 @@ def parse_query(text: str, schema: Optional[Schema] = None) -> UCQNeg:
         pos = _SPACE.match(text, m.end()).end()
     if not rules:
         raise errors.QuerySyntaxError("no rules in query text", 1, 1)
-    query = UCQNeg(tuple(rules), head=rules[0].head)
+    query = UCQNeg(tuple(rules))
     raise_first(query_violations(query, schema))
     return query
 

@@ -1,9 +1,12 @@
-"""Result records and their JSON / table renderings.
+"""Command results and their JSON / table renderings.
 
-The JSON rendering is byte-stable: records are sorted, key order is fixed,
-and rationals are rendered exactly (``"num/den"``) next to a 12-significant
--digit decimal (banker's rounding), so identical runs produce identical
-bytes and downstream diffs are meaningful.
+A :class:`Report` lists the facts it speaks about as ``(Fact, value)``
+pairs; the renderers read each fact's relation, arguments and provenance
+off the :class:`~shapfact.model.Fact` itself.  The JSON rendering is
+byte-stable: facts are sorted, key order is fixed, and rationals are
+rendered exactly (``"num/den"``) next to a 12-significant-digit decimal
+(banker's rounding), so identical runs produce identical bytes and
+downstream diffs are meaningful.
 """
 
 from __future__ import annotations
@@ -31,51 +34,40 @@ def decimal_string(value: Fraction) -> str:
                               Decimal(value.denominator)))
 
 
-@dataclass
-class FactRecord:
-    relation: str
-    args: tuple[str, ...]
-    provenance: str
-    value: Optional[Fraction] = None
-
-    @classmethod
-    def for_fact(cls, fact: Fact,
-                 value: Optional[Fraction] = None) -> "FactRecord":
-        return cls(fact.relation.name, fact.args, fact.provenance.value,
-                   value)
-
-    def to_json(self) -> dict:
-        return {
-            "relation": self.relation,
-            "args": list(self.args),
-            "provenance": self.provenance,
-            "value": None if self.value is None else rational_string(self.value),
-            "decimal": None if self.value is None else decimal_string(self.value),
-        }
+def _fact_json(fact: Fact, value: Optional[Fraction]) -> dict:
+    return {
+        "relation": fact.relation.name,
+        "args": list(fact.args),
+        "provenance": fact.provenance.value,
+        "value": None if value is None else rational_string(value),
+        "decimal": None if value is None else decimal_string(value),
+    }
 
 
 @dataclass
 class Report:
-    """One command's result.  ``extra`` holds command-specific sections
-    (relevance verdicts, probabilities, rewrite traces) appended after the
-    common keys."""
+    """One command's result.  ``facts`` pairs each fact the command speaks
+    about with its value, or with None when it values none; ``extra`` holds
+    command-specific sections (relevance verdicts, probabilities, rewrite
+    traces) appended after the common keys."""
 
     method: str
     query: str
-    facts: list[FactRecord] = field(default_factory=list)
+    facts: list[tuple[Fact, Optional[Fraction]]] = field(
+        default_factory=list)
     classification: Optional[list[dict]] = None
     seed: Optional[int] = None
     samples: Optional[int] = None
     extra: dict = field(default_factory=dict)
 
-    def sorted_facts(self) -> list[FactRecord]:
-        return sorted(self.facts, key=lambda r: (r.relation, r.args))
+    def sorted_facts(self) -> list[tuple[Fact, Optional[Fraction]]]:
+        return sorted(self.facts, key=lambda pair: pair[0].key)
 
     def to_json(self) -> dict:
         payload = {
             "method": self.method,
             "query": self.query,
-            "facts": [r.to_json() for r in self.sorted_facts()],
+            "facts": [_fact_json(f, v) for f, v in self.sorted_facts()],
             "classification": self.classification,
             "seed": self.seed,
             "samples": self.samples,
@@ -92,16 +84,16 @@ def render_table(report: Report) -> str:
     lines = [f"method: {report.method}"]
     for qline in report.query.splitlines():
         lines.append(f"query:  {qline}")
-    records = report.sorted_facts()
-    if records:
-        names = [f"{r.relation}({', '.join(r.args)})" for r in records]
+    pairs = report.sorted_facts()
+    if pairs:
+        names = [f"{f.relation.name}({', '.join(f.args)})" for f, _ in pairs]
         width = max(len(n) for n in names)
         lines.append("")
-        for r, name in zip(records, names):
-            value = "" if r.value is None else rational_string(r.value)
-            dec = "" if r.value is None else f"  {decimal_string(r.value)}"
-            lines.append(f"  {name:<{width}}  {r.provenance:<4} "
-                         f"{value:>12}{dec}")
+        for (f, value), name in zip(pairs, names):
+            exact = "" if value is None else rational_string(value)
+            dec = "" if value is None else f"  {decimal_string(value)}"
+            lines.append(f"  {name:<{width}}  {f.provenance.value:<4} "
+                         f"{exact:>12}{dec}")
     if report.classification is not None:
         lines.append("")
         for i, verdict in enumerate(report.classification, start=1):

@@ -27,8 +27,10 @@ would materialise more than :data:`BLOWUP_CAP` tuples is refused.
 Every step preserves the truth value of the rule on every coalition, hence
 every endogenous fact's attribution — the package's tests replay the
 recorded steps one at a time and check exactly that.  Step application is
-a pure function (:func:`apply_step`), and :class:`RewriteTrace` carries
-everything needed to replay it.
+a pure function (:func:`apply_step`): a :class:`RewriteStep` holds the
+atoms it replaces and the fresh atom it puts in their place, so the steps
+of a :class:`RewriteTrace`, applied in order to the original rule and
+database over the trace's domain, rebuild the rewritten ones.
 """
 
 from __future__ import annotations
@@ -79,22 +81,25 @@ BLOWUP_CAP = 10_000_000
 class RewriteStep:
     """One materialise step, with enough detail to replay it.
 
-    ``component`` names the relations of the exogenous atoms the step
-    replaces; since the rule is self-join-free, each names one atom.
-    ``relation`` is the fresh exogenous relation over ``proj_vars`` (the
-    component's shared variables) followed by ``pad_vars`` (the other
-    variables of the ordinary atom that contains them).  The
-    ``consumed``/``produced``/size fields are a human-readable record and
+    ``component`` holds the exogenous atoms the step replaces, in rule
+    order.  ``relation`` is the fresh exogenous relation over ``proj_vars``
+    (the component's shared variables) followed by ``pad_vars`` (the other
+    variables of the ordinary atom that contains them); :attr:`atom` is the
+    atom that takes the component's place.  The size fields (facts of each
+    replaced relation, tuples materialised) are a human-readable record and
     play no role in replay."""
 
-    component: tuple[str, ...]
+    component: tuple[Atom, ...]
     relation: RelationSym
     proj_vars: tuple[str, ...] = ()
     pad_vars: tuple[str, ...] = ()
-    consumed: tuple[str, ...] = ()
-    produced: str = ""
     sizes_before: tuple[int, ...] = ()
     size_after: int = -1
+
+    @property
+    def atom(self) -> Atom:
+        return Atom(self.relation,
+                    tuple(Var(v) for v in self.proj_vars + self.pad_vars))
 
 
 @dataclass(frozen=True)
@@ -107,8 +112,8 @@ class RewriteTrace:
         lines = [f"domain size {len(self.domain)}; exogenous relations: "
                  f"{', '.join(self.exogenous) or '(none)'}"]
         for i, s in enumerate(self.steps, start=1):
-            src = " + ".join(s.consumed)
-            lines.append(f"step {i} [materialise] {src} -> {s.produced} "
+            src = " + ".join(map(str, s.component))
+            lines.append(f"step {i} [materialise] {src} -> {s.atom} "
                          f"({'+'.join(map(str, s.sizes_before)) or '0'} "
                          f"tuples in, {s.size_after} out)")
         return "\n".join(lines)
@@ -124,7 +129,7 @@ def apply_step(db: Database, rule: CQNeg, step: RewriteStep,
     power of the variables they leave unbound, exceed :data:`BLOWUP_CAP`."""
     from .naive import _image, _index, iter_homomorphisms
 
-    component = [a for a in rule.atoms if a.relation.name in step.component]
+    component = step.component
     positive = [a for a in component if not a.negated]
     negated = [a for a in component if a.negated]
     bound = {v for a in positive for v in a.variables}
@@ -159,13 +164,11 @@ def apply_step(db: Database, rule: CQNeg, step: RewriteStep,
         for args in sorted(projected)
         for pad in itertools.product(ordered, repeat=len(step.pad_vars))
     )
-    new_atom = Atom(step.relation,
-                    tuple(Var(v) for v in step.proj_vars + step.pad_vars))
-    new_rule = CQNeg(tuple(new_atom if a is component[0] else a
+    new_rule = CQNeg(tuple(step.atom if a == component[0] else a
                            for a in rule.atoms if a not in component[1:]),
                      head=rule.head)
-    new_db = db.with_relations_replaced(step.component, [step.relation],
-                                        facts)
+    new_db = db.with_relations_replaced([a.relation.name for a in component],
+                                        [step.relation], facts)
     return new_db, new_rule, len(facts)
 
 
@@ -210,16 +213,13 @@ def rewrite(db: Database, query: Query
         if proj:
             beta = _containing_atom(ordinary, proj)
             pad = tuple(v for v in beta.variables if v not in proj)
-        names = tuple(a.relation.name for a in component)
         sym = RelationSym(f"{RESERVED_PREFIX}{seq}", len(proj) + len(pad),
                           exogenous_only=True)
-        step = RewriteStep(names, sym, proj_vars=proj, pad_vars=pad)
-        sizes = tuple(len(db.relation_facts(n)) for n in names)
-        db, rule, produced_count = apply_step(db, rule, step, domain)
-        produced = next(a for a in rule.atoms if a.relation == sym)
-        steps.append(replace(step, consumed=tuple(map(str, component)),
-                             produced=str(produced), sizes_before=sizes,
-                             size_after=produced_count))
+        step = RewriteStep(component, sym, proj_vars=proj, pad_vars=pad)
+        sizes = tuple(len(db.relation_facts(a.relation.name))
+                      for a in component)
+        db, rule, produced = apply_step(db, rule, step, domain)
+        steps.append(replace(step, sizes_before=sizes, size_after=produced))
 
     if not is_hierarchical(rule) or not is_self_join_free(rule):
         raise InternalError(

@@ -58,7 +58,6 @@ class TripletWitness:
     atom_y: Atom
     x: str
     y: str
-    indices: tuple[int, int, int]
 
     def __str__(self) -> str:
         return (f"({self.atom_x}, {self.atom_xy}, {self.atom_y}) "
@@ -90,7 +89,7 @@ def find_non_hierarchical_triplet(query: CQNeg) -> Optional[TripletWitness]:
                 if xs and ys:
                     return TripletWitness(
                         query.atoms[i], query.atoms[j], query.atoms[k],
-                        xs[0], ys[0], (i, j, k),
+                        xs[0], ys[0],
                     )
     return None
 
@@ -188,7 +187,6 @@ class PathWitness:
     x: str
     y: str
     path: tuple[str, ...]
-    indices: tuple[int, int]
 
     def __str__(self) -> str:
         route = "-".join(self.path)
@@ -220,7 +218,7 @@ def has_non_hierarchical_path(query: CQNeg) -> Optional[PathWitness]:
                     path = _bfs_path(adj, xv, yv, deleted)
                     if path is not None:
                         return PathWitness(query.atoms[ai], query.atoms[bi],
-                                           xv, yv, tuple(path), (ai, bi))
+                                           xv, yv, tuple(path))
     return None
 
 

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import QRSTNR, staff_fact
 from shapfact import approx
-from shapfact.approx import _philox_key, make_plan, shapley_additive_fpras
+from shapfact.approx import (SamplingPlan, _philox_key, make_plan,
+                             shapley_additive_fpras)
 from shapfact.errors import InputError
 from shapfact.naive import (brute_shapley, eval_boolean, gen_gap_instance,
                             hom_profiles)
@@ -18,6 +19,10 @@ def test_plan_sample_counts():
     assert make_plan(0.05, 0.1).samples == 2397
     assert make_plan(0.05, 0.01).samples == 4239
     assert make_plan(0.1, 0.1).samples == 600
+    # the plan derives its budget; no caller can set one that disagrees
+    assert SamplingPlan(0.05, 0.1, seed=7) == make_plan(0.05, 0.1, seed=7)
+    with pytest.raises(TypeError):
+        SamplingPlan(0.05, 0.1, 7, 5)
 
 
 def test_plan_validation():
@@ -25,6 +30,13 @@ def test_plan_validation():
         make_plan(0.0, 0.1)
     with pytest.raises(InputError):
         make_plan(0.05, 1.5)
+    with pytest.raises(InputError):
+        SamplingPlan(1.0, 0.1)
+    # epsilon squared underflows to 0; the budget overflows to infinity;
+    # so does 2 / delta
+    for epsilon, delta in ((1e-300, 0.1), (1e-160, 0.1), (0.05, 5e-324)):
+        with pytest.raises(InputError, match="no finite sample budget"):
+            make_plan(epsilon, delta)
 
 
 def test_philox_key_is_pinned():

@@ -219,8 +219,8 @@ def test_sampled_report_bytes_are_pinned(seed, digest):
 
 
 # whole reports of the exact engines, the exogenous rewrite and relevance,
-# in both formats; the digests were taken before the report records were
-# last reshaped, so a failure here means changed report bytes
+# in both formats: a digest that no longer matches means the report bytes
+# changed
 @pytest.mark.parametrize("kwargs, digest", [
     (dict(schema=SCHEMA, query=Q1_PATH, method="exact"),
      "efcc2c704adbba38a8908a0c064b36709cb79ce15e568fd035afd9719fa68187"),
@@ -381,8 +381,40 @@ def test_negative_cap_is_malformed_input(command, target, capsys):
         main([command, "--query", Q1_PATH, "--schema", SCHEMA, "--facts",
               FACTS, "--method", "brute", "--cap", "-1", *target])
     assert excinfo.value.code == 1
-    assert capsys.readouterr().err.startswith(
-        f"error: shapfact {command}: argument --cap: expected a count")
+    assert capsys.readouterr().err == \
+        "error: cap must be a count of at least 0, got -1\n"
+
+
+@pytest.mark.parametrize("command, target",
+                         [("shapley", {"all_facts": True}), ("prob", {}),
+                          ("classify", {})])
+def test_run_refuses_a_negative_cap(command, target):
+    # the library path is checked by run itself, not by argparse
+    code, out, err = _run(command=command, schema=SCHEMA, facts=FACTS,
+                          query=Q1_PATH, method="brute", cap=-1, **target)
+    assert (code, out) == (1, "")
+    assert err == "error: cap must be a count of at least 0, got -1\n"
+
+
+def test_run_refuses_an_unknown_format():
+    code, out, err = _run(command="shapley", schema=SCHEMA, facts=FACTS,
+                          query=Q1_PATH, all_facts=True, fmt="xml")
+    assert (code, out) == (1, "")
+    assert err == "error: format must be one of json, table, got 'xml'\n"
+
+
+def test_epsilon_too_small_to_budget_is_malformed_input(capsys):
+    message = ("error: epsilon 1e-300 and delta 0.1 give no finite sample "
+               "budget\n")
+    code, out, err = _run(command="shapley", schema=SCHEMA, facts=FACTS,
+                          query=Q1_PATH, all_facts=True, method="approx",
+                          epsilon=1e-300)
+    assert (code, out, err) == (1, "", message)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["shapley", "--query", Q1_PATH, "--schema", SCHEMA, "--facts",
+              FACTS, "--all", "--method", "approx", "--epsilon", "1e-300"])
+    assert excinfo.value.code == 1
+    assert capsys.readouterr().err == message
 
 
 def test_console_script_is_installed():

@@ -3,8 +3,11 @@
 import json
 from fractions import Fraction
 
-from shapfact.reporting import (FactRecord, Report, decimal_string,
-                                rational_string, render_json, render_table)
+from shapfact.model import Fact, RelationSym
+from shapfact.reporting import (Report, decimal_string, rational_string,
+                                render_json, render_table)
+
+R = RelationSym("R", 1)
 
 
 def test_decimal_has_twelve_significant_digits():
@@ -37,8 +40,7 @@ def test_json_shape_and_order():
     report = Report(
         method="exact",
         query="q() :- R(x).",
-        facts=[FactRecord("R", ("b",), "endo", Fraction(1, 3)),
-               FactRecord("R", ("a",), "endo", None)],
+        facts=[(Fact(R, ("b",)), Fraction(1, 3)), (Fact(R, ("a",)), None)],
         classification=[{"kind": "PTimeHierarchical", "witness": None}],
     )
     payload = json.loads(render_json(report))
@@ -54,7 +56,7 @@ def test_json_shape_and_order():
 
 def test_json_is_byte_stable():
     report = Report(method="brute", query="q() :- R(x).",
-                    facts=[FactRecord("R", ("a",), "endo", Fraction(1, 7))],
+                    facts=[(Fact(R, ("a",)), Fraction(1, 7))],
                     seed=3, samples=None)
     assert render_json(report) == render_json(report)
     assert render_json(report).endswith("\n")
@@ -72,7 +74,7 @@ def test_table_rendering_smoke():
     report = Report(
         method="exact",
         query="q() :- R(x).",
-        facts=[FactRecord("R", ("a",), "endo", Fraction(-3, 28))],
+        facts=[(Fact(R, ("a",)), Fraction(-3, 28))],
         classification=[{"kind": "PTimeHierarchical", "witness": None}],
     )
     text = render_table(report)

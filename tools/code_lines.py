@@ -50,7 +50,7 @@ def main(argv: list[str]) -> None:
     root = Path(argv[0] if argv else "src/shapfact")
     counts = {path.relative_to(root).as_posix(): code_lines(path.read_text())
               for path in sorted(root.rglob("*.py"))}
-    width = max(map(len, counts), default=0)
+    width = max(map(len, [*counts, "total"]))
     for name, count in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
         print(f"{name:<{width}}  {count:>5}")
     print(f"{'total':<{width}}  {sum(counts.values()):>5}")
