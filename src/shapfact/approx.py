@@ -30,9 +30,9 @@ arriving in that slot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, inf, log
+from math import ceil, log
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from .errors import InputError
@@ -71,20 +71,23 @@ class SamplingPlan:
     epsilon: float
     delta: float
     seed: int = 0
-    samples: int = field(init=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.epsilon < 1:
             raise InputError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if not 0 < self.delta < 1:
             raise InputError(f"delta must be in (0, 1), got {self.delta}")
-        square = self.epsilon * self.epsilon
-        budget = 2 * log(2 / self.delta) / square if square else inf
-        if budget == inf:
+        # the budget is computed here once, so that an epsilon or delta
+        # too small for it fails when the plan is made
+        try:
+            self.samples
+        except (ZeroDivisionError, OverflowError):
             raise InputError(f"epsilon {self.epsilon} and delta {self.delta} "
-                             f"give no finite sample budget")
-        # the plan is frozen, so its one derived field is set here
-        object.__setattr__(self, "samples", ceil(budget))
+                             f"give no finite sample budget") from None
+
+    @property
+    def samples(self) -> int:
+        return ceil(2 * log(2 / self.delta) / (self.epsilon * self.epsilon))
 
 
 def make_plan(epsilon: float, delta: float, seed: int = 0) -> SamplingPlan:
@@ -113,7 +116,8 @@ def shapley_additive_fpras(db: Database, query: Query, plan: SamplingPlan
     # fact (key, slot, rank, difference array) and three per profile (start,
     # stop, and one rank being folded in)
     row_bytes = 8 * (4 * n + 3 * len(profiles))
-    for rows in _chunks(plan.samples, _CHUNK_BYTES // max(row_bytes, 1)):
+    samples = plan.samples
+    for rows in _chunks(samples, _CHUNK_BYTES // max(row_bytes, 1)):
         order = np.argsort(
             gen.integers(0, 1 << 64, size=(rows, n), dtype=np.uint64),
             axis=1, kind="stable")
@@ -132,7 +136,7 @@ def shapley_additive_fpras(db: Database, query: Query, plan: SamplingPlan
         gain = np.diff(held.view(np.int8), axis=1)
         totals += np.bincount(order[gain > 0], minlength=n)
         totals -= np.bincount(order[gain < 0], minlength=n)
-    values = {f: Fraction(int(t), plan.samples)
+    values = {f: Fraction(int(t), samples)
               for f, t in zip(db.endogenous, totals)}
     return values, plan
 

@@ -403,6 +403,15 @@ def test_run_refuses_an_unknown_format():
     assert err == "error: format must be one of json, table, got 'xml'\n"
 
 
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_run_looks_up_its_renderer_when_called(fmt, monkeypatch):
+    # a traced benchmark run measures rendering by patching these names
+    monkeypatch.setattr(shapfact.cli, f"render_{fmt}", lambda report: "X")
+    code, out, _ = _run(command="shapley", schema=SCHEMA, facts=FACTS,
+                        query=Q1_PATH, all_facts=True, fmt=fmt)
+    assert (code, out) == (0, "X")
+
+
 def test_epsilon_too_small_to_budget_is_malformed_input(capsys):
     message = ("error: epsilon 1e-300 and delta 0.1 give no finite sample "
                "budget\n")
