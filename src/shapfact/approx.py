@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import ceil, log
 from typing import TYPE_CHECKING, Callable, Iterator
 
-from .errors import InputError
+from .errors import CapExceededError, InputError
 from .model import Database, Fact, Query
 from .naive import hom_profiles
 
@@ -48,6 +48,12 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # small, because a chunk is live memory on every call, and a larger one
 # saves only a few numpy calls per chunk
 _CHUNK_BYTES = 1 << 18
+
+#: Refuse a sampling run that would draw more arrival keys (sampled orders
+#: times endogenous facts) than this; read when each run starts.  A 2-core
+#: Xeon draws about ten million keys a second over 60 facts, so the cap is
+#: a run of about two minutes.
+ARRIVAL_KEY_CAP = 1_000_000_000
 
 
 def _philox_key(seed: int) -> int:
@@ -100,12 +106,21 @@ def shapley_additive_fpras(db: Database, query: Query, plan: SamplingPlan
                            ) -> tuple[dict[Fact, Fraction], SamplingPlan]:
     """Estimate every endogenous fact's Shapley value, each to within
     ``plan.epsilon`` with probability ``1 - plan.delta``; returns the exact
-    sample means and the plan they were produced under."""
+    sample means and the plan they were produced under.
+
+    Refuses with :class:`CapExceededError`, before drawing anything, a plan
+    whose orders over the endogenous facts hold more arrival keys than
+    :data:`ARRIVAL_KEY_CAP`."""
+    n = db.n_endogenous
+    samples = plan.samples
+    if samples * n > ARRIVAL_KEY_CAP:
+        raise CapExceededError(
+            f"{samples} sampled orders of {n} endogenous facts would draw "
+            f"{samples * n} arrival keys (cap {ARRIVAL_KEY_CAP})")
     # numpy is imported here, not at module level, so that the commands
     # which never sample do not pay for loading it
     import numpy as np
 
-    n = db.n_endogenous
     profiles = hom_profiles(db, query)
     # rank column n reads -1 and column n + 1 reads n: the pads of P and N
     pos = _padded([p for p, _ in profiles], n)
@@ -116,7 +131,6 @@ def shapley_additive_fpras(db: Database, query: Query, plan: SamplingPlan
     # fact (key, slot, rank, difference array) and three per profile (start,
     # stop, and one rank being folded in)
     row_bytes = 8 * (4 * n + 3 * len(profiles))
-    samples = plan.samples
     for rows in _chunks(samples, _CHUNK_BYTES // max(row_bytes, 1)):
         order = np.argsort(
             gen.integers(0, 1 << 64, size=(rows, n), dtype=np.uint64),

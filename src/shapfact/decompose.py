@@ -25,7 +25,11 @@ single probability.  The recursion:
    sub-problem fails, so the failure vectors (each sub-problem's total
    minus its satisfying vector) convolve, and the result is complemented
    against the total; below the split the root is bound, and the atoms
-   split into components again;
+   split into components again.  Free facts are found here too: a root
+   value without a fact of some positive atom fails in every world, so
+   its failure vector is its total; the facts of all such root values
+   pool into one total with no subtree, and only the other root values'
+   sub-problems are solved;
 5. a lone atom whose variables are all bound reads its vector off the
    weighting.
 
@@ -148,9 +152,12 @@ class _Leaf(NamedTuple):
 
 class _Split(NamedTuple):
     """A connected component solved through its root variable, found in
-    each relation's atom at ``position[relation name]``."""
+    each relation's atom at ``position[relation name]``; ``positive``
+    names the relations of the component's positive atoms that a root
+    value's facts can lack (none when the component is one atom)."""
 
     position: dict[str, int]
+    positive: frozenset[str]
     below: _Plan
 
     def solve(self, facts: Sequence[Fact], total: Total,
@@ -159,11 +166,21 @@ class _Split(NamedTuple):
         for fact in facts:
             groups[fact.args[self.position[fact.relation.name]]].append(fact)
         # the component fails exactly when every root value's sub-problem
-        # fails; failures over disjoint fact groups multiply
+        # fails; failures over disjoint fact groups multiply.  A group
+        # without a fact of some positive atom fails in every world, so its
+        # failures are its total: such groups pool into free facts, whose
+        # one total has no subtree
+        free: list[Fact] = []
         parts = []
         for _value, group in sorted(groups.items()):
-            sat, child = self.below.solve(group, total, ground)
-            parts.append((_complement(total(group), sat), child))
+            if (not self.positive
+                    or self.positive.issubset(f.relation.name for f in group)):
+                sat, child = self.below.solve(group, total, ground)
+                parts.append((_complement(total(group), sat), child))
+            else:
+                free += group
+        if free:
+            parts.insert(0, (total(free), None))
         fails, tree = _product(parts)
         return _complement(total(facts), fails), tree
 
@@ -206,9 +223,14 @@ def _compile(atoms: Sequence[Atom], bound: frozenset[str]
         inner, below = _compile(members, bound | {root})
         position = {atom.relation.name: atom.terms.index(Var(root))
                     for atom in members}
+        positive: frozenset[str] = frozenset()
+        # every root value of a one-atom component holds a fact of its atom
+        if len(members) > 1:
+            positive = frozenset(atom.relation.name for atom in members
+                                 if not atom.negated)
         part_of = {members[i].relation.name: pi
                    for pi, part in enumerate(inner) for i in part}
-        plans.append(_Split(position, below[0] if len(below) == 1
+        plans.append(_Split(position, positive, below[0] if len(below) == 1
                             else _Product(below, part_of)))
     return components, plans
 

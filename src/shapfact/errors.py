@@ -118,7 +118,8 @@ class NotPolarityConsistentError(RefusedError):
 
 class CapExceededError(RefusedError):
     """The brute-force engine was asked to enumerate more endogenous facts
-    than its cap allows."""
+    than its cap allows, or the sampler to draw more arrival keys than
+    its cap allows."""
 
 
 class BlowupExceededError(RefusedError):

@@ -206,8 +206,7 @@ def _content_lines(text: str):
 
 def parse_schema(text: str) -> Schema:
     """Parse ``relation Name/arity [exogenous]`` lines into a schema."""
-    relations: list[RelationSym] = []
-    seen: set[str] = set()
+    declared: list[tuple[int, RelationSym]] = []
     for lineno, line in _content_lines(text):
         m = _SCHEMA_LINE.match(line)
         if m is None:
@@ -218,13 +217,20 @@ def parse_schema(text: str) -> Schema:
         name, arity, exo = m.group(1), int(m.group(2)), bool(m.group(3))
         raise_first([(kind, f"line {lineno}: {message}")
                      for kind, message in reserved_name_violations(name)])
-        if name in seen:
-            raise errors.SchemaSyntaxError(
-                f"line {lineno}: relation {name} declared twice"
-            )
-        seen.add(name)
-        relations.append(RelationSym(name, arity, exo))
-    return Schema(relations)
+        declared.append((lineno, RelationSym(name, arity, exo)))
+    lineno = 0
+
+    def relations():
+        nonlocal lineno
+        for lineno, rel in declared:
+            yield rel
+
+    # Schema refuses a relation declared twice when it reads the second
+    # declaration, whose line is the last one read
+    try:
+        return Schema(relations())
+    except errors.SchemaSyntaxError as exc:
+        raise errors.SchemaSyntaxError(f"line {lineno}: {exc}") from None
 
 
 # a whole fact line; blank and comment-only lines match with no keyword

@@ -26,7 +26,7 @@ from shapfact.cli import Invocation, run
 from shapfact.errors import NotPolarityConsistentError
 from shapfact.exact import (count_satisfying_subsets, shapley_exact,
                             shapley_exact_all)
-from shapfact.model import Fact, single_disjunct
+from shapfact.model import single_disjunct
 from shapfact.naive import (brute_count_satisfying, brute_relevance,
                             brute_shapley, brute_shapley_all, eval_boolean,
                             gen_gap_instance)

@@ -9,7 +9,7 @@ from conftest import QRSTNR, staff_fact
 from shapfact import approx
 from shapfact.approx import (SamplingPlan, _philox_key, make_plan,
                              shapley_additive_fpras)
-from shapfact.errors import InputError
+from shapfact.errors import CapExceededError, InputError
 from shapfact.naive import (brute_shapley, eval_boolean, gen_gap_instance,
                             hom_profiles)
 from shapfact.parsing import parse_facts, parse_query, parse_schema
@@ -37,6 +37,18 @@ def test_plan_validation():
     for epsilon, delta in ((1e-300, 0.1), (1e-160, 0.1), (0.05, 5e-324)):
         with pytest.raises(InputError, match="no finite sample budget"):
             make_plan(epsilon, delta)
+
+
+def test_arrival_key_cap_bounds_orders_times_facts(staff_db, q1,
+                                                  monkeypatch):
+    plan = make_plan(0.1, 0.1)
+    keys = plan.samples * staff_db.n_endogenous
+    monkeypatch.setattr(approx, "ARRIVAL_KEY_CAP", keys)
+    values, _ = shapley_additive_fpras(staff_db, q1, plan)
+    assert set(values) == set(staff_db.endogenous)
+    monkeypatch.setattr(approx, "ARRIVAL_KEY_CAP", keys - 1)
+    with pytest.raises(CapExceededError, match=f"would draw {keys} arrival"):
+        shapley_additive_fpras(staff_db, q1, plan)
 
 
 def test_philox_key_is_pinned():

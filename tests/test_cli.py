@@ -426,6 +426,17 @@ def test_epsilon_too_small_to_budget_is_malformed_input(capsys):
     assert capsys.readouterr().err == message
 
 
+def test_sample_budget_over_the_key_cap_is_refused():
+    # refused before the first draw: drawing these keys would take hours
+    code, out, err = _run(command="shapley", schema=SCHEMA, facts=FACTS,
+                          query=Q1_PATH, all_facts=True, method="approx",
+                          epsilon=1e-5)
+    assert (code, out) == (2, "")
+    assert err == ("refused: 59914645472 sampled orders of 8 endogenous "
+                   "facts would draw 479317163776 arrival keys (cap "
+                   "1000000000)\n")
+
+
 def test_console_script_is_installed():
     # Run the declared entry point the way pip's generated wrapper does, so
     # the check holds on an uninstalled checkout; where an install put a

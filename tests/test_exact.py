@@ -15,7 +15,7 @@ from shapfact.errors import (FactNotEndogenousError, NotHierarchicalError,
 from shapfact.exact import (count_satisfying_subsets, shapley_exact,
                             shapley_exact_all)
 from shapfact.model import (Atom, CQNeg, Const, Database, Fact, Provenance,
-                            Var, active_domain, single_disjunct)
+                            Var, active_domain)
 from shapfact.naive import (brute_count_satisfying, brute_shapley,
                             brute_shapley_all, eval_boolean)
 from shapfact.parsing import parse_facts, parse_query, parse_schema

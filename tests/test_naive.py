@@ -12,11 +12,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (Q1, STAFF_Q1_SAT_COUNTS, STAFF_Q1_VALUES,
-                      random_instance, staff_fact)
+from conftest import (STAFF_Q1_SAT_COUNTS, STAFF_Q1_VALUES, random_instance,
+                      staff_fact)
 from shapfact.errors import (CapExceededError, FactNotEndogenousError,
                              InputError)
-from shapfact.model import Database, single_disjunct
 from shapfact.naive import (DEFAULT_CAP, SubsetOracle, brute_count_satisfying,
                             brute_relevance, brute_shapley,
                             brute_shapley_all, eval_boolean,

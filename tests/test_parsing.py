@@ -87,6 +87,13 @@ def test_relation_named_not_is_refused():
     assert parse_schema("relation nota/1\nrelation Not/1").relations
 
 
+def test_relation_declared_twice_names_the_second_line():
+    # comment and blank lines count: the second R is on line 4
+    with pytest.raises(SchemaSyntaxError) as excinfo:
+        parse_schema("relation R/1\n# note\n\nrelation R/2\nrelation R/1")
+    assert str(excinfo.value) == "line 4: relation R declared twice"
+
+
 def test_unsafe_rule_rejected_at_parse_time():
     with pytest.raises(SafetyError):
         parse_query("q() :- R(x), not S(x, y).")

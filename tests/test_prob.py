@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (Q1, Q2, random_exo_rewrite_instance,
+from conftest import (Q2, random_exo_rewrite_instance,
                       random_hierarchical_instance, random_prob_instance)
 from shapfact.errors import (BadProbabilityError, CapExceededError,
                              HasNonHierPathError, NotHierarchicalError)

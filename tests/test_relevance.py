@@ -9,7 +9,6 @@ import pytest
 from conftest import (QRSTNR, random_instance, random_union_instance,
                       staff_fact)
 from shapfact.errors import NotPolarityConsistentError
-from shapfact.model import single_disjunct
 from shapfact.naive import brute_relevance, brute_shapley, eval_boolean
 from shapfact.parsing import parse_facts, parse_query, parse_schema
 from shapfact.relevance import relevance, shapley_is_zero
