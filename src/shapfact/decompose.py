@@ -94,7 +94,8 @@ def root_variable(variables: Sequence[Collection[str]]) -> str:
     return min(common)
 
 
-# a vector: counts by world size (ints), or one probability (a Fraction)
+# a vector: counts by world size (ints), or one probability (an exact
+# rational, see shapfact.prob)
 Vector = list
 Total = Callable[[Sequence[Fact]], Vector]
 Ground = Callable[[Atom, Optional[Fact]], tuple[Vector, Any]]

@@ -58,9 +58,19 @@ from .model import Atom, Database, Fact, Query
 CountVector = list[int]
 
 
-def _binomials(facts: Sequence[Fact]) -> CountVector:
-    n = sum(1 for f in facts if f.endogenous)
-    return [comb(n, k) for k in range(n + 1)]
+def _binomials() -> decompose.Total:
+    """The counting weighting's total: the binomials of the number of
+    endogenous facts, each row built once per call of the recursion."""
+    rows: dict[int, CountVector] = {}
+
+    def total(facts: Sequence[Fact]) -> CountVector:
+        n = sum(1 for f in facts if f.endogenous)
+        row = rows.get(n)
+        if row is None:
+            row = rows[n] = [comb(n, k) for k in range(n + 1)]
+        return row
+
+    return total
 
 
 def _ground(atom: Atom, fact: Optional[Fact]
@@ -90,7 +100,8 @@ def count_satisfying_subsets(db: Database, query: Query) -> CountVector:
 
     Requires a single self-join-free hierarchical rule.
     """
-    return decompose.weighted_count(query, db.facts, _binomials, _ground)[0]
+    return decompose.weighted_count(query, db.facts, _binomials(),
+                                    _ground)[0]
 
 
 def _reverse(node: Any, covector: CountVector, out: dict[Fact, int]) -> None:
@@ -115,7 +126,7 @@ def shapley_exact_all(db: Database, query: Query) -> dict[Fact, Fraction]:
     one reverse pass.
 
     Requires a single self-join-free hierarchical rule."""
-    vector, tree = decompose.weighted_count(query, db.facts, _binomials,
+    vector, tree = decompose.weighted_count(query, db.facts, _binomials(),
                                             _ground)
     n = len(vector) - 1
     numerators: dict[Fact, int] = {}

@@ -62,9 +62,16 @@ class Const:
     value: str
 
     def __str__(self) -> str:
+        """The constant as query text; a line break, which no line can
+        carry, is written as its escape (``\\n``, ``\\x85``, ...) so that
+        a message naming the constant stays on one line."""
         if _BARE_CONSTANT.match(self.value):
             return self.value
-        return quoted(self.value)
+        return _LINE_BREAK.sub(_escape, quoted(self.value))
+
+
+def _escape(m: re.Match) -> str:
+    return m[0].encode("unicode_escape").decode("ascii")
 
 
 def quoted(value: str) -> str:
@@ -257,10 +264,6 @@ class Fact:
         return f"{self.relation.name}({args})"
 
 
-def _fact_sort_key(fact: Fact) -> tuple[str, tuple[str, ...]]:
-    return fact.key
-
-
 class Database:
     """An immutable set of facts over a schema.
 
@@ -275,19 +278,18 @@ class Database:
         self.schema = schema
         by_key: dict[tuple[str, tuple[str, ...]], Fact] = {}
         for fact in facts:
-            prior = by_key.get(fact.key)
-            if prior is None:
-                by_key[fact.key] = fact
-            elif (prior.provenance is not fact.provenance
-                  or prior.probability != fact.probability):
+            prior = by_key.setdefault(fact.key, fact)
+            if prior is not fact and (
+                    prior.provenance is not fact.provenance
+                    or prior.probability != fact.probability):
                 raise DuplicateFactError(
                     f"conflicting duplicate fact {fact}: "
                     f"{prior.provenance.value} vs {fact.provenance.value}"
                 )
         self._by_key = by_key
+        # keys are unique, so sorting them orders the facts
         self.facts: tuple[Fact, ...] = tuple(
-            sorted(by_key.values(), key=_fact_sort_key)
-        )
+            by_key[key] for key in sorted(by_key))
         self.endogenous: tuple[Fact, ...] = tuple(
             f for f in self.facts if f.endogenous
         )

@@ -101,6 +101,10 @@ def _unquote(text: str) -> str:
 
 
 def _args(text: str) -> tuple[str, ...]:
+    """The constants of an argument list that the atom pattern matched;
+    without a quote, that is bare words between commas."""
+    if "'" not in text:
+        return tuple(map(str.strip, text.split(","))) if text else ()
     return tuple(_unquote(c) if c[0] == "'" else c
                  for c in _CONSTANT_RE.findall(text))
 
@@ -249,14 +253,49 @@ def parse_fact_reference(text: str) -> tuple[str, tuple[str, ...]]:
     return m["name"], _args(m["args"])
 
 
+def _resolve(lineno: int, name: str, args: tuple[str, ...],
+             keyword: Optional[str], p: Optional[str], schema: Schema
+             ) -> tuple[RelationSym, Provenance, Optional[Fraction]]:
+    """The relation, provenance and probability of a fact line, once
+    ``fact_violations`` has passed its fact; errors name ``lineno``."""
+    rel = schema.get(name) or RelationSym(name, len(args))
+    probability: Optional[Fraction] = None
+    if keyword == "exo":
+        provenance = Provenance.EXOGENOUS
+    elif keyword == "endo":
+        provenance = Provenance.ENDOGENOUS
+    else:
+        try:
+            probability = Fraction(p)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise errors.BadProbabilityError(
+                f"line {lineno}: bad probability {p!r}") from exc
+        provenance = (Provenance.EXOGENOUS if rel.exogenous_only
+                      else Provenance.ENDOGENOUS)
+    problems = fact_violations(Fact(rel, args, provenance, probability),
+                               schema)
+    if problems:
+        raise_first([(kind, f"line {lineno}: {message}")
+                     for kind, message in problems])
+    return rel, provenance, probability
+
+
 def parse_facts(text: str, schema: Schema) -> Database:
     """Parse fact lines into a database over ``schema``.
 
     Identical duplicate lines are deduplicated; a line that disagrees about
     an already-seen fact's provenance or probability is an error naming
     both lines.
+
+    No constant read from a line holds a line break, so a line's key, its
+    relation name, arity, keyword and probability text, decides its
+    relation, provenance and probability and every rule of
+    ``fact_violations``: each key is resolved and checked at its first
+    line only.
     """
     raise_first(schema_violations(schema))
+    resolved: dict[tuple, tuple[RelationSym, Provenance,
+                                Optional[Fraction]]] = {}
     first_seen: dict[tuple[str, tuple[str, ...]], tuple[int, Fact]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         m = _FACT_LINE.fullmatch(line)
@@ -269,29 +308,15 @@ def parse_facts(text: str, schema: Schema) -> Database:
         if name is None:
             continue
         args = _args(m["args"])
-        rel = schema.get(name) or RelationSym(name, len(args))
-        probability: Optional[Fraction] = None
-        if m["keyword"] == "exo":
-            provenance = Provenance.EXOGENOUS
-        elif m["keyword"] == "endo":
-            provenance = Provenance.ENDOGENOUS
-        else:
-            try:
-                probability = Fraction(m["p"])
-            except (ValueError, ZeroDivisionError) as exc:
-                raise errors.BadProbabilityError(
-                    f"line {lineno}: bad probability {m['p']!r}"
-                ) from exc
-            provenance = (Provenance.EXOGENOUS if rel.exogenous_only
-                          else Provenance.ENDOGENOUS)
-        fact = Fact(rel, args, provenance, probability)
-        problems = fact_violations(fact, schema)
-        if problems:
-            raise_first([(kind, f"line {lineno}: {message}")
-                         for kind, message in problems])
+        key = (name, len(args), m["keyword"], m["p"])
+        found = resolved.get(key)
+        if found is None:
+            found = resolved[key] = _resolve(lineno, name, args,
+                                             m["keyword"], m["p"], schema)
+        fact = Fact(found[0], args, found[1], found[2])
         prior_line, prior = first_seen.setdefault(fact.key, (lineno, fact))
-        if (prior.provenance is not fact.provenance
-                or prior.probability != fact.probability):
+        if prior is not fact and (prior.provenance is not fact.provenance
+                                  or prior.probability != fact.probability):
             raise errors.DuplicateFactError(
                 f"line {lineno}: {format_fact(fact)} conflicts with line "
                 f"{prior_line}: {format_fact(prior)}"

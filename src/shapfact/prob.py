@@ -20,13 +20,18 @@ others.  The probability that the query holds is computed three ways:
   a non-hierarchical path through ordinary relations are refused with the
   witness attached.
 
-All arithmetic is exact (:class:`fractions.Fraction`)."""
+All arithmetic is exact.  In the lifted engine a ground atom over a
+missing fact, or over one of probability 0 or 1, is the ``int`` 0 or 1;
+over any other fact it is an unreduced rational, numerator over
+denominator.  A product multiplies numerators and denominators, ``1 - v``
+keeps ``v``'s denominator, and no step takes a gcd: the one
+:class:`fractions.Fraction` is built, and reduced, at the end."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from . import decompose
 from .errors import CapExceededError
@@ -67,17 +72,52 @@ def brute_prob(db: Database, query: Query, cap: int = DEFAULT_CAP) -> Fraction:
 def prob_eval_hierarchical(db: Database, query: Query) -> Fraction:
     """Lifted inference for a hierarchical self-join-free rule."""
     vector, _tree = decompose.weighted_count(query, db.facts, _total, _ground)
-    # where no fact reaches a ground atom the vector holds a plain int
-    return Fraction(vector[0])
+    # a _Ratio, or an int where no uncertain fact reaches a ground atom
+    value = vector[0]
+    return Fraction(value.numerator, value.denominator)
+
+
+class _Ratio:
+    """An unreduced rational ``numerator / denominator``, with the only
+    operations the recursion takes: products and ``1 - v``.  A value's
+    denominator is the product of its uncertain facts' denominators;
+    reducing once, at the end, saves the gcd ``Fraction`` takes after
+    every operation."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator = numerator
+        self.denominator = denominator
+
+    def __mul__(self, other: Union["_Ratio", int]) -> "_Ratio":
+        if isinstance(other, _Ratio):
+            return _Ratio(self.numerator * other.numerator,
+                          self.denominator * other.denominator)
+        return _Ratio(self.numerator * other, self.denominator)
+
+    __rmul__ = __mul__
+
+    def __rsub__(self, other: int) -> "_Ratio":
+        return _Ratio(other * self.denominator - self.numerator,
+                      self.denominator)
 
 
 def _total(facts: Sequence[Fact]) -> list[int]:
     return [1]
 
 
-def _ground(atom: Atom, fact: Optional[Fact]) -> tuple[list, None]:
+def _ground(atom: Atom, fact: Optional[Fact]
+            ) -> tuple[list[Union[_Ratio, int]], None]:
+    """A ground atom's probability: an int for a certain, impossible or
+    missing fact, else a ``_Ratio``."""
     p = 0 if fact is None else fact_probability(fact)
-    return [1 - p if atom.negated else p], None
+    numerator, denominator = p.numerator, p.denominator
+    if atom.negated:
+        numerator = denominator - numerator
+    if denominator == 1:
+        return [numerator], None
+    return [_Ratio(numerator, denominator)], None
 
 
 def prob_eval(db: Database, query: Query) -> Fraction:

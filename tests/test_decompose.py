@@ -25,7 +25,7 @@ def _pooled(db, rule):
         reached.add(fact)
         return exact._ground(atom, fact)
 
-    weighted_count(rule, db.facts, exact._binomials, ground)
+    weighted_count(rule, db.facts, exact._binomials(), ground)
     (routed,), _free = bucket_facts(rule.atoms, [range(len(rule.atoms))],
                                     db.facts)
     return [fact for fact in routed if fact not in reached]
@@ -87,7 +87,7 @@ def test_staff_q2_recursion_grounds_only_registered_students(staff_db_exo):
             grounded.add(fact.args[root[atom.relation.name]])
         return exact._ground(atom, fact)
 
-    weighted_count(rule, db.facts, exact._binomials, ground)
+    weighted_count(rule, db.facts, exact._binomials(), ground)
     assert grounded == registered
     # TA(David), Stud(David) and the Course tuples padded with x hold root
     # values without a registration

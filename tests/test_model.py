@@ -10,12 +10,12 @@ from shapfact.errors import (BadProbabilityError, DuplicateFactError,
                              FactNotEndogenousError, ProvenanceError,
                              ReservedNameError, SafetyError,
                              SchemaSyntaxError, UnsupportedQueryError)
-from shapfact.model import (Atom, CQNeg, Const, Database, Fact, Provenance,
-                            RelationSym, Schema, UCQNeg, Var, active_domain,
-                            database_violations, raise_first,
+from shapfact.model import (LINE_BREAKS, Atom, CQNeg, Const, Database, Fact,
+                            Provenance, RelationSym, Schema, UCQNeg, Var,
+                            active_domain, database_violations, raise_first,
                             single_disjunct, validate_database,
                             validate_query)
-from shapfact.parsing import parse_query
+from shapfact.parsing import format_fact, parse_query
 
 R1 = RelationSym("R", 1)
 S2 = RelationSym("S", 2)
@@ -152,6 +152,24 @@ def test_constants_cannot_hold_line_breaks():
         assert validate_database(db)
         with pytest.raises(SchemaSyntaxError):
             raise_first(database_violations(db))
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS)
+def test_messages_write_a_line_break_as_its_escape(brk):
+    # every rule of fact_violations fires: the arity, the line break, an
+    # endogenous fact and a probability out of range in an exogenous
+    # relation
+    exo = RelationSym("R", 2, exogenous_only=True)
+    fact = Fact(exo, (f"a{brk}b",), probability=Fraction(2))
+    messages = validate_database(Database(Schema([exo]), [fact]))
+    assert len(messages) == 4
+    assert str(fact) == "R('a" + brk.encode("unicode_escape").decode() + "b')"
+    with pytest.raises(DuplicateFactError) as err:
+        Database(Schema([exo]), [fact, Fact(exo, fact.args)])
+    for message in messages + [str(err.value)]:
+        assert len(message.splitlines()) == 1, message
+    with pytest.raises(SchemaSyntaxError, match="holds a line break"):
+        format_fact(fact)
 
 
 def test_schema_refuses_a_relation_declared_twice():

@@ -9,11 +9,13 @@ from conftest import (Q2, random_exo_rewrite_instance,
                       random_hierarchical_instance, random_prob_instance)
 from shapfact.errors import (BadProbabilityError, CapExceededError,
                              HasNonHierPathError, NotHierarchicalError)
+from shapfact.decompose import weighted_count
 from shapfact.exact import count_satisfying_subsets
-from shapfact.model import (Database, Fact, Provenance, RelationSym,
+from shapfact.model import (CQNeg, Database, Fact, Provenance, RelationSym,
                             Schema)
 from shapfact.parsing import parse_facts, parse_query, parse_schema
-from shapfact.prob import brute_prob, prob_eval, prob_eval_hierarchical
+from shapfact.prob import (brute_prob, fact_probability, prob_eval,
+                           prob_eval_hierarchical)
 from shapfact.rewriting import rewrite
 
 
@@ -52,6 +54,46 @@ def test_matches_enumeration_on_random_instances():
     for _ in range(60):
         db, query = random_prob_instance(rng, max_uncertain=10)
         assert prob_eval_hierarchical(db, query) == brute_prob(db, query)
+
+
+def _decimal_prob_instance(rng: random.Random) -> tuple[Database, CQNeg]:
+    """A hierarchical rule over facts with three-digit decimal
+    probabilities, and probabilities 0 and 1; at most ten uncertain."""
+    db, query = random_hierarchical_instance(rng, max_endo=10)
+    return Database(db.schema, [
+        f if not f.endogenous else Fact(
+            f.relation, f.args, f.provenance,
+            rng.choice([Fraction(0), Fraction(1)]) if rng.random() < 0.2
+            else Fraction(f"0.{rng.randint(1, 999):03d}"))
+        for f in db.facts]), query
+
+
+def _fraction_probability(db: Database, query: CQNeg) -> Fraction:
+    """The lifted recursion under a probability weighting of plain
+    ``Fraction``s."""
+    def ground(atom, fact):
+        p = Fraction(0) if fact is None else fact_probability(fact)
+        return [1 - p if atom.negated else p], None
+
+    vector, _tree = weighted_count(query, db.facts,
+                                   lambda facts: [Fraction(1)], ground)
+    return vector[0]
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: random_prob_instance(rng, max_uncertain=10),
+    _decimal_prob_instance], ids=["dyadic", "decimal"])
+def test_lifted_arithmetic_matches_a_fraction_weighting(draw):
+    rng = random.Random(15002)
+    draws, strict = 300, 0
+    for _ in range(draws):
+        db, query = draw(rng)
+        got = prob_eval_hierarchical(db, query)
+        assert type(got) is Fraction
+        assert got == _fraction_probability(db, query) == brute_prob(db, query)
+        strict += 0 < got < 1
+    # most draws of either generator give 0 or 1
+    assert strict >= draws // 10
 
 
 def test_probability_one_half_is_the_satisfying_share():
