@@ -10,8 +10,9 @@ Entry points:
 
 * :func:`shapley_exact` / :func:`shapley_exact_all` - polynomial engine
   for hierarchical self-join-free rules.
-* :func:`shapley_exo` - extends the exact engine by compiling away
-  exogenous relations when no obstructing connectivity pattern exists.
+* :func:`shapley_exo` / :func:`shapley_exo_all` - extend the exact engine
+  by compiling away exogenous relations when no obstructing connectivity
+  pattern exists.
 * :func:`brute_shapley` - subset enumeration, the reference for
   everything else.
 * :func:`shapley_additive_fpras` - seeded sampling for the hard cases:
@@ -49,7 +50,8 @@ from .parsing import (format_database, format_fact, format_query,
 from .prob import brute_prob, prob_eval, prob_eval_hierarchical
 from .relevance import (RelevanceResult, RelevanceWitness, relevance,
                         shapley_is_zero)
-from .rewriting import RewriteStep, RewriteTrace, rewrite, shapley_exo
+from .rewriting import (FilterStep, MaterialiseStep, RewriteStep,
+                        RewriteTrace, rewrite, shapley_exo, shapley_exo_all)
 from .structure import (PathWitness, TripletWitness, Verdict, VerdictKind,
                         classify, classify_query, find_non_hierarchical_triplet,
                         has_non_hierarchical_path, is_hierarchical,
@@ -58,11 +60,11 @@ from .structure import (PathWitness, TripletWitness, Verdict, VerdictKind,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Atom", "CQNeg", "Const", "Database", "Fact", "GapInstance",
-    "PathWitness", "Provenance", "Query", "RelationSym", "RelevanceResult",
-    "RelevanceWitness", "RewriteStep", "RewriteTrace", "SamplingPlan",
-    "Schema", "SubsetOracle", "TripletWitness", "UCQNeg", "Var", "Verdict",
-    "VerdictKind",
+    "Atom", "CQNeg", "Const", "Database", "Fact", "FilterStep",
+    "GapInstance", "MaterialiseStep", "PathWitness", "Provenance", "Query",
+    "RelationSym", "RelevanceResult", "RelevanceWitness", "RewriteStep",
+    "RewriteTrace", "SamplingPlan", "Schema", "SubsetOracle",
+    "TripletWitness", "UCQNeg", "Var", "Verdict", "VerdictKind",
     "active_domain", "brute_count_satisfying", "brute_prob",
     "brute_relevance", "brute_shapley", "brute_shapley_all", "classify",
     "classify_query", "count_satisfying_subsets", "disjuncts_of",
@@ -73,7 +75,8 @@ __all__ = [
     "make_plan", "parse_fact_reference", "parse_facts", "parse_query",
     "parse_schema", "prob_eval", "prob_eval_hierarchical", "relevance",
     "rewrite", "shapley_additive_fpras", "shapley_exact",
-    "shapley_exact_all", "shapley_exo", "shapley_is_zero", "shapley_weight",
+    "shapley_exact_all", "shapley_exo", "shapley_exo_all",
+    "shapley_is_zero", "shapley_weight",
     "single_disjunct", "validate_database",
     "validate_query",
     "ShapfactError", "InputError", "RefusedError", "InternalError",

@@ -154,10 +154,9 @@ def _cmd_shapley(inv: Invocation) -> Report:
     if method == "exact":
         values = exact.shapley_exact_all(db, single_disjunct(query))
     elif method == "exo":
-        new_db, new_rule, trace = rewriting.rewrite(db, single_disjunct(query))
+        values, trace = rewriting.shapley_exo_all(db, single_disjunct(query))
         if inv.trace:
             extra["trace"] = trace.describe().splitlines()
-        values = exact.shapley_exact_all(new_db, new_rule)
     elif method == "brute":
         if inv.all_facts:
             values = naive.brute_shapley_all(db, query, cap=inv.cap)

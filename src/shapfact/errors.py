@@ -123,8 +123,8 @@ class CapExceededError(RefusedError):
 
 
 class BlowupExceededError(RefusedError):
-    """An exogenous-rewrite step would materialise more tuples than the
-    configured cap."""
+    """A materialise step of the exogenous rewrite would build more tuples
+    than the configured cap."""
 
 
 class InternalError(ShapfactError):

@@ -1,44 +1,58 @@
 """Rewriting away exogenous relations.
 
 Some rules are non-hierarchical only *through* relations whose facts are
-all exogenous.  Since those relations never change across coalitions, they
-can be compiled into fresh exogenous relations whose shape makes the rule
-hierarchical again, after which the exact engine applies.
+all exogenous.  Those relations never change across coalitions, so each
+group of exogenous atoms is a fixed condition on the variables it shares
+with the rest of the rule, and can be compiled out of the rule, after
+which the exact engine applies.
 
-The compilation takes one **materialise** step per component of the
-exogenous atoms, that is per group of exogenous atoms joined by variables
-that occur in exogenous atoms only.  The step replaces the component by
-one fresh exogenous atom.  Its variables are the component's *shared*
-variables (those also occurring outside it), then the other variables of
-the first ordinary atom that contains them all.  Its tuples are the
-assignments under which the component holds on its own facts:
+The rewrite takes one step per component of the exogenous atoms, that is
+per group of exogenous atoms joined by variables that occur in exogenous
+atoms only.  A component's *shared* variables are those also occurring
+outside it.  The component *holds* under an assignment of its shared
+variables when some homomorphism of its positive atoms into their facts
+extends the assignment and sends no negated atom onto a fact.
 
-* the homomorphisms of the component's positive atoms,
-* with every variable that no positive atom binds ranging over the active
-  domain,
-* minus every assignment that sends a negated atom onto a fact,
+* A **filter** step applies when a positive ordinary atom, the step's
+  *anchor* (the first such atom in the rule), holds every shared
+  variable.  The component is then a semi-join on the anchor's facts, or
+  an anti-join where it is negated (Yannakakis, "Algorithms for Acyclic
+  Database Schemes", VLDB 1981).  Each anchor fact that matches the anchor
+  binds the shared variables, and it stays iff the component holds under
+  that binding; the answer is computed once per distinct binding, so no
+  variable ranges over the active domain.  The other anchor facts are in
+  no satisfying grounding, so they are null players and are dropped, and
+  the component's atoms and relations go.
+* A **materialise** step, the fallback when no positive ordinary atom
+  holds the shared variables, replaces the component by one fresh
+  exogenous atom.  Its variables are the shared variables, then the other
+  variables of the first ordinary atom that contains them all.  Its tuples
+  are the assignments under which the component holds, with every
+  variable that no positive atom of the component binds ranging over the
+  active domain, projected onto the shared variables and padded with
+  every active-domain value in the remaining columns.  A component
+  sharing no variable becomes a zero-ary guard ("does the component hold
+  at all").  A step that would materialise more than :data:`BLOWUP_CAP`
+  tuples is refused.
 
-projected onto the shared variables and padded with every active-domain
-value in the remaining columns.  A component sharing no variable becomes
-a zero-ary guard ("does the component hold at all").  The exogenous
-relations are the ones the schema declares ``exogenous``, and a step that
-would materialise more than :data:`BLOWUP_CAP` tuples is refused.
-
-Every step preserves the truth value of the rule on every coalition, hence
-every endogenous fact's attribution — the package's tests replay the
-recorded steps one at a time and check exactly that.  Step application is
-a pure function (:func:`apply_step`): a :class:`RewriteStep` holds the
-atoms it replaces and the fresh atom it puts in their place, so the steps
-of a :class:`RewriteTrace`, applied in order to the original rule and
-database over the trace's domain, rebuild the rewritten ones.
+The exogenous relations are the ones the schema declares ``exogenous``.
+Every step keeps the truth value of the rule on every coalition of the
+facts it keeps, and drops only null players: removing a null player
+leaves every other Shapley value and the query's probability unchanged.
+:func:`shapley_exo_all` gives each dropped fact its value 0.  The
+package's tests replay the recorded steps one at a time and check exactly
+that.  Step application is a pure function (:func:`apply_step`): a step
+holds the atoms it removes and what takes their place, so the steps of a
+:class:`RewriteTrace`, applied in order to the original rule and database
+over the trace's domain, rebuild the rewritten ones.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence, Union
 
 from .errors import (
     BlowupExceededError,
@@ -72,29 +86,37 @@ from .structure import (
     resolve_exogenous,
 )
 
-#: Refuse any rewrite step that would materialise more tuples than this;
+#: Refuse any materialise step that would build more tuples than this;
 #: read when each step runs.
 BLOWUP_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
-class RewriteStep:
+class FilterStep:
+    """One filter step, with enough detail to replay it.
+
+    ``component`` holds the exogenous atoms the step removes, in rule
+    order; ``anchor`` is the positive ordinary atom that holds all of
+    their shared variables and whose facts the step filters."""
+
+    component: tuple[Atom, ...]
+    anchor: Atom
+
+
+@dataclass(frozen=True)
+class MaterialiseStep:
     """One materialise step, with enough detail to replay it.
 
     ``component`` holds the exogenous atoms the step replaces, in rule
     order.  ``relation`` is the fresh exogenous relation over ``proj_vars``
     (the component's shared variables) followed by ``pad_vars`` (the other
     variables of the ordinary atom that contains them); :attr:`atom` is the
-    atom that takes the component's place.  The size fields (facts of each
-    replaced relation, tuples materialised) are a human-readable record and
-    play no role in replay."""
+    atom that takes the component's place."""
 
     component: tuple[Atom, ...]
     relation: RelationSym
-    proj_vars: tuple[str, ...] = ()
-    pad_vars: tuple[str, ...] = ()
-    sizes_before: tuple[int, ...] = ()
-    size_after: int = -1
+    proj_vars: tuple[str, ...]
+    pad_vars: tuple[str, ...]
 
     @property
     def atom(self) -> Atom:
@@ -102,42 +124,116 @@ class RewriteStep:
                     tuple(Var(v) for v in self.proj_vars + self.pad_vars))
 
 
+RewriteStep = Union[FilterStep, MaterialiseStep]
+
+
 @dataclass(frozen=True)
 class RewriteTrace:
+    """The rewrite's domain, exogenous relations and steps.  ``sizes``
+    holds, per step, the facts of each relation of its component and the
+    facts the step leaves: the anchor facts a filter step keeps, or the
+    tuples a materialise step builds.  The sizes are a human-readable
+    record and play no role in replay."""
+
     domain: tuple[str, ...]
     exogenous: tuple[str, ...]
     steps: tuple[RewriteStep, ...]
+    sizes: tuple[tuple[tuple[int, ...], int], ...]
 
     def describe(self) -> str:
         lines = [f"domain size {len(self.domain)}; exogenous relations: "
                  f"{', '.join(self.exogenous) or '(none)'}"]
-        for i, s in enumerate(self.steps, start=1):
+        for i, (s, (before, after)) in enumerate(
+                zip(self.steps, self.sizes), start=1):
             src = " + ".join(map(str, s.component))
-            lines.append(f"step {i} [materialise] {src} -> {s.atom} "
-                         f"({'+'.join(map(str, s.sizes_before)) or '0'} "
-                         f"tuples in, {s.size_after} out)")
+            tuples_in = "+".join(map(str, before))
+            if isinstance(s, FilterStep):
+                lines.append(f"step {i} [filter] {src} on {s.anchor} "
+                             f"({tuples_in} tuples in, {after} "
+                             f"{s.anchor.relation.name} facts kept)")
+            else:
+                lines.append(f"step {i} [materialise] {src} -> {s.atom} "
+                             f"({tuples_in} tuples in, {after} out)")
         return "\n".join(lines)
 
 
 def apply_step(db: Database, rule: CQNeg, step: RewriteStep,
                domain: Sequence[str]) -> tuple[Database, CQNeg, int]:
     """Apply one recorded step; returns the new database, the new rule, and
-    the number of tuples materialised.
+    the number of tuples materialised (0 for a filter step).
 
-    Refuses with :class:`BlowupExceededError` before building any fact when
-    the homomorphisms of the positive atoms, times the domain size to the
-    power of the variables they leave unbound, exceed :data:`BLOWUP_CAP`."""
-    from .naive import _image, _index, iter_homomorphisms
+    A materialise step refuses with :class:`BlowupExceededError` before
+    building any fact when the homomorphisms of the positive atoms, times
+    the domain size to the power of the variables they leave unbound,
+    exceed :data:`BLOWUP_CAP`."""
+    if isinstance(step, FilterStep):
+        return _filter(db, rule, step)
+    return _materialise(db, rule, step, domain)
 
-    component = step.component
+
+def _split(db: Database, component: Sequence[Atom]
+           ) -> tuple[list[Atom], dict[str, list[tuple[str, ...]]],
+                      Callable[[dict[str, str]], bool]]:
+    """The positive atoms of ``component``, their facts by relation, and a
+    test of whether an assignment sends a negated atom of the component
+    onto one of its facts."""
+    from .naive import _image, _index
+
     positive = [a for a in component if not a.negated]
     negated = [a for a in component if a.negated]
-    bound = {v for a in positive for v in a.variables}
-    free = [v for v in dict.fromkeys(v for a in negated for v in a.variables)
-            if v not in bound]
-    width = len(domain) ** (len(free) + len(step.pad_vars))
     index = _index(f for a in positive
                    for f in db.relation_facts(a.relation.name))
+    present = {a.relation.name: db.tuples(a.relation.name) for a in negated}
+
+    def blocked(h: dict[str, str]) -> bool:
+        return any(_image(a, h)[1] in present[a.relation.name]
+                   for a in negated)
+
+    return positive, index, blocked
+
+
+def _filter(db: Database, rule: CQNeg, step: FilterStep
+            ) -> tuple[Database, CQNeg, int]:
+    from .naive import _match, iter_homomorphisms
+
+    component, anchor = step.component, step.anchor
+    positive, index, blocked = _split(db, component)
+    inside = {v for a in component for v in a.variables}
+    shared = [v for v in anchor.variables if v in inside]
+    holds: dict[tuple[str, ...], bool] = {}
+    kept: list[Fact] = []
+    for fact in db.relation_facts(anchor.relation.name):
+        binding = _match(anchor, fact.args, {})
+        if binding is None:
+            continue
+        key = tuple(binding[v] for v in shared)
+        if key not in holds:
+            holds[key] = any(
+                not blocked(h) for h in iter_homomorphisms(
+                    positive, index, dict(zip(shared, key))))
+        if holds[key]:
+            kept.append(fact)
+    names = {a.relation.name for a in component}
+    skip = names | {anchor.relation.name}
+    new_rule = CQNeg(tuple(a for a in rule.atoms if a not in component),
+                     head=rule.head)
+    new_db = Database(db.schema.extended((), dropped=names),
+                      [f for f in db.facts if f.relation.name not in skip]
+                      + kept)
+    return new_db, new_rule, 0
+
+
+def _materialise(db: Database, rule: CQNeg, step: MaterialiseStep,
+                 domain: Sequence[str]) -> tuple[Database, CQNeg, int]:
+    from .naive import iter_homomorphisms
+
+    component = step.component
+    positive, index, blocked = _split(db, component)
+    bound = {v for a in positive for v in a.variables}
+    free = [v for v in dict.fromkeys(v for a in component if a.negated
+                                     for v in a.variables)
+            if v not in bound]
+    width = len(domain) ** (len(free) + len(step.pad_vars))
     homs: list[dict[str, str]] = []
     count = 0
     for h in iter_homomorphisms(positive, index):
@@ -151,13 +247,11 @@ def apply_step(db: Database, rule: CQNeg, step: RewriteStep,
             f"tuples (cap {BLOWUP_CAP})"
         )
     ordered = sorted(domain)
-    present = {a.relation.name: db.tuples(a.relation.name) for a in negated}
     projected: set[tuple[str, ...]] = set()
     for h in homs:
         for values in itertools.product(ordered, repeat=len(free)):
             h.update(zip(free, values))
-            if not any(_image(a, h)[1] in present[a.relation.name]
-                       for a in negated):
+            if not blocked(h):
                 projected.add(tuple(h[v] for v in step.proj_vars))
     facts = tuple(
         Fact(step.relation, args + pad, Provenance.EXOGENOUS)
@@ -180,9 +274,11 @@ def rewrite(db: Database, query: Query
     path relative to the exogenous relations, and every fact of those
     relations valid by :func:`shapfact.model.fact_violations` against the
     rule's relation symbols: exogenous, with no probability but 1.  The
-    result is a hierarchical self-join-free rule over a database with the
-    same endogenous facts, the same truth value on every coalition, and
-    hence the same attribution for every endogenous fact.  A schema that
+    result is a hierarchical self-join-free rule over a database that
+    keeps every endogenous fact except the null players the filter steps
+    prove, with the same truth value on every coalition of the kept facts.
+    So every kept endogenous fact keeps its attribution, every dropped
+    one's is 0, and the query's probability is unchanged.  A schema that
     declares a relation with the prefix of the fresh relations is refused
     with ``ReservedNameError`` before any step.
     """
@@ -205,21 +301,31 @@ def rewrite(db: Database, query: Query
     exo_vars = exogenous_variables(rule)
     ordinary = [a for a in rule.atoms if a.relation.name not in exo_names]
     steps: list[RewriteStep] = []
+    sizes: list[tuple[tuple[int, ...], int]] = []
     for seq, component in enumerate(exogenous_atom_components(rule),
                                     start=1):
         proj = tuple(dict.fromkeys(v for a in component for v in a.variables
                                    if v not in exo_vars))
-        pad: tuple[str, ...] = ()
-        if proj:
-            beta = _containing_atom(ordinary, proj)
-            pad = tuple(v for v in beta.variables if v not in proj)
-        sym = RelationSym(f"{RESERVED_PREFIX}{seq}", len(proj) + len(pad),
-                          exogenous_only=True)
-        step = RewriteStep(component, sym, proj_vars=proj, pad_vars=pad)
-        sizes = tuple(len(db.relation_facts(a.relation.name))
-                      for a in component)
-        db, rule, produced = apply_step(db, rule, step, domain)
-        steps.append(replace(step, sizes_before=sizes, size_after=produced))
+        anchor = next((a for a in ordinary if not a.negated
+                       and set(proj) <= set(a.variables)), None)
+        step: RewriteStep
+        if anchor is not None:
+            step = FilterStep(component, anchor)
+        else:
+            pad: tuple[str, ...] = ()
+            if proj:
+                beta = _containing_atom(ordinary, proj)
+                pad = tuple(v for v in beta.variables if v not in proj)
+            sym = RelationSym(f"{RESERVED_PREFIX}{seq}",
+                              len(proj) + len(pad), exogenous_only=True)
+            step = MaterialiseStep(component, sym, proj, pad)
+        before = tuple(len(db.relation_facts(a.relation.name))
+                       for a in component)
+        db, rule, after = apply_step(db, rule, step, domain)
+        if anchor is not None:
+            after = len(db.relation_facts(anchor.relation.name))
+        steps.append(step)
+        sizes.append((before, after))
 
     if not is_hierarchical(rule) or not is_self_join_free(rule):
         raise InternalError(
@@ -227,7 +333,7 @@ def rewrite(db: Database, query: Query
         )
     trace = RewriteTrace(domain=tuple(domain),
                          exogenous=tuple(sorted(exo_names)),
-                         steps=tuple(steps))
+                         steps=tuple(steps), sizes=tuple(sizes))
     return db, rule, trace
 
 
@@ -243,11 +349,21 @@ def _containing_atom(ordinary: Sequence[Atom], needed: tuple[str, ...]
     )
 
 
-def shapley_exo(db: Database, query: Query, fact: Fact) -> Fraction:
-    """Shapley value of an endogenous fact, computed by rewriting the
-    exogenous relations away and running the exact engine."""
-    from .exact import shapley_exact
+def shapley_exo_all(db: Database, query: Query
+                    ) -> tuple[dict[Fact, Fraction], RewriteTrace]:
+    """Shapley values of every endogenous fact of ``db``, computed by
+    rewriting the exogenous relations away and running the exact engine,
+    and the rewrite's trace.  A fact that a filter step dropped is a null
+    player and gets 0."""
+    from .exact import shapley_exact_all
 
+    new_db, new_rule, trace = rewrite(db, query)
+    values = shapley_exact_all(new_db, new_rule)
+    zero = Fraction(0)
+    return {f: values.get(f, zero) for f in db.endogenous}, trace
+
+
+def shapley_exo(db: Database, query: Query, fact: Fact) -> Fraction:
+    """Shapley value of an endogenous fact, by :func:`shapley_exo_all`."""
     stored = db.require_endogenous(fact)
-    new_db, new_rule, _trace = rewrite(db, query)
-    return shapley_exact(new_db, new_rule, stored)
+    return shapley_exo_all(db, query)[0][stored]

@@ -309,6 +309,56 @@ def random_exo_rewrite_instance(rng: random.Random, *, max_endo: int = 8
         return rebuilt, flagged
 
 
+# Rules shaped like Q2: exogenous conditions on x and on y around the
+# ordinary atom R that holds both variables.  They cover either polarity of
+# each condition, an anchor with a constant or a repeated variable, a
+# two-atom exogenous component, and a condition whose first positive
+# ordinary holder is T(x), not R.
+Q2_SHAPES = {
+    "q2": ("relation A/1 exogenous\nrelation T/1\nrelation R/2\n"
+           "relation C/2 exogenous",
+           "q() :- A(x), not T(x), R(x, y), not C(y, K)."),
+    "flipped": ("relation A/1 exogenous\nrelation T/1\nrelation R/2\n"
+                "relation C/2 exogenous",
+                "q() :- not A(x), T(x), R(x, y), C(y, K)."),
+    "constant": ("relation A/1 exogenous\nrelation T/1\nrelation R/3\n"
+                 "relation C/2 exogenous",
+                 "q() :- A(x), not T(x), R(x, y, K), not C(y, K)."),
+    "repeated": ("relation A/1 exogenous\nrelation T/1\nrelation R/3\n"
+                 "relation C/2 exogenous",
+                 "q() :- A(x), not T(x), R(x, x, y), C(y, K)."),
+    "two_atom": ("relation A/1 exogenous\nrelation T/1\nrelation R/2\n"
+                 "relation C/2 exogenous\nrelation D/1 exogenous",
+                 "q() :- A(x), not T(x), R(x, y), not C(y, z), D(z)."),
+}
+
+
+def random_q2_instance(rng: random.Random, *, max_endo: int = 8
+                       ) -> tuple[Database, CQNeg]:
+    """A rule of ``Q2_SHAPES`` over random facts on a four-constant domain
+    that holds the rules' constant ``K``.
+
+    The exogenous relations get up to three facts each, T up to three and
+    R up to six, so that the exogenous conditions both keep and reject R
+    facts.  At most ``max_endo`` facts of T and R are endogenous, the
+    others exogenous."""
+    schema_text, rule = Q2_SHAPES[rng.choice(sorted(Q2_SHAPES))]
+    schema = parse_schema(schema_text)
+    facts: list[Fact] = []
+    endo_budget = max_endo
+    for rel in schema.relations:
+        most = 6 if rel.name == "R" else 3
+        tuples = {tuple(rng.choice(_SHAPE_DOMAIN) for _ in range(rel.arity))
+                  for _ in range(rng.randint(1, most))}
+        for args in sorted(tuples):
+            if not rel.exogenous_only and endo_budget and rng.random() < 0.8:
+                endo_budget -= 1
+                facts.append(Fact(rel, args, Provenance.ENDOGENOUS))
+            else:
+                facts.append(Fact(rel, args, Provenance.EXOGENOUS))
+    return Database(schema, facts), single_disjunct(parse_query(rule, schema))
+
+
 def random_prob_instance(rng: random.Random, *, max_uncertain: int = 12
                          ) -> tuple[Database, CQNeg]:
     """Hierarchical self-join-free rule over a database whose facts carry

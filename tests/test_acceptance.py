@@ -20,7 +20,8 @@ from conftest import (AUTHOR_Q, AUTHOR_X, GAIFMAN_Q, GAIFMAN_Q_X,
                       PATH_QPRIME, Q2, Q3, QRSTNR, SP_X, STAFF_Q1_VALUES,
                       random_exo_rewrite_instance,
                       random_hierarchical_instance, random_instance,
-                      random_prob_instance, staff_fact, with_exogenous)
+                      random_prob_instance, random_q2_instance, staff_fact,
+                      with_exogenous)
 from shapfact.approx import make_plan, shapley_additive_fpras
 from shapfact.cli import Invocation, run
 from shapfact.errors import NotPolarityConsistentError
@@ -33,7 +34,8 @@ from shapfact.naive import (brute_count_satisfying, brute_relevance,
 from shapfact.parsing import parse_facts, parse_query
 from shapfact.prob import brute_prob, prob_eval, prob_eval_hierarchical
 from shapfact.relevance import relevance, shapley_is_zero
-from shapfact.rewriting import apply_step, rewrite, shapley_exo
+from shapfact.rewriting import (apply_step, rewrite, shapley_exo,
+                                shapley_exo_all)
 from shapfact.structure import VerdictKind, classify
 
 DATA_ARGS = dict(schema="tests/data/staff_schema.txt",
@@ -108,22 +110,29 @@ def test_04_rewrite_engine_matches_enumeration_oracle(staff_db_exo,
     for fact, value in expected.items():
         assert shapley_exo(staff_db_exo, q2, fact) == value
 
+    # most draws of the general generator value every fact at 0; the
+    # Q2-shaped one gives nonzero values and drops facts, with a floor
+    nontrivial = 0
     for seed in range(100):
-        rng = random.Random(4000 + seed)
-        db, query = random_exo_rewrite_instance(rng, max_endo=8)
-        want = {f.key: v for f, v in brute_shapley_all(db, query).items()}
-        new_db, new_rule, trace = rewrite(db, query)
-        got = {f.key: v
-               for f, v in shapley_exact_all(new_db, new_rule).items()}
-        assert got == want
-        # replay the trace one step at a time: no step may move any value
-        cur_db, cur_rule = db, single_disjunct(query)
-        for step in trace.steps:
-            cur_db, cur_rule, _ = apply_step(cur_db, cur_rule, step,
-                                             trace.domain)
-            after = {f.key: v
-                     for f, v in brute_shapley_all(cur_db, cur_rule).items()}
-            assert after == want
+        for generator in (random_exo_rewrite_instance, random_q2_instance):
+            rng = random.Random(4000 + seed)
+            db, query = generator(rng, max_endo=8)
+            want = {f.key: v
+                    for f, v in brute_shapley_all(db, query).items()}
+            got, trace = shapley_exo_all(db, query)
+            assert {f.key: v for f, v in got.items()} == want
+            # replay the trace one step at a time: no step may move any
+            # value, and a fact a step drops has value 0
+            cur_db, cur_rule = db, single_disjunct(query)
+            for step in trace.steps:
+                cur_db, cur_rule, _ = apply_step(cur_db, cur_rule, step,
+                                                 trace.domain)
+                after = {f.key: v for f, v
+                         in brute_shapley_all(cur_db, cur_rule).items()}
+                assert {**dict.fromkeys(want, 0), **after} == want
+            nontrivial += (any(want.values())
+                           and cur_db.n_endogenous < db.n_endogenous)
+    assert nontrivial >= 15
 
 
 def test_05_vanishing_family_exact_values():

@@ -251,8 +251,15 @@ def test_unmatchable_facts_are_null_players():
 
 
 def test_each_fact_is_unified_once_per_count(staff_db_exo, monkeypatch):
-    db, rule, _trace = rewrite(staff_db_exo,
-                               parse_query(Q2, staff_db_exo.schema))
+    # ten more students registered for two EE courses, so that more than
+    # 20 facts are left after the rewrite filters out the CS registrations
+    more = parse_facts("\n".join(
+        f"exo Stud(S{i})\nendo Reg(S{i}, OS)\nendo Reg(S{i}, IC)\n"
+        f"endo Reg(S{i}, AI)" + (f"\nendo TA(S{i})" if i % 2 else "")
+        for i in range(10)), staff_db_exo.schema)
+    db, rule, _trace = rewrite(
+        Database(staff_db_exo.schema, staff_db_exo.facts + more.facts),
+        parse_query(Q2, staff_db_exo.schema))
     checked = Counter()
     match = decompose._match
 

@@ -1,67 +1,78 @@
 """Exogenous-relation rewrite: compilation steps, preservation, refusals."""
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from conftest import (GAIFMAN_QPRIME, NOPATH_Q, PATH_QPRIME, Q2,
-                      random_exo_rewrite_instance, staff_fact,
-                      with_exogenous)
+from conftest import (GAIFMAN_QPRIME, NOPATH_Q, PATH_QPRIME, Q2, Q2_SHAPES,
+                      random_exo_rewrite_instance, random_q2_instance,
+                      staff_fact, with_exogenous)
 from shapfact import rewriting
 from shapfact.errors import (BlowupExceededError, HasNonHierPathError,
                              ProvenanceError, ReservedNameError,
                              SelfJoinError)
 from shapfact.exact import shapley_exact_all
-from shapfact.model import (RESERVED_PREFIX, Database, Fact, Provenance,
-                            RelationSym, Schema, single_disjunct)
-from shapfact.naive import brute_shapley_all
+from shapfact.model import (RESERVED_PREFIX, Atom, CQNeg, Database, Fact,
+                            Provenance, RelationSym, Schema, Var,
+                            active_domain, single_disjunct)
+from shapfact.naive import (_image, _index, brute_shapley_all,
+                            iter_homomorphisms)
 from shapfact.parsing import parse_facts, parse_query, parse_schema
-from shapfact.prob import brute_prob, prob_eval
-from shapfact.rewriting import apply_step, rewrite, shapley_exo
+from shapfact.prob import brute_prob, prob_eval, prob_eval_hierarchical
+from shapfact.rewriting import (FilterStep, MaterialiseStep, apply_step,
+                                rewrite, shapley_exo, shapley_exo_all)
 from shapfact.structure import (VerdictKind, classify_query,
-                                exogenous_atom_components, is_hierarchical,
+                                exogenous_atom_components,
+                                exogenous_variables, is_hierarchical,
                                 is_self_join_free)
 
 
 def test_course_query_rewrite_shape(staff_db_exo):
     q = parse_query(Q2, staff_db_exo.schema)
     new_db, new_rule, trace = rewrite(staff_db_exo, q)
-    # one step per exogenous component: {Stud(x)} and {not Course(y, CS)}
+    # one step per exogenous component: {Stud(x)} and {not Course(y, CS)};
+    # Reg(x, y) holds both shared variables, so both are filter steps
     assert [tuple(map(str, s.component)) for s in trace.steps] \
         == [("Stud(x)",), ("not Course(y, CS)",)]
+    assert [str(s.anchor) for s in trace.steps] == ["Reg(x, y)"] * 2
+    assert str(new_rule) == "q() :- not TA(x), Reg(x, y)."
     assert is_hierarchical(new_rule) and is_self_join_free(new_rule)
-    # original endogenous facts survive untouched
-    assert new_db.endogenous == staff_db_exo.endogenous
-    # two distinct namespaced relations were minted, and both survive into
-    # the final schema in place of Stud and Course
-    minted = [s.relation.name for s in trace.steps]
-    assert len(set(minted)) == 2
-    assert all(n.startswith(RESERVED_PREFIX) for n in minted)
-    fresh = [r.name for r in new_db.schema.relations
-             if r.name.startswith(RESERVED_PREFIX)]
-    assert sorted(fresh) == sorted(minted)
-    assert not {"Stud", "Course"} & {r.name for r in new_db.schema.relations}
+    # the kept endogenous facts survive untouched; the dropped ones are the
+    # registrations for CS courses, which are null players
+    kept = set(new_db.endogenous)
+    assert kept <= set(staff_db_exo.endogenous)
+    assert all(staff_db_exo.get(*f.key) is f for f in kept)
+    assert sorted(map(str, set(staff_db_exo.endogenous) - kept)) \
+        == ["Reg(Adam, AI)", "Reg(Caroline, DB)"]
+    # no relation was minted, and Stud and Course left the schema
+    names = {r.name for r in new_db.schema.relations}
+    assert not any(n.startswith(RESERVED_PREFIX) for n in names)
+    assert not {"Stud", "Course"} & names
 
 
 def test_course_query_values_preserved(staff_db_exo):
     q = parse_query(Q2, staff_db_exo.schema)
     expected = brute_shapley_all(staff_db_exo, q)
-    new_db, new_rule, _ = rewrite(staff_db_exo, q)
-    got = shapley_exact_all(new_db, new_rule)
-    assert {f.key: v for f, v in got.items()} \
-        == {f.key: v for f, v in expected.items()}
+    values, _trace = shapley_exo_all(staff_db_exo, q)
+    assert values == expected
+    assert list(values) == list(staff_db_exo.endogenous)
 
 
 def test_shapley_exo_entry_point(staff_db_exo):
     q = parse_query(Q2, staff_db_exo.schema)
-    ft1 = staff_fact(staff_db_exo, "TA", "Adam")
-    expected = brute_shapley_all(staff_db_exo, q)[ft1]
-    assert shapley_exo(staff_db_exo, q, ft1) == expected
+    expected = brute_shapley_all(staff_db_exo, q)
+    # TA(Adam) is kept; Reg(Adam, AI) is dropped by the Course filter
+    for fact in (staff_fact(staff_db_exo, "TA", "Adam"),
+                 staff_fact(staff_db_exo, "Reg", "Adam", "AI")):
+        assert shapley_exo(staff_db_exo, q, fact) == expected[fact]
 
 
 def test_each_step_preserves_values(staff_db_exo):
     """Replay the recorded steps one by one; after every step the full
-    value vector (by the oracle) must be unchanged."""
+    value vector (by the oracle) must be unchanged, with 0 for each fact a
+    step dropped."""
     q = single_disjunct(parse_query(Q2, staff_db_exo.schema))
     baseline = {f.key: v
                 for f, v in brute_shapley_all(staff_db_exo, q).items()}
@@ -70,18 +81,55 @@ def test_each_step_preserves_values(staff_db_exo):
     for step in trace.steps:
         db, rule, _ = apply_step(db, rule, step, trace.domain)
         now = {f.key: v for f, v in brute_shapley_all(db, rule).items()}
-        assert now == baseline, f"value drift after {step.component}"
+        assert {**dict.fromkeys(baseline, 0), **now} == baseline, \
+            f"value drift after {step.component}"
 
 
-def test_replay_reproduces_rewrite_exactly(staff_db_exo):
-    q = single_disjunct(parse_query(Q2, staff_db_exo.schema))
-    final_db, final_rule, trace = rewrite(staff_db_exo, q)
-    db, rule = staff_db_exo, q
-    for step in trace.steps:
-        db, rule, produced = apply_step(db, rule, step, trace.domain)
-        assert produced == step.size_after
-    assert db.facts == final_db.facts
-    assert rule == final_rule
+# R(y) holds the shared variable of V(y), so V is filtered; no positive
+# ordinary atom holds x, so S(x) falls back to a padded fresh relation
+MIXED_SCHEMA = ("relation R/1\nrelation S/1 exogenous\nrelation T/2\n"
+                "relation V/1 exogenous")
+MIXED_Q = "q() :- R(y), S(x), not T(x, y), V(y)."
+MIXED_FACTS = """
+    endo R(a)
+    endo R(b)
+    endo R(c)
+    exo S(a)
+    exo S(b)
+    endo T(a, a)
+    endo T(b, a)
+    endo T(b, b)
+    exo V(a)
+    exo V(b)
+"""
+
+
+@pytest.mark.parametrize("case", ["filter", "both"])
+def test_replay_reproduces_rewrite_exactly(case, staff_db_exo):
+    if case == "filter":
+        db = staff_db_exo
+        q = single_disjunct(parse_query(Q2, db.schema))
+        kinds = ["filter", "filter"]
+    else:
+        schema = parse_schema(MIXED_SCHEMA)
+        db = parse_facts(MIXED_FACTS, schema)
+        q = single_disjunct(parse_query(MIXED_Q, schema))
+        kinds = ["materialise", "filter"]
+    final_db, final_rule, trace = rewrite(db, q)
+    lines = trace.describe().splitlines()[1:]
+    assert [line.split("[")[1].split("]")[0] for line in lines] == kinds
+    cur_db, cur_rule = db, q
+    for step, (_before, after) in zip(trace.steps, trace.sizes):
+        cur_db, cur_rule, produced = apply_step(cur_db, cur_rule, step,
+                                                trace.domain)
+        if isinstance(step, MaterialiseStep):
+            assert produced == after
+        else:
+            assert produced == 0
+            name = step.anchor.relation.name
+            assert len(cur_db.relation_facts(name)) == after
+    assert cur_db.facts == final_db.facts
+    assert cur_rule == final_rule
 
 
 def test_shared_exogenous_variable_gives_one_step():
@@ -139,19 +187,25 @@ def test_eight_atom_query_end_to_end():
     assert got == expected
 
 
-def test_variable_free_exogenous_atom_becomes_guard():
-    # V's only variable is exogenous-only nowhere: y never touches a
-    # non-exogenous atom, so V projects down to a zero-column guard
-    schema = parse_schema("relation A/1\nrelation V/1 exogenous")
-    q = parse_query("q() :- A(x), V(y).", schema)
-    db_with = parse_facts("endo A(a)\nexo V(b)", schema)
-    db_without = parse_facts("endo A(a)", schema)
-    for db in (db_with, db_without):
-        got = {f.key: v for f, v in brute_shapley_all(db, q).items()}
-        new_db, new_rule, _ = rewrite(db, q)
-        exact = {f.key: v
-                 for f, v in shapley_exact_all(new_db, new_rule).items()}
-        assert exact == got
+@pytest.mark.parametrize("rule, kind", [("q() :- A(x), V(y).", FilterStep),
+                                        ("q() :- not B(), V(y).",
+                                         MaterialiseStep)])
+def test_variable_free_exogenous_atom_becomes_guard(rule, kind):
+    # y never touches a non-exogenous atom, so V shares no variable: it is
+    # a guard ("does V hold at all"), true with V(b) and false without.
+    # A(x) anchors a filter that keeps all of A's facts or none; with no
+    # positive ordinary atom, V projects down to a zero-column relation
+    schema = parse_schema("relation A/1\nrelation B/0\n"
+                          "relation V/1 exogenous")
+    q = parse_query(rule, schema)
+    for facts, holds in (("endo A(a)\nendo B()\nexo V(b)", True),
+                         ("endo A(a)\nendo B()", False)):
+        db = parse_facts(facts, schema)
+        values, trace = shapley_exo_all(db, q)
+        assert [type(s) for s in trace.steps] == [kind]
+        expected = brute_shapley_all(db, q)
+        assert values == expected
+        assert any(expected.values()) == holds
 
 
 def test_refuses_instances_with_a_path():
@@ -196,9 +250,10 @@ def test_refuses_a_schema_that_declares_a_reserved_name():
 
 
 def test_blowup_cap_refusal(monkeypatch):
-    # S(x) shares x with T(x, y), so its step pads with y: 10 S facts
-    # times a 20-constant domain project to 200 tuples, and a cap of 100
-    # refuses before any of them is built
+    # S(x) shares x with T(x, y), and no positive ordinary atom holds x, so
+    # S is materialised padded with y: 10 S facts times a 20-constant
+    # domain project to 200 tuples, and a cap of 100 refuses before any of
+    # them is built
     schema = parse_schema("relation R/1\nrelation S/1 exogenous\n"
                           "relation T/2")
     lines = ["exo S(s%d)" % i for i in range(10)]
@@ -210,20 +265,162 @@ def test_blowup_cap_refusal(monkeypatch):
         rewrite(db, q)
     monkeypatch.setattr(rewriting, "BLOWUP_CAP", 200)
     _, _, trace = rewrite(db, q)
-    assert [s.size_after for s in trace.steps] == [200]
+    assert [type(s) for s in trace.steps] == [MaterialiseStep]
+    assert [after for _before, after in trace.sizes] == [200]
+
+
+def test_fresh_relations_have_the_arity_of_their_facts():
+    cases = [(MIXED_SCHEMA, MIXED_FACTS, MIXED_Q),
+             ("relation R/2\nrelation S/2 exogenous\n"
+              "relation P/2 exogenous\nrelation T/2",
+              "endo R(a, b)\nendo T(a, b)\nexo S(a, a)\nexo S(a, b)\n"
+              "exo P(a, b)", NOPATH_Q)]
+    for schema_text, facts, rule in cases:
+        schema = parse_schema(schema_text)
+        db = parse_facts(facts, schema)
+        new_db, _, trace = rewrite(db, parse_query(rule, schema))
+        fresh = [s for s in trace.steps if isinstance(s, MaterialiseStep)]
+        assert fresh
+        for step in fresh:
+            minted = new_db.relation_facts(step.relation.name)
+            assert minted
+            assert new_db.schema[step.relation.name] == step.relation
+            assert {len(f.args) for f in minted} == {step.relation.arity}
+            assert step.relation.arity == len(step.atom.terms)
 
 
 def test_matches_oracle_on_random_instances():
     rng = random.Random(555)
     for _ in range(30):
         db, q = random_exo_rewrite_instance(rng, max_endo=7)
-        new_db, new_rule, trace = rewrite(db, q)
+        values, trace = shapley_exo_all(db, q)
         assert len(trace.steps) == len(
             exogenous_atom_components(single_disjunct(q)))
-        got = {f.key: v
-               for f, v in shapley_exact_all(new_db, new_rule).items()}
-        expected = {f.key: v for f, v in brute_shapley_all(db, q).items()}
-        assert got == expected
+        assert values == brute_shapley_all(db, q)
+
+
+def _materialise_only(db, rule):
+    """The rewrite with materialise steps only, as it stood before filter
+    steps: every exogenous component becomes a fresh exogenous relation
+    over its shared variables, padded over the active domain.  Kept here
+    as the reference that the filter steps are checked against."""
+    domain = active_domain(db, rule)
+    exo_vars = exogenous_variables(rule)
+    ordinary = [a for a in rule.atoms if not a.relation.exogenous_only]
+    for seq, component in enumerate(exogenous_atom_components(rule),
+                                    start=1):
+        proj = tuple(dict.fromkeys(v for a in component for v in a.variables
+                                   if v not in exo_vars))
+        pad = ()
+        if proj:
+            beta = next(a for a in ordinary
+                        if set(proj) <= set(a.variables))
+            pad = tuple(v for v in beta.variables if v not in proj)
+        positive = [a for a in component if not a.negated]
+        negated = [a for a in component if a.negated]
+        bound = {v for a in positive for v in a.variables}
+        free = [v for v in dict.fromkeys(v for a in negated
+                                         for v in a.variables)
+                if v not in bound]
+        index = _index(f for a in positive
+                       for f in db.relation_facts(a.relation.name))
+        present = {a.relation.name: db.tuples(a.relation.name)
+                   for a in negated}
+        projected = set()
+        for h in iter_homomorphisms(positive, index):
+            for values in itertools.product(domain, repeat=len(free)):
+                h.update(zip(free, values))
+                if not any(_image(a, h)[1] in present[a.relation.name]
+                           for a in negated):
+                    projected.add(tuple(h[v] for v in proj))
+        sym = RelationSym(f"{RESERVED_PREFIX}{seq}", len(proj) + len(pad),
+                          exogenous_only=True)
+        facts = [Fact(sym, args + more, Provenance.EXOGENOUS)
+                 for args in projected
+                 for more in itertools.product(domain, repeat=len(pad))]
+        fresh = Atom(sym, tuple(Var(v) for v in proj + pad))
+        rule = CQNeg(tuple(fresh if a == component[0] else a
+                           for a in rule.atoms if a not in component[1:]),
+                     head=rule.head)
+        db = db.with_relations_replaced([a.relation.name for a in component],
+                                        [sym], facts)
+    return db, rule
+
+
+def _priced(rng, db):
+    return Database(db.schema, [
+        Fact(f.relation, f.args, f.provenance,
+             Fraction(rng.randint(1, 7), 8) if f.endogenous else None)
+        for f in db.facts])
+
+
+@pytest.mark.parametrize("generator, seed, floors", [
+    (random_q2_instance, 16001, (45, 35)),
+    (random_exo_rewrite_instance, 16002, (18, 8)),
+])
+def test_filter_steps_match_the_materialise_only_reference(generator, seed,
+                                                           floors):
+    """Exact values through the rewrite = through the materialise-only
+    reference = brute force, and lifted probability, by either rewrite,
+    = world enumeration.  The floors count the draws with a nonzero value,
+    and those that also drop an endogenous fact."""
+    rng = random.Random(seed)
+    nonzero = dropping = 0
+    for _ in range(200):
+        db, rule = generator(rng, max_endo=8)
+        expected = brute_shapley_all(db, rule)
+        values, _trace = shapley_exo_all(db, rule)
+        assert values == expected
+        assert shapley_exact_all(*_materialise_only(db, rule)) == expected
+        new_db, _, _ = rewrite(db, rule)
+        if any(expected.values()):
+            nonzero += 1
+            dropping += new_db.n_endogenous < db.n_endogenous
+        priced = _priced(rng, db)
+        want = brute_prob(priced, rule)
+        assert prob_eval(priced, rule) == want
+        assert prob_eval_hierarchical(*_materialise_only(priced, rule)) \
+            == want
+    assert nonzero >= floors[0] and dropping >= floors[1]
+
+
+# per shape: facts, and the arguments of the R facts that the filter
+# steps drop
+ANCHOR_CASES = {
+    # R(a, b, c) misses the constant; C(a, K) rejects R(a, a, K)
+    "constant": ("endo R(a, a, K)\nendo R(a, b, K)\nendo R(b, b, K)\n"
+                 "endo R(a, b, c)\nexo C(a, K)",
+                 [("a", "a", "K"), ("a", "b", "c")]),
+    # R(a, b, a) misses the repeated variable; A rejects R(c, c, a), and
+    # C rejects R(b, b, b)
+    "repeated": ("endo R(a, a, a)\nendo R(a, b, a)\nendo R(c, c, a)\n"
+                 "endo R(b, b, b)\nexo C(a, K)",
+                 [("a", "b", "a"), ("b", "b", "b"), ("c", "c", "a")]),
+    # y = a fails not C(y, z), D(z) at both D values; A rejects R(c, b)
+    "two_atom": ("endo R(a, a)\nendo R(a, b)\nendo R(b, b)\n"
+                 "endo R(c, b)\nexo C(a, K)\nexo C(a, c)\nexo C(b, c)\n"
+                 "exo D(K)\nexo D(c)",
+                 [("a", "a"), ("c", "b")]),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(ANCHOR_CASES))
+def test_anchor_shapes_drop_exactly_the_unusable_facts(shape):
+    """An anchor with a constant or a repeated variable drops the facts
+    that do not match it, and a two-atom component filters as one
+    condition; every dropped fact is a null player."""
+    schema_text, text = Q2_SHAPES[shape]
+    schema = parse_schema(schema_text)
+    rule = parse_query(text, schema)
+    facts, dropped = ANCHOR_CASES[shape]
+    db = parse_facts("exo A(a)\nexo A(b)\nendo T(b)\n" + facts, schema)
+    new_db, _, trace = rewrite(db, rule)
+    assert [type(s) for s in trace.steps] == [FilterStep] * 2
+    gone = set(db.endogenous) - set(new_db.endogenous)
+    assert sorted(f.args for f in gone) == dropped
+    expected = brute_shapley_all(db, rule)
+    assert any(expected.values())
+    assert shapley_exo_all(db, rule)[0] == expected
 
 
 def test_trace_describe_is_readable(staff_db_exo):
@@ -232,7 +429,7 @@ def test_trace_describe_is_readable(staff_db_exo):
     text = trace.describe()
     assert "exogenous relations: Course, Stud" in text
     assert text.count("step") == len(trace.steps)
-    assert text.count("[materialise]") == len(trace.steps)
+    assert text.count("[filter]") == len(trace.steps)
 
 
 def test_trace_describe_text_is_pinned(staff_db_exo):
@@ -240,9 +437,10 @@ def test_trace_describe_text_is_pinned(staff_db_exo):
     _, _, trace = rewrite(staff_db_exo, q)
     assert trace.describe() == (
         "domain size 12; exogenous relations: Course, Stud\n"
-        "step 1 [materialise] Stud(x) -> __exo_1(x) (4 tuples in, 4 out)\n"
-        "step 2 [materialise] not Course(y, CS) -> __exo_2(y, x) "
-        "(4 tuples in, 120 out)")
+        "step 1 [filter] Stud(x) on Reg(x, y) "
+        "(4 tuples in, 5 Reg facts kept)\n"
+        "step 2 [filter] not Course(y, CS) on Reg(x, y) "
+        "(4 tuples in, 3 Reg facts kept)")
 
 
 PRICED_STAFF = """
