@@ -23,14 +23,14 @@ from typing import Optional, Sequence
 from . import approx, exact, naive, prob, rewriting
 from .relevance import relevance as compute_relevance
 from .errors import InputError, RefusedError
-from .model import (Database, Fact, Query, RelationSym, Schema, disjuncts_of,
+from .model import (Database, Fact, Query, RelationSym, Schema,
                     single_disjunct)
 from .parsing import (format_database, format_query, format_schema,
                       parse_fact_reference, parse_facts, parse_query,
                       parse_schema)
 from .reporting import (Report, decimal_string, rational_string, render_json,
                         render_table)
-from .structure import VerdictKind, classify_query
+from .structure import Verdict, VerdictKind, classify_query
 
 DEFAULT_EPSILON = 0.05
 DEFAULT_DELTA = 0.1
@@ -103,9 +103,10 @@ def _lookup_fact(db: Database, reference: str) -> Fact:
     return db.require_endogenous(Fact(RelationSym(name, len(args)), args))
 
 
-def resolve_method(query: Query, db: Database, requested: str,
-                   cap: int) -> str:
-    """Map ``auto`` to the cheapest applicable method.
+def resolve_method(verdicts: Sequence[Verdict], db: Database,
+                   requested: str, cap: int) -> str:
+    """Map ``auto`` to the cheapest applicable method, given the query's
+    verdicts (:func:`classify_query`, one per disjunct).
 
     Single tractable rules get the dedicated engines; everything else is
     enumerated exactly while small and sampled beyond the cap.  ``auto``
@@ -113,9 +114,8 @@ def resolve_method(query: Query, db: Database, requested: str,
     """
     if requested != "auto":
         return requested
-    disjuncts = disjuncts_of(query)
-    if len(disjuncts) == 1:
-        kind = classify_query(query)[0].kind
+    if len(verdicts) == 1:
+        kind = verdicts[0].kind
         if kind is VerdictKind.PTIME_HIERARCHICAL:
             return "exact"
         if kind is VerdictKind.PTIME_EXO_REWRITE:
@@ -145,16 +145,25 @@ def _cmd_shapley(inv: Invocation) -> Report:
     schema = _load_schema(inv)
     query = _load_query(inv, schema)
     db = _load_database(inv, schema)
-    method = resolve_method(query, db, inv.method, inv.cap)
+    verdicts = classify_query(query)
+    method = resolve_method(verdicts, db, inv.method, inv.cap)
     targets = _target_facts(inv, db)
 
     seed: Optional[int] = None
     samples: Optional[int] = None
     extra: dict = {}
+    # a single target is valued along its own path of the reverse pass
     if method == "exact":
-        values = exact.shapley_exact_all(db, single_disjunct(query))
+        rule = single_disjunct(query)
+        values = (exact.shapley_exact_all(db, rule) if inv.all_facts
+                  else {f: exact.shapley_exact(db, rule, f) for f in targets})
     elif method == "exo":
-        values, trace = rewriting.shapley_exo_all(db, single_disjunct(query))
+        rule = single_disjunct(query)
+        if inv.all_facts:
+            values, trace = rewriting.shapley_exo_all(db, rule)
+        else:
+            value, trace = rewriting._shapley_exo_one(db, rule, targets[0])
+            values = {targets[0]: value}
         if inv.trace:
             extra["trace"] = trace.describe().splitlines()
     elif method == "brute":
@@ -170,10 +179,10 @@ def _cmd_shapley(inv: Invocation) -> Report:
     else:
         raise InputError(f"unknown method {method!r}")
 
-    verdicts = [v.to_json() for v in classify_query(query)]
     return Report(method=method, query=format_query(query),
                   facts=[(f, values[f]) for f in targets],
-                  classification=verdicts, seed=seed, samples=samples,
+                  classification=[v.to_json() for v in verdicts],
+                  seed=seed, samples=samples,
                   extra=extra)
 
 

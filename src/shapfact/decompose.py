@@ -120,9 +120,9 @@ def weighted_count(query: Query, facts: Sequence[Fact], total: Total,
 
     The tree is ``None`` when it holds no leaf; a leaf as ``ground``
     returned it; or a convolution chain, a list with one ``(prefix,
-    factor, child)`` per factor from the first whose subtree holds a leaf
-    on: the product of the factors to its left, the factor, and its
-    subtree."""
+    factor, child)`` per factor whose subtree holds a leaf: the product of
+    the factors convolved before it (see :func:`_product`), the factor,
+    and its subtree."""
     rule = single_disjunct(query)
     if not is_self_join_free(rule):
         raise SelfJoinError("weighted counting requires a self-join-free "
@@ -181,7 +181,7 @@ class _Split(NamedTuple):
             else:
                 free += group
         if free:
-            parts.insert(0, (total(free), None))
+            parts.append((total(free), None))
         fails, tree = _product(parts)
         return _complement(total(facts), fails), tree
 
@@ -242,17 +242,24 @@ def _complement(total: Vector, vector: Vector) -> Vector:
     return [t - v for t, v in zip(total, vector)]
 
 
-def _product(parts: Iterable[tuple[Vector, Any]]) -> tuple[Vector, Any]:
+def _product(parts: Sequence[tuple[Vector, Any]]) -> tuple[Vector, Any]:
     """The product of the parts' vectors, and their convolution chain.
 
-    The chain starts at the first part with a subtree: the reverse pass
-    reaches nothing left of it, so a product without leaves (every one of
-    probability's) records nothing."""
+    The factors without a subtree convolve first, then those with one,
+    each kind in the parts' order, so the chain holds exactly the parts
+    with a subtree: the reverse pass never steps through a factor it has
+    nothing to hand.  A product without leaves (every one of
+    probability's) keeps the parts' order and records nothing."""
     vector = _UNIT
-    chain: list[tuple[Vector, Vector, Any]] = []
+    later: list[tuple[Vector, Any]] = []
     for factor, child in parts:
-        if child is not None or chain:
-            chain.append((vector, factor, child))
+        if child is None:
+            vector = factor if vector is _UNIT else _convolve(vector, factor)
+        else:
+            later.append((factor, child))
+    chain: list[tuple[Vector, Vector, Any]] = []
+    for factor, child in later:
+        chain.append((vector, factor, child))
         vector = factor if vector is _UNIT else _convolve(vector, factor)
     return vector, (chain or None)
 

@@ -51,7 +51,7 @@ class RelevanceWitness:
     side: str  # "positive" | "negative"
     assignment: tuple[tuple[str, str], ...]
     coalition: tuple[Fact, ...]
-    disjunct: int = 0
+    disjunct: int
 
 
 @dataclass(frozen=True)

@@ -363,7 +363,22 @@ def shapley_exo_all(db: Database, query: Query
     return {f: values.get(f, zero) for f in db.endogenous}, trace
 
 
-def shapley_exo(db: Database, query: Query, fact: Fact) -> Fraction:
-    """Shapley value of an endogenous fact, by :func:`shapley_exo_all`."""
+def _shapley_exo_one(db: Database, query: Query, fact: Fact
+                     ) -> tuple[Fraction, RewriteTrace]:
+    """The Shapley value of an endogenous fact, by the exact engine along
+    the fact's path in the rewritten database, and the rewrite's trace.  A
+    fact that a filter step dropped is a null player and reads 0 without
+    a count."""
+    from .exact import shapley_exact
+
     stored = db.require_endogenous(fact)
-    return shapley_exo_all(db, query)[0][stored]
+    new_db, new_rule, trace = rewrite(db, query)
+    if stored not in new_db:
+        return Fraction(0), trace
+    return shapley_exact(new_db, new_rule, stored), trace
+
+
+def shapley_exo(db: Database, query: Query, fact: Fact) -> Fraction:
+    """Shapley value of an endogenous fact, by the exact engine on the
+    rewritten database."""
+    return _shapley_exo_one(db, query, fact)[0]

@@ -90,6 +90,7 @@ def test_02_attribution_sums_to_truth_difference():
 
 def test_03_exact_engine_matches_enumeration_oracle():
     started = time.monotonic()
+    nontrivial = 0
     for seed in range(200):
         rng = random.Random(2000 + seed)
         db, query = random_hierarchical_instance(rng, max_endo=10)
@@ -100,7 +101,10 @@ def test_03_exact_engine_matches_enumeration_oracle():
         # the single-fact entry point agrees fact by fact
         for fact, value in expected.items():
             assert shapley_exact(db, query, fact) == value
+        nontrivial += any(expected.values())
     assert time.monotonic() - started < 60.0
+    # most draws value every fact at 0; 51 of these 200 do not
+    assert nontrivial >= 45
 
 
 def test_04_rewrite_engine_matches_enumeration_oracle(staff_db_exo,

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import shlex
 import shutil
@@ -16,11 +17,15 @@ from pathlib import Path
 import pytest
 
 import shapfact
-from conftest import DATA, Q2, STAFF_Q1_VALUES
+from conftest import (DATA, Q2, RULE_SHAPES, STAFF_Q1_VALUES,
+                      random_q2_instance, random_shaped_instance)
 from shapfact.cli import (Invocation, build_parser, invocation_from_args,
                           main, resolve_method, run)
 from shapfact.naive import DEFAULT_CAP
-from shapfact.parsing import parse_query
+from shapfact.parsing import (format_database, format_query, format_schema,
+                              parse_query)
+from shapfact.rewriting import rewrite
+from shapfact.structure import classify_query
 
 if sys.version_info >= (3, 11):
     import tomllib
@@ -73,16 +78,18 @@ def test_shapley_all_reproduces_reference_values():
 
 
 def test_auto_resolves_by_structure(q1, q2, staff_db):
-    assert resolve_method(q1, staff_db, "auto", cap=20) == "exact"
-    assert resolve_method(q2, staff_db, "auto", cap=20) == "brute"
-    assert resolve_method(q2, staff_db, "auto", cap=3) == "approx"
+    v1, v2 = classify_query(q1), classify_query(q2)
+    assert resolve_method(v1, staff_db, "auto", cap=20) == "exact"
+    assert resolve_method(v2, staff_db, "auto", cap=20) == "brute"
+    assert resolve_method(v2, staff_db, "auto", cap=3) == "approx"
     # explicit requests are honoured as-is
-    assert resolve_method(q2, staff_db, "brute", cap=3) == "brute"
+    assert resolve_method(v2, staff_db, "brute", cap=3) == "brute"
 
 
 def test_auto_resolves_to_exo(staff_schema_exo, staff_db_exo):
     q2_exo = parse_query(Q2, staff_schema_exo)
-    assert resolve_method(q2_exo, staff_db_exo, "auto", cap=20) == "exo"
+    assert resolve_method(classify_query(q2_exo), staff_db_exo, "auto",
+                          cap=20) == "exo"
 
 
 def test_exo_route_matches_brute_route():
@@ -315,6 +322,40 @@ def test_trace_flag_documents_the_rewrite():
     assert isinstance(payload["trace"], list)
     assert payload["trace"]
     assert any("[filter]" in line for line in payload["trace"])
+
+
+@pytest.mark.parametrize("method", ["exact", "exo"])
+def test_single_fact_reports_match_all(method, tmp_path):
+    # every endogenous fact's --fact record equals its --all record; under
+    # exo that includes the facts a filter step drops, and the trace is
+    # the same either way
+    rng = random.Random(17003)
+    shapes = sorted(RULE_SHAPES)
+    nonzero = dropped = 0
+    for i in range(28):
+        if method == "exact":
+            db, rule = random_shaped_instance(rng, shapes[i % len(shapes)])
+        else:
+            db, rule = random_q2_instance(rng)
+        (tmp_path / "schema.txt").write_text(format_schema(db.schema))
+        (tmp_path / "facts.txt").write_text(format_database(db))
+        common = dict(command="shapley", schema=str(tmp_path / "schema.txt"),
+                      facts=str(tmp_path / "facts.txt"),
+                      query=format_query(rule), method=method, trace=True)
+        every = _payload(all_facts=True, **common)
+        records = dict(zip(db.endogenous, every["facts"]))
+        for fact in db.endogenous:
+            one = _payload(fact=str(fact), **common)
+            assert one["facts"] == [records[fact]]
+            assert one.get("trace") == every.get("trace")
+        nonzero += any(r["value"] != "0" for r in every["facts"])
+        if method == "exo":
+            kept = rewrite(db, rule)[0]
+            dropped += sum(fact not in kept for fact in db.endogenous)
+    # 15 of the 28 draws have a nonzero value under either method, and
+    # the exo draws drop 56 facts
+    assert nonzero >= 13
+    assert method == "exact" or dropped >= 50
 
 
 def test_table_format_smoke():

@@ -20,10 +20,11 @@ def _pooled(db, rule):
     ground atom of its recursion: the free facts of its root splits.
     Without pooling, every fact that unifies reaches its ground atom."""
     reached = set()
+    counting = exact._ground(db.endogenous)
 
     def ground(atom, fact):
         reached.add(fact)
-        return exact._ground(atom, fact)
+        return counting(atom, fact)
 
     weighted_count(rule, db.facts, exact._binomials(), ground)
     (routed,), _free = bucket_facts(rule.atoms, [range(len(rule.atoms))],
@@ -80,11 +81,12 @@ def test_staff_q2_recursion_grounds_only_registered_students(staff_db_exo):
     registered = {fact.args[root["Reg"]] for fact in db.facts
                   if fact.relation.name == "Reg"}
     grounded = set()
+    counting = exact._ground(db.endogenous)
 
     def ground(atom, fact):
         if fact is not None:
             grounded.add(fact.args[root[atom.relation.name]])
-        return exact._ground(atom, fact)
+        return counting(atom, fact)
 
     weighted_count(rule, db.facts, exact._binomials(), ground)
     assert grounded == registered

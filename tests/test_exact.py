@@ -3,13 +3,14 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from conftest import (Q2, RULE_SHAPES, STAFF_Q1_SAT_COUNTS, STAFF_Q1_VALUES,
                       random_hierarchical_instance, random_instance,
                       random_shaped_instance, staff_fact)
-from shapfact import decompose
+from shapfact import decompose, exact
 from shapfact.errors import (FactNotEndogenousError, NotHierarchicalError,
                              SelfJoinError)
 from shapfact.exact import (count_satisfying_subsets, shapley_exact,
@@ -104,6 +105,7 @@ def test_negated_ground_query_counts():
 
 def test_matches_oracle_on_random_hierarchical_instances():
     rng = random.Random(123123)
+    nontrivial = 0
     for _ in range(60):
         db, query = random_hierarchical_instance(rng, max_endo=8)
         assert count_satisfying_subsets(db, query) \
@@ -111,6 +113,9 @@ def test_matches_oracle_on_random_hierarchical_instances():
         expected = brute_shapley_all(db, query)
         got = shapley_exact_all(db, query)
         assert got == expected
+        nontrivial += any(expected.values())
+    # most draws value every fact at 0; 13 of these 60 do not
+    assert nontrivial >= 11
 
 
 def test_staff_engine_agrees_with_oracle(staff_db, q1):
@@ -186,6 +191,123 @@ def test_engines_match_oracles_across_rule_shapes():
             nontrivial += any(values.values())
     # an oracle comparison of all-zero values shows little
     assert nontrivial >= draws // 5
+
+
+def test_single_fact_path_matches_all_across_rule_shapes():
+    # each fact valued along its own path, against the pass over every
+    # fact and the enumeration oracle
+    rng = random.Random(161803)
+    nontrivial = 0
+    for shape in RULE_SHAPES:
+        for _ in range(40):
+            db, query = random_shaped_instance(rng, shape)
+            values = shapley_exact_all(db, query)
+            assert values == brute_shapley_all(db, query)
+            for fact in db.endogenous:
+                assert shapley_exact(db, query, fact) == values[fact]
+            nontrivial += any(values.values())
+    # 138 of these 280 draws value some fact above or below 0
+    assert nontrivial >= 125
+
+
+def _unscaled_full_pass(db, query):
+    """Every endogenous fact's value by a reverse pass over all leaves
+    from the unscaled weights ``k! (n-1-k)!``: the reference for the
+    engine's pass, which divides the weights by their gcd and walks only
+    its targets' paths."""
+    vector, tree = decompose.weighted_count(
+        query, db.facts, exact._binomials(), exact._ground(db.endogenous))
+    n = len(vector) - 1
+    numerators = {}
+
+    def correlate(a, b):
+        return [sum(a[s + t] * b[s] for s in range(len(b)))
+                for t in range(len(a) - len(b) + 1)]
+
+    def reverse(node, covector):
+        if isinstance(node, tuple):
+            fact, sign = node
+            numerators[fact] = sign * covector[0]
+            return
+        for i in range(len(node) - 1, -1, -1):
+            prefix, factor, child = node[i]
+            if child is not None:
+                reverse(child, correlate(covector, prefix))
+            if i:
+                covector = correlate(covector, factor)
+
+    if tree is not None:
+        reverse(tree, [factorial(k) * factorial(n - 1 - k)
+                       for k in range(n)])
+    return {fact: Fraction(numerators.get(fact, 0), factorial(n))
+            for fact in db.endogenous}
+
+
+def _all_endogenous(db):
+    return Database(db.schema, [Fact(f.relation, f.args) for f in db.facts])
+
+
+def test_scaled_pass_matches_the_unscaled_full_pass(staff_schema, q1):
+    # several hundred facts, where the weights share most of their bits
+    rng = random.Random(4242)
+    courses = [f"C{i}" for i in range(30)]
+    for students, every_relation in ((100, False), (110, True), (60, True)):
+        db = _large_q1_database(rng, students, courses, staff_schema)
+        if every_relation:
+            db = _all_endogenous(db)
+        assert db.n_endogenous >= 200
+        expected = _unscaled_full_pass(db, q1)
+        values = shapley_exact_all(db, q1)
+        assert values == expected
+        assert sum(v != 0 for v in values.values()) >= 150
+        for fact in rng.sample(list(db.endogenous), 5):
+            assert shapley_exact(db, q1, fact) == expected[fact]
+
+
+def _path_chains(tree, fact):
+    """The number of convolution chains on the path to ``fact``'s leaf in
+    a tree that holds no other leaf; each must have exactly one entry."""
+    chains = 0
+    while isinstance(tree, list):
+        assert len(tree) == 1
+        chains += 1
+        tree = tree[0][2]
+    assert tree is None or tree[0] == fact
+    return chains
+
+
+def test_one_target_correlates_once_per_chain_on_its_path(staff_schema, q1,
+                                                          monkeypatch):
+    calls = Counter()
+    correlate = exact._correlate
+
+    def spy(a, b):
+        calls["correlate"] += 1
+        return correlate(a, b)
+
+    monkeypatch.setattr(exact, "_correlate", spy)
+    rng = random.Random(5150)
+    instances = [random_shaped_instance(rng, shape)
+                 for shape in RULE_SHAPES for _ in range(10)]
+    instances.append((_large_q1_database(rng, 60, ["C1", "C2", "C3"],
+                                         staff_schema), q1))
+    on_a_path = 0
+    for db, query in instances:
+        for fact in db.endogenous:
+            _vector, tree = decompose.weighted_count(
+                query, db.facts, exact._binomials(), exact._ground({fact}))
+            chains = _path_chains(tree, fact)
+            calls.clear()
+            shapley_exact(db, query, fact)
+            assert calls["correlate"] <= chains
+            on_a_path += chains > 1
+    # 219 of the 447 targets sit below more than one chain
+    assert on_a_path >= 200
+    # the pass over every fact of the large instance correlates far more
+    db, query = instances[-1]
+    calls.clear()
+    shapley_exact_all(db, query)
+    assert calls["correlate"] > 2 * db.n_endogenous
 
 
 def _renamed(db, query, names):

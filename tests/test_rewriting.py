@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from conftest import (GAIFMAN_QPRIME, NOPATH_Q, PATH_QPRIME, Q2, Q2_SHAPES,
                       random_exo_rewrite_instance, random_q2_instance,
                       staff_fact, with_exogenous)
-from shapfact import rewriting
+from shapfact import decompose, rewriting
 from shapfact.errors import (BlowupExceededError, HasNonHierPathError,
                              ProvenanceError, ReservedNameError,
                              SelfJoinError)
@@ -390,6 +391,39 @@ def test_filter_steps_match_the_materialise_only_reference(generator, seed,
         assert prob_eval_hierarchical(*_materialise_only(priced, rule)) \
             == want
     assert nonzero >= floors[0] and dropping >= floors[1]
+
+
+@pytest.mark.parametrize("generator, seed, floors", [
+    (random_q2_instance, 17001, (34, 200)),
+    (random_exo_rewrite_instance, 17002, (15, 40)),
+])
+def test_single_fact_matches_all_and_dropped_facts_skip_the_count(
+        generator, seed, floors, monkeypatch):
+    """``shapley_exo`` values a fact along its own path in the rewritten
+    database, equal to ``shapley_exo_all``; a fact that a filter step
+    dropped reads 0 without a count.  The floors count the draws with a
+    nonzero value, and the dropped facts."""
+    counts = Counter()
+    weighted_count = decompose.weighted_count
+
+    def spy(*args):
+        counts["weighted_count"] += 1
+        return weighted_count(*args)
+
+    monkeypatch.setattr(decompose, "weighted_count", spy)
+    rng = random.Random(seed)
+    nonzero = dropped = 0
+    for _ in range(100):
+        db, rule = generator(rng, max_endo=8)
+        values, _trace = shapley_exo_all(db, rule)
+        kept, _, _ = rewrite(db, rule)
+        for fact in db.endogenous:
+            counts.clear()
+            assert shapley_exo(db, rule, fact) == values[fact]
+            assert counts["weighted_count"] == (fact in kept)
+            dropped += fact not in kept
+        nonzero += any(values.values())
+    assert nonzero >= floors[0] and dropped >= floors[1]
 
 
 # per shape: facts, and the arguments of the R facts that the filter
