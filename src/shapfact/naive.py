@@ -1,11 +1,12 @@
 """Brute-force reference implementations.
 
 Everything here is deliberately simple: evaluation by backtracking join,
-attribution by enumerating all subsets of the endogenous facts, relevance by
-inspecting that same enumeration.  These are the oracles the polynomial-time
-engines are tested against, so clarity beats speed; the only concession is a
-per-world profile table that avoids re-running the join for each of the
-``2^n`` subsets.
+attribution and relevance by enumerating all subsets of the endogenous
+facts.  These are the oracles the polynomial-time engines are tested
+against, so clarity beats speed.  The join runs once, into profiles; one
+truth table over the ``2^n`` subsets is read off the profiles; and one scan
+per fact of the coalitions without it finds every flip the fact causes,
+which gives both its value and its relevance.
 
 The attribution being computed: with the exogenous facts always present, a
 coalition is a set ``E`` of endogenous facts, its worth is the truth value
@@ -200,7 +201,11 @@ def hom_profiles(db: Database, query: Query
 
 
 class SubsetOracle:
-    """Query truth over all ``2^n`` endogenous subsets, via profiles."""
+    """Query truth over all ``2^n`` endogenous subsets, via profiles.
+
+    A subset ``E`` is a mask whose bit ``i`` is set iff the ``i``-th
+    endogenous fact is in ``E``.  The truth table is built once, on first
+    use, and every per-fact question is a scan of it (:meth:`flips`)."""
 
     def __init__(self, db: Database, query: Query, cap: int = DEFAULT_CAP):
         n = db.n_endogenous
@@ -211,29 +216,49 @@ class SubsetOracle:
         self.db = db
         self.n = n
         self.masks = [
-            (_mask(p), _mask(m)) for p, m in hom_profiles(db, query)
+            (sum(1 << i for i in p), sum(1 << i for i in m))
+            for p, m in hom_profiles(db, query)
         ]
         self._table: Optional[list[bool]] = None
 
-    def sat(self, mask: int) -> bool:
-        """Truth of the query on ``exogenous ∪ E`` with E encoded bitwise."""
-        return any((mask & p) == p and not (mask & n)
-                   for p, n in self.masks)
-
     def sat_table(self) -> list[bool]:
+        """Truth of the query on ``exogenous ∪ E``, indexed by the mask of
+        ``E``: some profile ``(P, N)`` has ``P ⊆ E`` and ``N ∩ E = ∅``."""
         if self._table is None:
-            self._table = [self.sat(m) for m in range(1 << self.n)]
+            masks = self.masks
+            self._table = [
+                any((e & p) == p and not (e & n) for p, n in masks)
+                for e in range(1 << self.n)
+            ]
         return self._table
 
     def endo_bit(self, fact: Fact) -> int:
         return self.db.endogenous.index(self.db.require_endogenous(fact))
 
+    def flips(self, bit: int
+              ) -> tuple[list[int], Optional[int], Optional[int]]:
+        """Scan the coalitions without fact ``bit`` once, in ascending mask
+        order, for those whose truth value adding the fact changes.
 
-def _mask(indices: Iterable[int]) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
+        Returns ``gains``, where ``gains[k]`` is the number of k-coalitions
+        the fact makes true minus the number it makes false, then the
+        lowest mask the fact flips to true and the lowest it flips to
+        false (None when there is none)."""
+        table = self.sat_table()
+        fbit = 1 << bit
+        gains = [0] * self.n
+        pos = neg = None
+        for mask in range(1 << self.n):
+            if mask & fbit:
+                continue
+            gain = table[mask | fbit] - table[mask]
+            if gain:
+                gains[mask.bit_count()] += gain
+                if gain > 0 and pos is None:
+                    pos = mask
+                elif gain < 0 and neg is None:
+                    neg = mask
+        return gains, pos, neg
 
 
 # ---------------------------------------------------------------------------
@@ -255,19 +280,24 @@ def brute_count_satisfying(db: Database, query: Query,
     counts = [0] * (oracle.n + 1)
     for mask, ok in enumerate(oracle.sat_table()):
         if ok:
-            counts[_popcount(mask)] += 1
+            counts[mask.bit_count()] += 1
     return counts
 
 
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
+def _weigh(gains: list[int]) -> Fraction:
+    """The Shapley value of a fact from its gains by coalition size."""
+    n = len(gains)
+    return sum(
+        (shapley_weight(n, k) * g for k, g in enumerate(gains) if g),
+        Fraction(0),
+    )
 
 
 def brute_shapley(db: Database, query: Query, fact: Fact,
                   cap: int = DEFAULT_CAP) -> Fraction:
     """Shapley value of ``fact`` by enumerating all coalitions."""
     oracle = SubsetOracle(db, query, cap)
-    return _shapley_from_table(oracle, oracle.endo_bit(fact))
+    return _weigh(oracle.flips(oracle.endo_bit(fact))[0])
 
 
 def brute_shapley_all(db: Database, query: Query,
@@ -275,27 +305,9 @@ def brute_shapley_all(db: Database, query: Query,
     """Shapley values of every endogenous fact (one shared truth table)."""
     oracle = SubsetOracle(db, query, cap)
     return {
-        fact: _shapley_from_table(oracle, bit)
+        fact: _weigh(oracle.flips(bit)[0])
         for bit, fact in enumerate(db.endogenous)
     }
-
-
-def _shapley_from_table(oracle: SubsetOracle, bit: int) -> Fraction:
-    n = oracle.n
-    table = oracle.sat_table()
-    fbit = 1 << bit
-    # tally the marginal contributions by coalition size, then weight once
-    deltas = [0] * n
-    for mask in range(1 << n):
-        if mask & fbit:
-            continue
-        delta = int(table[mask | fbit]) - int(table[mask])
-        if delta:
-            deltas[_popcount(mask)] += delta
-    return sum(
-        (shapley_weight(n, k) * d for k, d in enumerate(deltas) if d),
-        Fraction(0),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +319,20 @@ def _shapley_from_table(oracle: SubsetOracle, bit: int) -> Fraction:
 class BruteRelevance:
     """Ground truth for the relevance tests.
 
-    ``pos_witness`` is a coalition not satisfying the query that does once
-    the fact is added; ``neg_witness`` the mirror image."""
+    ``pos_witness`` is the lowest coalition (by mask) not satisfying the
+    query that does once the fact is added; ``neg_witness`` the mirror
+    image.  Each is None when the fact flips no coalition that way."""
 
-    pos_relevant: bool
-    neg_relevant: bool
-    pos_witness: Optional[tuple[Fact, ...]] = None
-    neg_witness: Optional[tuple[Fact, ...]] = None
+    pos_witness: Optional[tuple[Fact, ...]]
+    neg_witness: Optional[tuple[Fact, ...]]
+
+    @property
+    def pos_relevant(self) -> bool:
+        return self.pos_witness is not None
+
+    @property
+    def neg_relevant(self) -> bool:
+        return self.neg_witness is not None
 
     @property
     def relevant(self) -> bool:
@@ -324,27 +343,11 @@ def brute_relevance(db: Database, query: Query, fact: Fact,
                     cap: int = DEFAULT_CAP) -> BruteRelevance:
     """Scan all coalitions for ones whose truth value the fact flips."""
     oracle = SubsetOracle(db, query, cap)
-    fbit = 1 << oracle.endo_bit(fact)
-    table = oracle.sat_table()
-    pos = neg = None
-    for mask in range(1 << oracle.n):
-        if mask & fbit:
-            continue
-        base, extended = table[mask], table[mask | fbit]
-        if pos is None and extended and not base:
-            pos = mask
-        if neg is None and base and not extended:
-            neg = mask
-        if pos is not None and neg is not None:
-            break
+    _gains, pos, neg = oracle.flips(oracle.endo_bit(fact))
     endo = db.endogenous
-    unpack = lambda m: tuple(f for i, f in enumerate(endo) if m >> i & 1)
-    return BruteRelevance(
-        pos_relevant=pos is not None,
-        neg_relevant=neg is not None,
-        pos_witness=None if pos is None else unpack(pos),
-        neg_witness=None if neg is None else unpack(neg),
-    )
+    unpack = lambda m: None if m is None else tuple(
+        f for i, f in enumerate(endo) if m >> i & 1)
+    return BruteRelevance(unpack(pos), unpack(neg))
 
 
 # ---------------------------------------------------------------------------

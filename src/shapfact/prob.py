@@ -48,7 +48,11 @@ def fact_probability(fact: Fact) -> Fraction:
 
 
 def brute_prob(db: Database, query: Query, cap: int = DEFAULT_CAP) -> Fraction:
-    """World enumeration over the properly probabilistic facts."""
+    """World enumeration over the properly probabilistic facts.
+
+    It keeps its own loop rather than reading ``naive.SubsetOracle``'s
+    truth table: each world weighs the product of its facts' probabilities,
+    not a weight that depends only on the world's size."""
     certain = [f for f in db.facts if fact_probability(f) == 1]
     uncertain = [f for f in db.facts if 0 < fact_probability(f) < 1]
     if len(uncertain) > cap:

@@ -58,7 +58,7 @@ class RelevanceWitness:
 class RelevanceResult:
     pos_relevant: bool
     neg_relevant: bool
-    witness: Optional[RelevanceWitness] = None
+    witness: Optional[RelevanceWitness]
 
     @property
     def relevant(self) -> bool:

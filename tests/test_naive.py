@@ -2,20 +2,24 @@
 
 The subset-enumeration engine is the trust anchor for everything else, so
 this file checks it directly against the permutation definition of the
-value (feasible only for the tiniest instances) and against hand-worked
-cases, rather than against other engines.
+value (feasible only for the tiniest instances), against a literal
+reference that evaluates the query on every coalition, against the Shapley
+axioms and against hand-worked cases, rather than against other engines.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import (STAFF_Q1_SAT_COUNTS, STAFF_Q1_VALUES, random_instance,
-                      staff_fact)
+                      random_union_instance, staff_fact)
 from shapfact.errors import (CapExceededError, FactNotEndogenousError,
                              InputError)
+from shapfact.model import (Database, Fact, Provenance, RelationSym,
+                            disjuncts_of)
 from shapfact.naive import (DEFAULT_CAP, SubsetOracle, brute_count_satisfying,
                             brute_relevance, brute_shapley,
                             brute_shapley_all, eval_boolean,
@@ -54,7 +58,6 @@ def test_subset_formula_equals_permutation_definition():
 def test_weights_cover_all_coalitions():
     # summing weight(n, k) over the C(n-1, k) coalitions of each size
     # accounts for every permutation exactly once
-    import math
     for n in range(1, 9):
         assert sum(math.comb(n - 1, k) * shapley_weight(n, k)
                    for k in range(n)) == 1
@@ -98,15 +101,23 @@ def test_exogenous_fact_is_not_a_player(staff_db, q1):
         brute_shapley(staff_db, q1, stud)
 
 
-def test_cap_refusal():
-    n = DEFAULT_CAP + 1
+def _unary_db(n):
     schema = parse_schema("relation R/1")
     lines = "\n".join(f"endo R(c{i})" for i in range(n))
-    db = parse_facts(lines, schema)
-    q = parse_query("q() :- R(x).", schema)
+    return parse_facts(lines, schema), parse_query("q() :- R(x).", schema)
+
+
+def test_cap_refusal():
+    # refused before any profile is built
+    db, q = _unary_db(DEFAULT_CAP + 1)
     with pytest.raises(CapExceededError):
         SubsetOracle(db, q)
-    # a raised cap unlocks it
+    # a raised cap unlocks an instance: refused one below its size, valued
+    # at its size
+    n = 6
+    db, q = _unary_db(n)
+    with pytest.raises(CapExceededError):
+        brute_shapley(db, q, db.endogenous[0], cap=n - 1)
     assert brute_shapley(db, q, db.endogenous[0], cap=n) == Fraction(1, n)
 
 
@@ -145,6 +156,112 @@ def test_relevance_iff_nonzero_value_here():
 
 
 # ---------------------------------------------------------------------------
+# the oracle against a literal reference, and the Shapley axioms
+# ---------------------------------------------------------------------------
+
+def literal_reference(db, query):
+    """Every coalition evaluated by ``eval_boolean`` on ``exogenous ∪ E``,
+    with no profiles and no shared scan: the satisfying counts by size,
+    each fact's value by the subset formula, and each fact's lowest
+    positive and lowest negative flip."""
+    endo, exo = db.endogenous, tuple(db.exogenous)
+    n = len(endo)
+
+    def coalition(mask):
+        return tuple(f for i, f in enumerate(endo) if mask >> i & 1)
+
+    truth = [eval_boolean(exo + coalition(mask), query)
+             for mask in range(1 << n)]
+    counts = [0] * (n + 1)
+    for mask, ok in enumerate(truth):
+        if ok:
+            counts[bin(mask).count("1")] += 1
+    values, witnesses = {}, {}
+    for i, fact in enumerate(endo):
+        value = Fraction(0)
+        pos = neg = None
+        for mask in range(1 << n):
+            if mask >> i & 1:
+                continue
+            before, after = truth[mask], truth[mask | 1 << i]
+            k = bin(mask).count("1")
+            weight = Fraction(math.factorial(k) * math.factorial(n - 1 - k),
+                              math.factorial(n))
+            value += weight * (int(after) - int(before))
+            if after and not before and pos is None:
+                pos = coalition(mask)
+            if before and not after and neg is None:
+                neg = coalition(mask)
+        values[fact] = value
+        witnesses[fact] = (pos, neg)
+    return counts, values, witnesses
+
+
+def _draws(seed, count, max_endo):
+    """Seeded draws, alternating single rules and unions of two rules."""
+    rng = random.Random(seed)
+    for i in range(count):
+        if i % 2:
+            yield random_union_instance(rng, max_endo=max_endo)
+        else:
+            yield random_instance(rng, max_endo=max_endo)
+
+
+def test_oracle_matches_the_literal_reference():
+    nontrivial = 0
+    for db, query in _draws(8080, 240, max_endo=6):
+        counts, values, witnesses = literal_reference(db, query)
+        assert brute_count_satisfying(db, query) == counts
+        assert brute_shapley_all(db, query) == values
+        for fact in db.endogenous:
+            assert brute_shapley(db, query, fact) == values[fact]
+            rel = brute_relevance(db, query, fact)
+            assert (rel.pos_witness, rel.neg_witness) == witnesses[fact]
+            assert rel.pos_relevant == (witnesses[fact][0] is not None)
+            assert rel.neg_relevant == (witnesses[fact][1] is not None)
+        nontrivial += any(values.values())
+    assert nontrivial >= 85  # 87 of the 240 draws give a nonzero value
+
+
+def test_symmetric_copies_share_their_value():
+    # sigma swaps every constant c outside the query with a fresh c_copy,
+    # so it is an automorphism of D ∪ sigma(D) that fixes the query, and
+    # every fact must be worth as much as its image
+    nontrivial = 0
+    for db, query in _draws(9191, 160, max_endo=5):
+        fixed = {c for rule in disjuncts_of(query) for c in rule.constants}
+
+        def sigma(fact):
+            args = tuple(a if a in fixed else f"{a}_copy" for a in fact.args)
+            return Fact(fact.relation, args, fact.provenance)
+
+        doubled = Database(db.schema,
+                           db.facts + tuple(sigma(f) for f in db.facts))
+        values = brute_shapley_all(doubled, query)
+        moved = [f for f in db.endogenous if sigma(f) != f]
+        for fact in db.endogenous:
+            assert values[fact] == values[sigma(fact)]
+        nontrivial += any(values[f] for f in moved)
+    assert nontrivial >= 25  # 27 of the 160 draws move a valued fact
+
+
+def test_facts_no_atom_names_are_null_players():
+    unnamed = RelationSym("Unnamed", 2)
+    null = (Fact(unnamed, ("c0", "c1")), Fact(unnamed, ("c1", "c1")))
+    extra = null + (Fact(unnamed, ("c2", "c0"), Provenance.EXOGENOUS),)
+    nontrivial = 0
+    for db, query in _draws(2727, 160, max_endo=6):
+        padded = Database(db.schema.extended([unnamed]), db.facts + extra)
+        before = brute_shapley_all(db, query)
+        after = brute_shapley_all(padded, query)
+        assert after == {**before, **dict.fromkeys(null, 0)}
+        for fact in null:
+            assert not brute_relevance(padded, query, fact).relevant
+        nontrivial += any(before.values())
+    assert nontrivial >= 40  # 43 of the 160 draws give a nonzero value
+
+
+# ---------------------------------------------------------------------------
 # the gap family
 # ---------------------------------------------------------------------------
 
@@ -171,7 +288,6 @@ def test_gap_values_small():
 
 
 def test_gap_values_match_closed_form():
-    import math
     for n in (1, 2, 3, 4):
         inst = gen_gap_instance(n)
         assert inst.expected_value == Fraction(
