@@ -3,10 +3,11 @@
 Everything here is deliberately simple: evaluation by backtracking join,
 attribution and relevance by enumerating all subsets of the endogenous
 facts.  These are the oracles the polynomial-time engines are tested
-against, so clarity beats speed.  The join runs once, into profiles; one
-truth table over the ``2^n`` subsets is read off the profiles; and one scan
-per fact of the coalitions without it finds every flip the fact causes,
-which gives both its value and its relevance.
+against, so clarity beats speed.  The join runs once, into profiles.  The
+truth table over the ``2^n`` subsets is one int of ``2^n`` bits, read off
+the profiles with big-integer ANDs and ORs.  For each fact, a few more
+ANDs and popcounts over that table find every flip the fact causes, which
+gives both its value and its relevance.
 
 The attribution being computed: with the exogenous facts always present, a
 coalition is a set ``E`` of endogenous facts, its worth is the truth value
@@ -204,8 +205,15 @@ class SubsetOracle:
     """Query truth over all ``2^n`` endogenous subsets, via profiles.
 
     A subset ``E`` is a mask whose bit ``i`` is set iff the ``i``-th
-    endogenous fact is in ``E``.  The truth table is built once, on first
-    use, and every per-fact question is a scan of it (:meth:`flips`)."""
+    endogenous fact is in ``E``.  A set of subsets is one int of ``2^n``
+    bits, bit ``E`` set iff ``E`` is in the set.  On first use
+    (:meth:`sat_table`) the oracle builds three kinds of such ints: the
+    truth table, the ``n`` fact masks (the subsets holding fact ``i``)
+    and the ``n + 1`` size masks (the subsets of size ``k``).  Every
+    per-fact question is then a few big-integer ANDs and popcounts
+    (:meth:`flips`).  The ``2n + 2`` ints hold about
+    ``(2n + 2) * 2^n / 8`` bytes: 0.3 MB at 16 facts, 5.5 MB at the
+    default cap of 20."""
 
     def __init__(self, db: Database, query: Query, cap: int = DEFAULT_CAP):
         n = db.n_endogenous
@@ -215,21 +223,44 @@ class SubsetOracle:
             )
         self.db = db
         self.n = n
-        self.masks = [
-            (sum(1 << i for i in p), sum(1 << i for i in m))
-            for p, m in hom_profiles(db, query)
-        ]
-        self._table: Optional[list[bool]] = None
+        self.profiles = hom_profiles(db, query)
+        self._table: Optional[int] = None
+        self._holds: list[int] = []
+        self._sizes: list[int] = []
 
-    def sat_table(self) -> list[bool]:
-        """Truth of the query on ``exogenous ∪ E``, indexed by the mask of
-        ``E``: some profile ``(P, N)`` has ``P ⊆ E`` and ``N ∩ E = ∅``."""
+    def sat_table(self) -> int:
+        """The truth table: bit ``E`` is set iff the query holds on
+        ``exogenous ∪ E``, that is iff some profile ``(P, N)`` has
+        ``P ⊆ E`` and ``N ∩ E = ∅``.
+
+        The first call builds it, with the fact and size masks, and
+        every later call returns the same int."""
         if self._table is None:
-            masks = self.masks
-            self._table = [
-                any((e & p) == p and not (e & n) for p, n in masks)
-                for e in range(1 << self.n)
-            ]
+            n, worlds = self.n, 1 << self.n
+            holds = []
+            for i in range(n):
+                # 2^i subsets without fact i, then 2^i with it, repeated
+                mask, period = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+                while period < worlds:
+                    mask |= mask << period
+                    period <<= 1
+                holds.append(mask)
+            sizes = [1] + [0] * n
+            for i in range(n):
+                # a k-subset of facts 0..i adds fact i to a (k-1)-subset
+                # of facts 0..i-1, or leaves it out
+                for k in range(i + 1, 0, -1):
+                    sizes[k] |= sizes[k - 1] << (1 << i)
+            full = (1 << worlds) - 1
+            table = 0
+            for pos, neg in self.profiles:
+                fires = full
+                for i in pos:
+                    fires &= holds[i]
+                for i in neg:
+                    fires &= ~holds[i]
+                table |= fires
+            self._holds, self._sizes, self._table = holds, sizes, table
         return self._table
 
     def endo_bit(self, fact: Fact) -> int:
@@ -237,28 +268,28 @@ class SubsetOracle:
 
     def flips(self, bit: int
               ) -> tuple[list[int], Optional[int], Optional[int]]:
-        """Scan the coalitions without fact ``bit`` once, in ascending mask
-        order, for those whose truth value adding the fact changes.
+        """The coalitions without fact ``bit`` whose truth value adding
+        the fact changes.
 
         Returns ``gains``, where ``gains[k]`` is the number of k-coalitions
         the fact makes true minus the number it makes false, then the
         lowest mask the fact flips to true and the lowest it flips to
         false (None when there is none)."""
         table = self.sat_table()
-        fbit = 1 << bit
-        gains = [0] * self.n
-        pos = neg = None
-        for mask in range(1 << self.n):
-            if mask & fbit:
-                continue
-            gain = table[mask | fbit] - table[mask]
-            if gain:
-                gains[mask.bit_count()] += gain
-                if gain > 0 and pos is None:
-                    pos = mask
-                elif gain < 0 and neg is None:
-                    neg = mask
-        return gains, pos, neg
+        holds = self._holds[bit]
+        # bit E of each, for E without the fact: the truth of E, and of
+        # E with the fact (shifting clears the fact's bit)
+        before = table & ~holds
+        after = (table & holds) >> (1 << bit)
+        gain, loss = after & ~before, before & ~after
+        gains = [(gain & size).bit_count() - (loss & size).bit_count()
+                 for size in self._sizes[:self.n]]
+        return gains, _lowest(gain), _lowest(loss)
+
+
+def _lowest(coalitions: int) -> Optional[int]:
+    """The lowest mask in a set of coalitions, or None if it is empty."""
+    return (coalitions & -coalitions).bit_length() - 1 if coalitions else None
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +308,8 @@ def brute_count_satisfying(db: Database, query: Query,
     """``result[k]`` = number of k-subsets ``E`` of the endogenous facts
     with the query true on ``exogenous ∪ E``."""
     oracle = SubsetOracle(db, query, cap)
-    counts = [0] * (oracle.n + 1)
-    for mask, ok in enumerate(oracle.sat_table()):
-        if ok:
-            counts[mask.bit_count()] += 1
-    return counts
+    table = oracle.sat_table()
+    return [(table & size).bit_count() for size in oracle._sizes]
 
 
 def _weigh(gains: list[int]) -> Fraction:

@@ -10,6 +10,7 @@ axioms and against hand-worked cases, rather than against other engines.
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -221,6 +222,87 @@ def test_oracle_matches_the_literal_reference():
             assert rel.neg_relevant == (witnesses[fact][1] is not None)
         nontrivial += any(values.values())
     assert nontrivial >= 85  # 87 of the 240 draws give a nonzero value
+
+
+def _assert_matches_reference(db, query):
+    """The oracle's counts, values and witnesses equal
+    ``literal_reference``'s; returns the values."""
+    counts, values, witnesses = literal_reference(db, query)
+    assert brute_count_satisfying(db, query) == counts
+    assert brute_shapley_all(db, query) == values
+    for fact in db.endogenous:
+        rel = brute_relevance(db, query, fact)
+        assert (rel.pos_witness, rel.neg_witness) == witnesses[fact]
+    return values
+
+
+def test_no_endogenous_facts():
+    schema = parse_schema("relation R/1")
+    db = parse_facts("exo R(a)", schema)
+    for text, counts in (("q() :- R(x).", [1]), ("q() :- R(B).", [0])):
+        query = parse_query(text, schema)
+        assert _assert_matches_reference(db, query) == {}
+        assert brute_count_satisfying(db, query) == counts
+
+
+def test_profile_with_a_fact_both_positive_and_negated():
+    # each endogenous D fact gives the profile ({i}, {i}), which holds on no
+    # coalition: the table must apply the negated mask even where the
+    # positive one already names the fact
+    schema = parse_schema("relation D/1\nrelation E/1")
+    db = parse_facts("endo D(a)\nendo D(b)\nexo D(c)\nendo E(a)", schema)
+    query = parse_query("q() :- D(x), not D(x).", schema)
+    assert ((0,), (0,)) in hom_profiles(db, query)
+    assert brute_count_satisfying(db, query) == [0, 0, 0, 0]
+    assert not any(_assert_matches_reference(db, query).values())
+    # beside a rule that can fire, the shared profile must still add nothing
+    union = parse_query("q() :- D(x), not D(x).\nq() :- E(x), not D(x).",
+                        schema)
+    values = _assert_matches_reference(db, union)
+    assert values[staff_fact(db, "E", "a")] == Fraction(1, 2)
+
+
+def test_query_true_on_the_exogenous_facts_alone():
+    schema = parse_schema("relation R/1\nrelation S/1")
+    db = parse_facts("exo R(a)\nendo R(b)\nendo S(b)\nendo S(c)", schema)
+    query = parse_query("q() :- R(x), not S(x).", schema)
+    assert brute_count_satisfying(db, query) == [1, 3, 3, 1]
+    assert not any(_assert_matches_reference(db, query).values())
+    for fact in db.endogenous:
+        assert not brute_relevance(db, query, fact).relevant
+
+
+def test_oracle_matches_the_literal_reference_on_multi_digit_tables():
+    # 2^9 and 2^10 coalitions: each table and fact mask spans several
+    # 30-bit digits of a CPython int
+    rng = random.Random(1010)
+    draws = nontrivial = 0
+    while draws < 20:
+        db, query = random_union_instance(rng, max_endo=10)
+        if db.n_endogenous < 9:
+            continue
+        draws += 1
+        nontrivial += any(_assert_matches_reference(db, query).values())
+    assert nontrivial >= 11  # 12 of the 20 draws give a nonzero value
+
+
+def test_table_memory_follows_the_stated_formula():
+    # the table, the n fact masks and the n + 1 size masks hold about
+    # (2n + 2) * 2^n / 8 bytes; a list of 2^n truth values would take
+    # 8 * 2^n bytes for its slots alone, about twice that at 16 facts
+    schema = parse_schema("relation R/1\nrelation T/1")
+    db = parse_facts("\n".join(f"endo R(c{i})\nendo T(c{i})"
+                               for i in range(8)), schema)
+    query = parse_query("q() :- R(x), not T(x).", schema)
+    n = db.n_endogenous
+    tracemalloc.start()
+    try:
+        brute_shapley_all(db, query)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 16
+    assert peak < 1.5 * (2 * n + 2) * 2 ** n / 8  # about 0.3 MB
 
 
 def test_symmetric_copies_share_their_value():
