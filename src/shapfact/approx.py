@@ -19,13 +19,17 @@ and is demonstrated, not patched over, in the tests.
 
 Randomness is counter-based for reproducibility: an order is a row of one
 64-bit *arrival key* per endogenous fact, drawn from one Philox stream
-keyed by the plan's seed, so results depend only on ``seed``.  Sorting a
-row gives its order; equal keys, which 64-bit draws make vanishingly rare,
-arrive in fact order.  A profile (P, N) of :func:`shapfact.naive.hom_profiles`
-holds on the facts of the first ``s`` slots iff every rank in P is below
-``s`` and none in N is; a difference array over these intervals gives the
-query's truth after each arrival, and each change is the gain of the fact
-arriving in that slot.
+keyed by the plan's seed, so results depend only on ``seed``.  A row's
+order is its facts sorted by key, equal keys in fact order.  To find it,
+each key's low ``⌈log₂ n⌉`` bits are replaced by its fact's index and the
+packed row is sorted by value, which puts any two keys that differ in
+their high bits in key order.  A row where two keys share their high bits
+(for 64-bit draws, a chance of about ``n² / 2^(65 - ⌈log₂ n⌉)``) is
+sorted again, stably, by its full keys.  A profile (P, N) of
+:func:`shapfact.naive.hom_profiles` holds on the facts of the first ``s``
+slots iff every rank in P is below ``s`` and none in N is; a difference
+array over these intervals gives the query's truth after each arrival,
+and each change is the gain of the fact arriving in that slot.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, log
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import CapExceededError, InputError
 from .model import Database, Fact, Query
@@ -44,9 +48,12 @@ if TYPE_CHECKING:
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-# the most bytes one chunk of sampled rows holds at once (see row_bytes):
-# small, because a chunk is live memory on every call, and a larger one
-# saves only a few numpy calls per chunk
+# the most bytes one chunk of sampled rows holds at once (see row_bytes),
+# kept small because a chunk is live memory on every call.  On the 56-fact
+# Q_HARD instance of perfbench's hard_sampled workload (a 2-core Xeon),
+# a one-row chunk took 45-60 us, the fixed cost of its numpy calls, and a
+# 76-row chunk 235-310 us; chunks of ten times the rows cost no less per
+# row (3.7-4.2 us against 3.1-4.1 us)
 _CHUNK_BYTES = 1 << 18
 
 #: Refuse a sampling run that would draw more arrival keys (sampled orders
@@ -122,57 +129,75 @@ def shapley_additive_fpras(db: Database, query: Query, plan: SamplingPlan
     import numpy as np
 
     profiles = hom_profiles(db, query)
-    # rank column n reads -1 and column n + 1 reads n: the pads of P and N
+    # ranks count from 1: column n reads 0 and column n + 1 reads n + 1,
+    # the pads of P and N
     pos = _padded([p for p, _ in profiles], n)
     neg = _padded([m for _, m in profiles], n + 1)
     gen = np.random.Generator(np.random.Philox(key=_philox_key(plan.seed)))
-    totals = np.zeros(n, dtype=np.int64)
-    # the most one sampled row holds at once, in 8-byte entries: four per
-    # fact (key, slot, rank, difference array) and three per profile (start,
-    # stop, and one rank being folded in)
-    row_bytes = 8 * (4 * n + 3 * len(profiles))
+    totals = np.zeros(n)
+    # the most one chunk holds at once, per row in 8-byte entries: three
+    # per rank column (n facts and two pads) and one more, for the live
+    # ones of the key, the packed key, the rank, the difference array, its
+    # running sum and the row's offset; and per profile, a start, a stop
+    # and the ranks of one padded group
+    width = max(len(pos), len(neg))
+    row_bytes = 8 * (3 * n + 7 + (2 + width) * len(profiles))
     for rows in _chunks(samples, _CHUNK_BYTES // max(row_bytes, 1)):
-        order = np.argsort(
-            gen.integers(0, 1 << 64, size=(rows, n), dtype=np.uint64),
-            axis=1, kind="stable")
-        rank = np.empty((rows, n + 2), dtype=np.intp)
-        rank[:, n], rank[:, n + 1] = -1, n
-        np.put_along_axis(rank, order, np.arange(n), axis=1)
-        # a profile holds after the first s arrivals iff start <= s < stop;
-        # slot s of row r is entry r * (n + 2) + s of one difference array
-        offset = np.arange(1, rows * (n + 2), n + 2)[:, None]
-        start = _fold(np.maximum, rank, pos, offset)
-        stop = _fold(np.minimum, rank, neg, offset)
-        np.maximum(stop, start, out=stop)
-        marks = np.bincount(start.ravel(), minlength=rows * (n + 2))
-        marks -= np.bincount(stop.ravel(), minlength=rows * (n + 2))
-        held = marks.reshape(rows, n + 2).cumsum(axis=1)[:, :n + 1] > 0
-        gain = np.diff(held.view(np.int8), axis=1)
-        totals += np.bincount(order[gain > 0], minlength=n)
-        totals -= np.bincount(order[gain < 0], minlength=n)
+        totals += _gains(gen, rows, n, pos, neg)
     values = {f: Fraction(int(t), samples)
               for f, t in zip(db.endogenous, totals)}
     return values, plan
 
 
+def _gains(gen: np.random.Generator, rows: int, n: int, pos: np.ndarray,
+           neg: np.ndarray) -> np.ndarray:
+    """Each fact's total truth gain over ``rows`` orders drawn from
+    ``gen``, given the profiles' padded P and N columns."""
+    import numpy as np
+
+    # a packed key keeps a key's high bits and holds its fact in the rest
+    low = np.uint64((1 << max(n - 1, 0).bit_length()) - 1)
+    keys = gen.integers(0, 1 << 64, size=(rows, n), dtype=np.uint64)
+    packed = keys & ~low
+    packed |= np.arange(n, dtype=np.uint64)
+    packed.sort(axis=1)
+    # keys of a row that share their high bits are put in order by a stable
+    # sort of the row's full keys; the first test also pairs a row's last
+    # key with the next row's first, which at worst costs the second test
+    flat = packed.reshape(-1)
+    if ((flat[1:] ^ flat[:-1]) <= low).any():
+        tied = ((packed[:, 1:] ^ packed[:, :-1]) <= low).any(axis=1)
+        packed[tied] = np.argsort(keys[tied], axis=1, kind="stable")
+    del keys, flat
+    packed &= low
+    order = packed.view(np.int64)
+    # a profile holds after the first s arrivals iff start <= s < stop;
+    # slot s of row r is entry r * (n + 2) + s of one difference array
+    base = np.arange(0, rows * (n + 2), n + 2)[:, None]
+    rank = np.empty((rows, n + 2), dtype=np.intp)
+    rank[:, n], rank[:, n + 1] = 0, n + 1
+    rank.reshape(-1)[order + base] = np.arange(1, n + 1)
+    start = np.maximum.reduce(rank[:, pos], axis=1)
+    start += base
+    stop = np.minimum.reduce(rank[:, neg], axis=1)
+    stop += base
+    np.maximum(stop, start, out=stop)
+    del rank, base
+    marks = np.bincount(start.ravel(), minlength=rows * (n + 2))
+    marks -= np.bincount(stop.ravel(), minlength=rows * (n + 2))
+    del start, stop
+    held = (marks.reshape(rows, n + 2).cumsum(axis=1) > 0).view(np.int8)
+    gain = np.subtract(held[:, 1:n + 1], held[:, :n], dtype=np.float64)
+    return np.bincount(order.ravel(), gain.ravel(), minlength=n)
+
+
 def _padded(groups: list[tuple[int, ...]], pad: int) -> np.ndarray:
-    """The index groups as the rows of one array, padded with ``pad``."""
+    """The index groups as the columns of one array, padded with ``pad``."""
     import numpy as np
 
     width = max([1, *map(len, groups)])
     return np.array([g + (pad,) * (width - len(g)) for g in groups],
-                    dtype=np.intp).reshape(len(groups), width)
-
-
-def _fold(extreme: Callable, rank: np.ndarray, columns: np.ndarray,
-          offset: np.ndarray) -> np.ndarray:
-    """Per row, ``extreme`` (maximum or minimum) of the ranks of each
-    padded index group, plus ``offset``."""
-    out = rank[:, columns[:, 0]]
-    for column in columns.T[1:]:
-        extreme(out, rank[:, column], out=out)
-    out += offset
-    return out
+                    dtype=np.intp).reshape(len(groups), width).T
 
 
 def _chunks(total: int, size: int) -> Iterator[int]:

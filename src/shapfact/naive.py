@@ -1,6 +1,7 @@
 """Brute-force reference implementations.
 
-Everything here is deliberately simple: evaluation by backtracking join,
+Everything here is deliberately simple: evaluation by a backtracking join
+(each atom's matches read from a table keyed on its bound positions),
 attribution and relevance by enumerating all subsets of the endogenous
 facts.  These are the oracles the polynomial-time engines are tested
 against, so clarity beats speed.  The join runs once, into profiles.  The
@@ -25,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import CapExceededError, InputError
 from .model import (
@@ -61,12 +63,60 @@ def _facts_of(source: FactSource) -> tuple[Fact, ...]:
     return tuple(source)
 
 
-def _index(facts: Iterable[Fact]) -> dict[str, list[tuple[str, ...]]]:
+class _Index(dict):
+    """Relation name -> sorted argument tuples, with probe tables.
+
+    A probe table serves one atom shape: which positions are bound (to a
+    constant or an assigned variable) and where each free variable first
+    occurs.  It maps the bound values to the tuples that carry them and
+    repeat each free variable's value wherever the variable repeats, in
+    sorted order.  Each is built on the first probe of its shape."""
+
+    def __init__(self, by_rel: Mapping[str, list[tuple[str, ...]]]):
+        super().__init__(by_rel)
+        self._probes: dict[tuple, tuple[Callable, dict]] = {}
+
+    def candidates(self, atom: Atom, binding: Mapping[str, str]
+                   ) -> tuple[dict[str, int], list[tuple[str, ...]]]:
+        """The atom's unbound variables, each with its first position, and
+        the tuples that ``_match`` accepts under ``binding``, sorted."""
+        shape, values, free = [], [], {}
+        for at, term in enumerate(atom.terms):
+            value = (term.value if isinstance(term, Const)
+                     else binding.get(term.name))
+            values.append(value)
+            shape.append(-1 if value is not None
+                         else free.setdefault(term.name, at))
+        key = (atom.relation.name, tuple(shape))
+        if key not in self._probes:
+            self._probes[key] = self._table(*key)
+        probe, table = self._probes[key]
+        return free, table.get(probe(values), [])
+
+    def _table(self, name: str, shape: tuple[int, ...]
+               ) -> tuple[Callable, dict[object, list[tuple[str, ...]]]]:
+        """The probe table of one atom shape, and the function that reads
+        the bound positions of a tuple or of an atom's probe values."""
+        rows = [args for args in self.get(name, ()) if len(args) == len(shape)]
+        for at, first in enumerate(shape):
+            if 0 <= first != at:
+                rows = [args for args in rows if args[at] == args[first]]
+        bound = [at for at, first in enumerate(shape) if first < 0]
+        if not bound:
+            return (lambda args: ()), {(): rows}
+        probe = itemgetter(*bound)
+        table: dict[object, list[tuple[str, ...]]] = {}
+        for args in rows:
+            table.setdefault(probe(args), []).append(args)
+        return probe, table
+
+
+def _index(facts: Iterable[Fact]) -> _Index:
     """Relation name -> sorted argument tuples."""
     by_rel: dict[str, set[tuple[str, ...]]] = {}
     for f in facts:
         by_rel.setdefault(f.relation.name, set()).add(f.args)
-    return {name: sorted(args) for name, args in by_rel.items()}
+    return _Index({name: sorted(args) for name, args in by_rel.items()})
 
 
 def _match(atom: Atom, args: tuple[str, ...],
@@ -89,42 +139,39 @@ def _match(atom: Atom, args: tuple[str, ...],
     return new
 
 
-def iter_homomorphisms(atoms: Iterable[Atom],
-                       index: Mapping[str, list[tuple[str, ...]]],
+def iter_homomorphisms(atoms: Iterable[Atom], index: _Index,
                        binding: Optional[Mapping[str, str]] = None
                        ) -> Iterator[dict[str, str]]:
     """All assignments sending every (positive) atom into the indexed facts.
 
     At each step the atom with the fewest matching tuples under the current
     partial assignment is expanded first; with the sorted index this makes
-    the enumeration order deterministic.
+    the enumeration order deterministic.  An atom's matching tuples come
+    from one probe of its bound positions (see :class:`_Index`), in the
+    sorted order a scan of its relation would find them.
     """
     yield from _search(list(atoms), index, dict(binding or {}))
 
 
-def _search(atoms: list[Atom], index: Mapping[str, list[tuple[str, ...]]],
+def _search(atoms: list[Atom], index: _Index,
             binding: dict[str, str]) -> Iterator[dict[str, str]]:
     if not atoms:
         yield dict(binding)
         return
-    best_at = 0
-    best: Optional[list[dict[str, str]]] = None
+    best_at, best, free = 0, None, {}
     for i, atom in enumerate(atoms):
-        cands = []
-        for args in index.get(atom.relation.name, ()):
-            delta = _match(atom, args, binding)
-            if delta is not None:
-                cands.append(delta)
+        names, cands = index.candidates(atom, binding)
         if best is None or len(cands) < len(best):
-            best_at, best = i, cands
+            best_at, best, free = i, cands, names
             if not cands:
                 return
     rest = atoms[:best_at] + atoms[best_at + 1:]
     assert best is not None
-    for delta in best:
-        binding.update(delta)
+    for args in best:
+        for name, at in free.items():
+            binding[name] = args[at]
         yield from _search(rest, index, binding)
-        for name in delta:
+        for name in free:
             del binding[name]
 
 

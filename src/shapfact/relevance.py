@@ -34,11 +34,12 @@ they are refused rather than answered unreliably.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
 from .errors import NotPolarityConsistentError
 from .model import CQNeg, Database, Fact, Query, disjuncts_of
-from .naive import _index, _match, eval_boolean, ground, iter_homomorphisms
+from .naive import (_index, _Index, _match, eval_boolean, ground,
+                    iter_homomorphisms)
 from .structure import is_polarity_consistent
 
 
@@ -65,8 +66,7 @@ class RelevanceResult:
         return self.pos_relevant or self.neg_relevant
 
 
-def _assignments(rule: CQNeg, fact: Fact, side: str,
-                 index: Mapping[str, list[tuple[str, ...]]]
+def _assignments(rule: CQNeg, fact: Fact, side: str, index: _Index
                  ) -> Iterator[dict[str, str]]:
     """The rule's assignments that could carry a flip on ``side``: those
     anchoring a positive atom on the fact, or, for the negative side, all

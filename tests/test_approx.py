@@ -1,5 +1,7 @@
 """Sampling estimator: plan arithmetic, determinism, accuracy, no-gap."""
 
+import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +12,8 @@ from shapfact import approx
 from shapfact.approx import (SamplingPlan, _philox_key, make_plan,
                              shapley_additive_fpras)
 from shapfact.errors import CapExceededError, InputError
-from shapfact.naive import (brute_shapley, eval_boolean, gen_gap_instance,
-                            hom_profiles)
+from shapfact.naive import (brute_shapley, brute_shapley_all, eval_boolean,
+                            gen_gap_instance, hom_profiles)
 from shapfact.parsing import parse_facts, parse_query, parse_schema
 
 
@@ -133,7 +135,7 @@ def test_sampled_estimates_obey_the_axioms(staff_db, q1, monkeypatch):
             - int(eval_boolean(list(staff_db.exogenous), q1)))
     assert gain == 1
     null = staff_fact(staff_db, "TA", "David")
-    row_bytes = 8 * (4 * staff_db.n_endogenous
+    row_bytes = 8 * (3 * staff_db.n_endogenous + 7
                      + 3 * len(hom_profiles(staff_db, q1)))
     chunk_rows = []
     chunks = approx._chunks
@@ -173,3 +175,93 @@ def test_estimator_tracks_brute_on_gap_instance():
     est, _ = shapley_additive_fpras(inst.db, inst.query,
                                     make_plan(0.05, 0.1, seed=1))
     assert abs(est[inst.fact] - exact) <= Fraction(1, 20)
+
+
+# ---------------------------------------------------------------------------
+# ties between arrival keys, and edge cases
+# ---------------------------------------------------------------------------
+
+def _alternating(n):
+    """``q() :- R(x), not T(x).`` over n endogenous facts R(c0), T(c0),
+    R(c1), T(c1), ...: a fact's value depends on the arrival order."""
+    schema = parse_schema("relation R/1\nrelation T/1")
+    db = parse_facts("\n".join(f"endo {'RT'[i % 2]}(c{i // 2})"
+                               for i in range(n)), schema)
+    return db, parse_query("q() :- R(x), not T(x).", schema)
+
+
+def _drawing(monkeypatch, reshape):
+    """Make every ``numpy.random.Generator`` pass its integer draws through
+    ``reshape(keys, bits)``, where ``bits`` is ``⌈log₂ n⌉`` for rows of n
+    keys.  Generator is immutable, so a subclass takes its place."""
+    class Reshaped(np.random.Generator):
+        def integers(self, *args, **kwargs):
+            keys = super().integers(*args, **kwargs)
+            return reshape(keys, max(keys.shape[1] - 1, 0).bit_length())
+
+    monkeypatch.setattr(np.random, "Generator", Reshaped)
+
+
+@pytest.mark.parametrize("reshape", [
+    # four distinct keys: most rows hold keys that are exactly equal
+    lambda keys, bits: keys >> np.uint64(62) << np.uint64(62),
+    # every key of a row shares its high bits; only the low bits differ
+    lambda keys, bits: (keys & np.uint64((1 << bits) - 1))
+    | np.uint64(0xDEADBEEF << 32),
+    # the high bits of a key come from a range of four: some rows tie there
+    lambda keys, bits: keys >> np.uint64(62 - bits),
+], ids=["equal", "shared-high-bits", "some-rows"])
+def test_tied_keys_arrive_as_a_stable_sort_orders_them(monkeypatch, reshape):
+    _drawing(monkeypatch, reshape)
+    plan = make_plan(0.3, 0.3, seed=4)
+    # 1, 2, 8 and 9 facts: either side of the packed index's width steps
+    for n in (1, 2, 8, 9):
+        db, query = _alternating(n)
+        assert db.n_endogenous == n
+        values = shapley_additive_fpras(db, query, plan)[0]
+        assert values == _literal_estimates(db, query, plan)
+        assert sum(values.values()) == int(eval_boolean(db, query))
+
+
+def test_sampling_edge_cases_read_the_exact_values():
+    schema = parse_schema("relation R/1\nrelation S/1")
+    plan = make_plan(0.1, 0.1, seed=2)
+    cases = [
+        # no endogenous facts at all
+        ("exo R(a)", "q() :- R(x)."),
+        # no profile: nothing can make the query true
+        ("endo R(a)\nendo S(b)", "q() :- R(x), S(x)."),
+        # the empty profile: the query holds on the exogenous facts alone
+        ("exo R(a)\nendo R(b)\nendo S(b)\nendo S(c)",
+         "q() :- R(x), not S(x)."),
+    ]
+    for facts, text in cases:
+        db, query = parse_facts(facts, schema), parse_query(text, schema)
+        values = shapley_additive_fpras(db, query, plan)[0]
+        assert values == brute_shapley_all(db, query)
+        assert not any(values.values())
+    assert ((), ()) in hom_profiles(db, query)
+
+
+def test_sampling_memory_stays_within_the_chunk_budget():
+    # R(x), S(x, y), not T(y) on a 12 x 12 bipartite graph of 64 edges,
+    # half of them exogenous: 56 endogenous facts and 64 profiles
+    rng = random.Random(56)
+    schema = parse_schema("relation R/1\nrelation S/2\nrelation T/1")
+    edges = rng.sample([(x, y) for x in range(12) for y in range(12)], 64)
+    lines = [f"endo R(x{i})\nendo T(y{i})" for i in range(12)]
+    lines += [f"{'exo' if i % 2 else 'endo'} S(x{x}, y{y})"
+              for i, (x, y) in enumerate(edges)]
+    db = parse_facts("\n".join(lines), schema)
+    query = parse_query("q() :- R(x), S(x, y), not T(y).", schema)
+    assert db.n_endogenous == 56
+    plan = make_plan(0.05, 0.1, seed=7)
+    # a first call loads what numpy loads on first use (about 0.8 MB)
+    shapley_additive_fpras(db, query, plan)
+    tracemalloc.start()
+    try:
+        shapley_additive_fpras(db, query, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * approx._CHUNK_BYTES  # 0.93 x, about 0.24 MB
