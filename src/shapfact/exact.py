@@ -1,8 +1,10 @@
 """Exact attribution for hierarchical self-join-free rules.
 
-The workhorse is :func:`count_satisfying_subsets`: for each ``k`` it counts
-the k-subsets of the endogenous facts that, together with the exogenous
-facts, satisfy the query.  It is the recursion of
+The workhorse is :func:`_shapley`: one forward count, then one reverse
+pass along the paths of the facts being valued.  The count gives, for each
+``k``, the number of k-subsets of the endogenous facts that, together with
+the exogenous facts, satisfy the query (:func:`count_satisfying_subsets`
+returns it and nothing else).  It is the recursion of
 :func:`shapfact.decompose.weighted_count` under the counting weighting:
 an endogenous fact weighs ``x`` when present and ``1`` when absent, so
 vectors are polynomials in ``x`` and the total over ``m`` endogenous facts

@@ -271,7 +271,8 @@ class Database:
     arguments but different provenance or probability are rejected as
     conflicting.  All fact tuples exposed by this class are in canonical
     order (sorted by relation name, then arguments), so every downstream
-    computation is deterministic.
+    computation is deterministic.  ``by_key`` maps each fact's key to the
+    stored fact.
     """
 
     def __init__(self, schema: Schema, facts: Iterable[Fact]):
@@ -286,7 +287,7 @@ class Database:
                     f"conflicting duplicate fact {fact}: "
                     f"{prior.provenance.value} vs {fact.provenance.value}"
                 )
-        self._by_key = by_key
+        self.by_key = by_key
         # keys are unique, so sorting them orders the facts
         self.facts: tuple[Fact, ...] = tuple(
             by_key[key] for key in sorted(by_key))
@@ -312,15 +313,15 @@ class Database:
         return iter(self.facts)
 
     def __contains__(self, fact: Fact) -> bool:
-        return fact.key in self._by_key
+        return fact.key in self.by_key
 
     def get(self, relation: str, args: tuple[str, ...]) -> Optional[Fact]:
-        return self._by_key.get((relation, args))
+        return self.by_key.get((relation, args))
 
     def require_endogenous(self, fact: Fact) -> Fact:
         """The stored copy of ``fact``; raises ``FactNotEndogenousError``
         if the fact is exogenous or absent."""
-        stored = self._by_key.get(fact.key)
+        stored = self.by_key.get(fact.key)
         if stored is None or not stored.endogenous:
             raise FactNotEndogenousError(
                 f"fact {fact} is not an endogenous fact of the database"
@@ -363,7 +364,7 @@ class Database:
         return Database(schema, kept + list(new_facts))
 
     def _require(self, fact: Fact) -> None:
-        if fact.key not in self._by_key:
+        if fact.key not in self.by_key:
             from .errors import UnknownFactError
 
             raise UnknownFactError(f"fact {fact} is not in the database")

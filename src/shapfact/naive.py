@@ -208,7 +208,7 @@ def ground(db: Database, rule: CQNeg, homs: Iterable[dict[str, str]]
     An assignment that sends a negated atom onto an exogenous fact can
     never fire, so it is skipped.  Landing on a fact outside ``db`` adds
     nothing."""
-    stored = {f.key: f for f in db.facts}
+    stored = db.by_key
     positives, negatives = rule.positives, rule.negatives
     for h in homs:
         pos = [f for f in (stored.get(_image(a, h)) for a in positives)

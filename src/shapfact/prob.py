@@ -4,8 +4,10 @@ Every fact carries a probability (facts without one are deterministic,
 probability 1) and is present in a random world independently of all
 others.  The probability that the query holds is computed three ways:
 
-* :func:`brute_prob` — enumerate the worlds over the properly
-  probabilistic facts; the exact-by-definition oracle.
+* :func:`brute_prob` — weigh every world over the properly
+  probabilistic facts; the exact-by-definition oracle.  It reads the
+  bitset truth table of :class:`shapfact.naive.SubsetOracle`, as the
+  other enumeration oracles do.
 * :func:`prob_eval_hierarchical` — lifted inference for hierarchical
   self-join-free rules: the recursion of
   :func:`shapfact.decompose.weighted_count`, which also drives exact
@@ -30,13 +32,12 @@ keeps ``v``'s denominator, and no step takes a gcd: the one
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from . import decompose
 from .errors import CapExceededError
-from .model import Atom, Database, Fact, Query
-from .naive import DEFAULT_CAP, eval_boolean
+from .model import Atom, Database, Fact, Provenance, Query
+from .naive import DEFAULT_CAP, SubsetOracle
 from .rewriting import rewrite
 
 
@@ -48,29 +49,44 @@ def fact_probability(fact: Fact) -> Fraction:
 
 
 def brute_prob(db: Database, query: Query, cap: int = DEFAULT_CAP) -> Fraction:
-    """World enumeration over the properly probabilistic facts.
+    """The query's probability, summed over the worlds of the properly
+    probabilistic facts.
 
-    It keeps its own loop rather than reading ``naive.SubsetOracle``'s
-    truth table: each world weighs the product of its facts' probabilities,
-    not a weight that depends only on the world's size."""
-    certain = [f for f in db.facts if fact_probability(f) == 1]
+    The worlds are the coalitions of :class:`naive.SubsetOracle` over a
+    copy of ``db`` in which those facts are endogenous, the certain ones
+    exogenous and the impossible ones (p = 0) dropped.  Its truth table is
+    weighed by Shannon splits from the highest fact down: at each level
+    every distinct subtable carries the weight of the worlds over the
+    facts above it that lead to it, the half without the fact takes
+    ``1 - p`` of it and the half with the fact ``p``, and equal halves
+    merge.  The weights are integers over the product of the denominators
+    so far, reduced once at the end.  Besides the oracle's ``(2n + 2) *
+    2^n / 8`` bytes, a level holds at most ``2^n`` bits of subtables, and
+    two levels are live at once."""
     uncertain = [f for f in db.facts if 0 < fact_probability(f) < 1]
     if len(uncertain) > cap:
         raise CapExceededError(
             f"{len(uncertain)} probabilistic facts exceed the enumeration "
             f"cap {cap}"
         )
-    total = Fraction(0)
-    for r in range(len(uncertain) + 1):
-        for chosen in combinations(uncertain, r):
-            picked = set(chosen)
-            weight = Fraction(1)
-            for f in uncertain:
-                p = fact_probability(f)
-                weight *= p if f in picked else 1 - p
-            if eval_boolean(certain + list(chosen), query):
-                total += weight
-    return total
+    worlds = Database(db.schema, [
+        Fact(f.relation, f.args, Provenance.ENDOGENOUS
+             if fact_probability(f) < 1 else Provenance.EXOGENOUS)
+        for f in db.facts if fact_probability(f) > 0])
+    # both lists hold the uncertain facts in canonical order, so bit i of
+    # a world is uncertain[i]
+    level, denominator = {SubsetOracle(worlds, query, cap).sat_table(): 1}, 1
+    for i in reversed(range(len(uncertain))):
+        p = fact_probability(uncertain[i])
+        absent, half = p.denominator - p.numerator, 1 << i
+        low_bits = (1 << half) - 1
+        split: dict[int, int] = {}
+        for table, weight in level.items():
+            low, high = table & low_bits, table >> half
+            split[low] = split.get(low, 0) + weight * absent
+            split[high] = split.get(high, 0) + weight * p.numerator
+        level, denominator = split, denominator * p.denominator
+    return Fraction(level.get(1, 0), denominator)
 
 
 def prob_eval_hierarchical(db: Database, query: Query) -> Fraction:

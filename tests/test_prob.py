@@ -1,18 +1,23 @@
 """Probability engine: lifted evaluation vs world enumeration."""
 
+import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from conftest import (Q2, random_exo_rewrite_instance,
-                      random_hierarchical_instance, random_prob_instance)
+                      random_hierarchical_instance, random_instance,
+                      random_prob_instance, random_union_instance)
+from shapfact.cli import main
 from shapfact.errors import (BadProbabilityError, CapExceededError,
                              HasNonHierPathError, NotHierarchicalError)
 from shapfact.decompose import weighted_count
 from shapfact.exact import count_satisfying_subsets
-from shapfact.model import (CQNeg, Database, Fact, Provenance, RelationSym,
-                            Schema)
+from shapfact.model import (CQNeg, Database, Fact, Provenance, Query,
+                            RelationSym, Schema)
+from shapfact.naive import DEFAULT_CAP, eval_boolean
 from shapfact.parsing import parse_facts, parse_query, parse_schema
 from shapfact.prob import (brute_prob, fact_probability, prob_eval,
                            prob_eval_hierarchical)
@@ -193,11 +198,109 @@ def test_an_uncertain_exogenous_fact_built_in_code_is_refused():
             engine(db, q)
 
 
-def test_world_enumeration_cap():
-    schema = parse_schema("relation R/1")
-    lines = "\n".join(f"prob 1/2 R(c{i})" for i in range(6))
-    db = parse_facts(lines, schema)
+def _literal_brute_prob(db: Database, query: Query) -> Fraction:
+    """The definition, literally: every set of the uncertain facts is a
+    world, weighing the product of ``p`` over its facts and ``1 - p`` over
+    the others, and the query is evaluated on it with the certain facts."""
+    certain = [f for f in db.facts if fact_probability(f) == 1]
+    uncertain = [f for f in db.facts if 0 < fact_probability(f) < 1]
+    total = Fraction(0)
+    for r in range(len(uncertain) + 1):
+        for chosen in combinations(uncertain, r):
+            picked = set(chosen)
+            weight = Fraction(1)
+            for f in uncertain:
+                p = fact_probability(f)
+                weight *= p if f in picked else 1 - p
+            if eval_boolean(certain + list(chosen), query):
+                total += weight
+    return total
+
+
+_MIXED = (None, Fraction(0), Fraction(1), Fraction(1, 3), Fraction(1, 2),
+          Fraction(5, 8))
+
+
+def _mixed(rng: random.Random, instance: tuple[Database, Query],
+           most: int = 8) -> tuple[Database, Query]:
+    """The instance with every fact, exogenous ones too, given a
+    probability drawn from ``_MIXED``; past ``most`` uncertain facts, the
+    uncertain draws become certain."""
+    db, query = instance
+    facts = []
+    for f in db.facts:
+        p = rng.choice(_MIXED)
+        if p is not None and 0 < p < 1:
+            most -= 1
+            p = p if most >= 0 else None
+        facts.append(Fact(f.relation, f.args, f.provenance, p))
+    return Database(db.schema, facts), query
+
+
+@pytest.mark.parametrize("draw, floor", [
+    (lambda rng: random_prob_instance(rng, max_uncertain=8), 30),
+    (lambda rng: _mixed(rng, random_instance(rng)), 30),
+    (lambda rng: _mixed(rng, random_union_instance(rng)), 60),
+], ids=["prob", "instance", "union"])
+def test_brute_prob_equals_the_literal_world_loop(draw, floor):
+    # most draws give 0 or 1, so a floor keeps the comparison from being
+    # vacuous
+    rng = random.Random(21021)
+    strict = 0
+    for _ in range(300):
+        db, query = draw(rng)
+        want = _literal_brute_prob(db, query)
+        assert brute_prob(db, query) == want
+        strict += 0 < want < 1
+    assert strict >= floor
+
+
+def test_impossible_fact_under_a_negated_atom():
+    schema = parse_schema("relation R/1\nrelation S/1")
+    db = parse_facts("prob 1/2 R(A)\nprob 0 S(A)", schema)
+    q = parse_query("q() :- R(x), not S(x).", schema)
+    assert brute_prob(db, q) == Fraction(1, 2)
+
+
+def test_certain_endogenous_facts():
+    schema = parse_schema("relation R/1\nrelation S/1")
+    db = parse_facts("endo R(A)\nprob 1 R(B)\nprob 1/3 S(A)", schema)
+    q = parse_query("q() :- R(x), not S(x), R(B).", schema)
+    assert brute_prob(db, q) == 1
+    q = parse_query("q() :- R(A), not S(A).", schema)
+    assert brute_prob(db, q) == Fraction(2, 3)
+
+
+def test_no_uncertain_facts():
+    schema = parse_schema("relation R/1\nrelation S/1")
+    db = parse_facts("endo R(A)\nexo S(A)\nprob 0 S(B)\nprob 1 R(B)",
+                     schema)
+    for text, want in [("q() :- R(x).", 1), ("q() :- R(x), S(x).", 1),
+                       ("q() :- R(x), not S(x), not R(B).", 0),
+                       ("q() :- S(B).", 0)]:
+        got = brute_prob(db, parse_query(text, schema))
+        assert type(got) is Fraction and got == want
+
+
+def test_world_enumeration_cap(tmp_path, capsys):
+    schema_path = tmp_path / "schema.txt"
+    schema_path.write_text("relation R/1\n")
+    facts_path = tmp_path / "facts.txt"
+    facts_path.write_text("".join(f"prob 1/2 R(c{i})\n"
+                                  for i in range(DEFAULT_CAP)))
+    schema = parse_schema(schema_path.read_text())
+    db = parse_facts(facts_path.read_text(), schema)
     q = parse_query("q() :- R(x).", schema)
-    with pytest.raises(CapExceededError):
-        brute_prob(db, q, cap=5)
-    assert brute_prob(db, q, cap=6) == 1 - Fraction(1, 2 ** 6)
+    with pytest.raises(CapExceededError,
+                       match=rf"^{DEFAULT_CAP} probabilistic facts exceed "
+                             rf"the enumeration cap {DEFAULT_CAP - 1}$"):
+        brute_prob(db, q, cap=DEFAULT_CAP - 1)
+    want = 1 - Fraction(1, 2 ** DEFAULT_CAP)
+    assert brute_prob(db, q) == want
+    with pytest.raises(SystemExit) as exited:
+        main(["prob", "--schema", str(schema_path), "--facts",
+              str(facts_path), "--query", "q() :- R(x).", "--method",
+              "brute"])
+    assert exited.value.code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["probability"]["value"] == str(want)
