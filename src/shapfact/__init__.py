@@ -18,9 +18,10 @@ Entry points:
 * :func:`shapley_additive_fpras` - seeded sampling for the hard cases:
   one pass over shared sampled orders values every fact, each with an
   additive (epsilon, delta) guarantee.
-* :func:`relevance` - the one zero-vs-nonzero decision, both directions
-  with a replayable witness, for polarity-consistent queries and unions;
-  :func:`shapley_is_zero` is its yes/no form.
+* :func:`relevance` - the one zero-vs-nonzero decision, for
+  polarity-consistent queries and unions: it scans the one direction the
+  fact's relation can flip the query, and its result is a replayable
+  witness or none; :func:`shapley_is_zero` is its yes/no form.
 * :func:`prob_eval` / :func:`brute_prob` - query probability when facts
   carry independent probabilities.
 * :func:`classify` - which of the above applies.

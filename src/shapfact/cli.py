@@ -23,8 +23,7 @@ from typing import Optional, Sequence
 from . import approx, exact, naive, prob, rewriting
 from .relevance import relevance as compute_relevance
 from .errors import InputError, RefusedError
-from .model import (Database, Fact, Query, RelationSym, Schema,
-                    single_disjunct)
+from .model import Database, Fact, Query, RelationSym, Schema
 from .parsing import (format_database, format_query, format_schema,
                       parse_fact_reference, parse_facts, parse_query,
                       parse_schema)
@@ -154,15 +153,13 @@ def _cmd_shapley(inv: Invocation) -> Report:
     extra: dict = {}
     # a single target is valued along its own path of the reverse pass
     if method == "exact":
-        rule = single_disjunct(query)
-        values = (exact.shapley_exact_all(db, rule) if inv.all_facts
-                  else {f: exact.shapley_exact(db, rule, f) for f in targets})
+        values = (exact.shapley_exact_all(db, query) if inv.all_facts
+                  else {f: exact.shapley_exact(db, query, f) for f in targets})
     elif method == "exo":
-        rule = single_disjunct(query)
         if inv.all_facts:
-            values, trace = rewriting.shapley_exo_all(db, rule)
+            values, trace = rewriting.shapley_exo_all(db, query)
         else:
-            value, trace = rewriting._shapley_exo_one(db, rule, targets[0])
+            value, trace = rewriting._shapley_exo_one(db, query, targets[0])
             values = {targets[0]: value}
         if inv.trace:
             extra["trace"] = trace.describe().splitlines()
@@ -224,7 +221,7 @@ def _cmd_prob(inv: Invocation) -> Report:
         answer = prob.brute_prob(db, query, cap=inv.cap)
     elif inv.method in ("auto", "lifted"):
         method = "lifted"
-        answer = prob.prob_eval(db, single_disjunct(query))
+        answer = prob.prob_eval(db, query)
     else:
         raise InputError(f"unknown probability method {inv.method!r}; "
                          "expected auto, lifted or brute")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .errors import CapExceededError, InputError
 from .model import (
@@ -49,18 +49,10 @@ from .model import (
 #: will accept (2^cap worlds).  The CLI's ``--cap`` overrides it.
 DEFAULT_CAP = 20
 
-FactSource = Union[Database, Iterable[Fact]]
-
 
 # ---------------------------------------------------------------------------
 # homomorphism search
 # ---------------------------------------------------------------------------
-
-
-def _facts_of(source: FactSource) -> tuple[Fact, ...]:
-    if isinstance(source, Database):
-        return source.facts
-    return tuple(source)
 
 
 class _Index(dict):
@@ -175,9 +167,10 @@ def _search(atoms: list[Atom], index: _Index,
             del binding[name]
 
 
-def eval_boolean(world: FactSource, query: Query) -> bool:
-    """Truth value of the query on the given set of facts."""
-    facts = _facts_of(world)
+def eval_boolean(world: Iterable[Fact], query: Query) -> bool:
+    """Truth value of the query on the given set of facts (a ``Database``
+    iterates over its own)."""
+    facts = tuple(world)
     index = _index(facts)
     present = {f.key for f in facts}
     for disjunct in disjuncts_of(query):

@@ -3,12 +3,14 @@
 A fact is *positively relevant* if adding it flips some coalition from
 false to true, *negatively relevant* if it flips one from true to false,
 and its Shapley value is non-zero exactly when it is relevant either way.
-:func:`relevance` decides both directions in polynomial time for queries,
-unions included, in which every relation occurs with a single polarity.
-Such a query is monotone in each relation: adding a fact of a positive
-relation never makes it false, adding one of a negated relation never
-makes it true.  So for each assignment of a rule that could carry the flip,
-one coalition is the extreme case worth testing:
+:func:`relevance` decides this in polynomial time for queries, unions
+included, in which every relation occurs with a single polarity.  Such a
+query is monotone in each relation: adding a fact of a positive relation
+never makes it false, adding one of a negated relation never makes it
+true.  So a fact can flip the query only in the direction of its
+relation's polarity (a relation the query never names flips nothing), and
+that one direction is the only one scanned.  For each assignment of a rule
+that could carry the flip, one coalition is the extreme case worth testing:
 
 * positive side — the assignment sends a positive atom onto the fact; the
   candidate is its endogenous positive images (minus the fact) plus every
@@ -40,7 +42,7 @@ from .errors import NotPolarityConsistentError
 from .model import CQNeg, Database, Fact, Query, disjuncts_of
 from .naive import (_index, _Index, _match, eval_boolean, ground,
                     iter_homomorphisms)
-from .structure import is_polarity_consistent
+from .structure import relation_polarities
 
 
 @dataclass(frozen=True)
@@ -57,13 +59,22 @@ class RelevanceWitness:
 
 @dataclass(frozen=True)
 class RelevanceResult:
-    pos_relevant: bool
-    neg_relevant: bool
+    """The verdicts are read off the witness: a fact is relevant iff some
+    coalition is flipped, in the direction of the witness's side."""
+
     witness: Optional[RelevanceWitness]
 
     @property
     def relevant(self) -> bool:
-        return self.pos_relevant or self.neg_relevant
+        return self.witness is not None
+
+    @property
+    def pos_relevant(self) -> bool:
+        return self.witness is not None and self.witness.side == "positive"
+
+    @property
+    def neg_relevant(self) -> bool:
+        return self.witness is not None and self.witness.side == "negative"
 
 
 def _assignments(rule: CQNeg, fact: Fact, side: str, index: _Index
@@ -87,43 +98,37 @@ def _assignments(rule: CQNeg, fact: Fact, side: str, index: _Index
 
 
 def relevance(db: Database, query: Query, fact: Fact) -> RelevanceResult:
-    """Is the fact positively and/or negatively relevant?  The witness
-    comes from whichever side fired (positive side preferred).
+    """Is the fact relevant?  Only the direction of its relation's polarity
+    is scanned (positive when the query never names the relation); the
+    witness is the first flipped coalition, in rule order.
 
     Raises ``FactNotEndogenousError`` unless the fact is an endogenous
     fact of the database, and ``NotPolarityConsistentError`` when some
     relation occurs both positively and negatively."""
     fact = db.require_endogenous(fact)
-    if not is_polarity_consistent(query):
+    polarity = relation_polarities(query)
+    if "mixed" in polarity.values():
         raise NotPolarityConsistentError(
             "some relation occurs both positively and negatively; the "
-            "relevance test does not apply"
-        )
-    rules = disjuncts_of(query)
-    negated = {a.relation.name for rule in rules for a in rule.negatives}
-    kept = {f for f in db.endogenous if f.relation.name in negated}
+            "relevance test does not apply")
+    side = polarity.get(fact.relation.name, "positive")
+    kept = {f for f in db.endogenous
+            if polarity.get(f.relation.name) == "negative"}
     exo = list(db.exogenous)
+    # on the negative side the fact joins the coalition's world
+    joined = [fact] if side == "negative" else []
     index = _index(db.facts)
-
-    def first_flip(side: str) -> Optional[RelevanceWitness]:
-        for d, rule in enumerate(rules):
-            homs = _assignments(rule, fact, side, index)
-            for h, pos, neg in ground(db, rule, homs):
-                if side == "negative" and fact not in neg:
-                    continue
-                coalition = sorted((set(pos) | kept.difference(neg))
-                                   - {fact}, key=lambda f: f.key)
-                world = exo + coalition
-                if side == "negative":
-                    world.append(fact)
-                if not eval_boolean(world, query):
-                    return RelevanceWitness(side, tuple(sorted(h.items())),
-                                            tuple(coalition), d)
-        return None
-
-    pos = first_flip("positive")
-    neg = first_flip("negative")
-    return RelevanceResult(pos is not None, neg is not None, pos or neg)
+    for d, rule in enumerate(disjuncts_of(query)):
+        homs = _assignments(rule, fact, side, index)
+        for h, pos, neg in ground(db, rule, homs):
+            if fact not in (pos if side == "positive" else neg):
+                continue
+            coalition = sorted((set(pos) | kept.difference(neg)) - {fact},
+                               key=lambda f: f.key)
+            if not eval_boolean(exo + coalition + joined, query):
+                return RelevanceResult(RelevanceWitness(
+                    side, tuple(sorted(h.items())), tuple(coalition), d))
+    return RelevanceResult(None)
 
 
 def shapley_is_zero(db: Database, query: Query, fact: Fact) -> bool:

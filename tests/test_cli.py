@@ -21,7 +21,7 @@ from conftest import (DATA, Q2, RULE_SHAPES, STAFF_Q1_VALUES,
                       random_q2_instance, random_shaped_instance)
 from shapfact.cli import (Invocation, build_parser, invocation_from_args,
                           main, resolve_method, run)
-from shapfact.naive import DEFAULT_CAP
+from shapfact.naive import DEFAULT_CAP, eval_boolean
 from shapfact.parsing import (format_database, format_query, format_schema,
                               parse_query)
 from shapfact.rewriting import rewrite
@@ -183,6 +183,25 @@ def test_exit_two_on_obstructing_path(tmp_path):
                               "T(y, w).")
     assert code == 2
     assert "refused:" in err
+
+
+@pytest.mark.parametrize("command, method, target", [
+    ("shapley", "exact", dict(all_facts=True)),
+    ("shapley", "exact", dict(fact="TA(Adam)")),
+    ("shapley", "exo", dict(all_facts=True)),
+    ("shapley", "exo", dict(fact="TA(Adam)")),
+    ("prob", "auto", {}),
+], ids=["exact-all", "exact-fact", "exo-all", "exo-fact", "prob"])
+def test_exit_two_on_a_union_for_single_rule_engines(command, method,
+                                                     target):
+    # the engines themselves refuse a union; the CLI passes it on as is
+    code, out, err = _run(command=command, schema=SCHEMA, facts=FACTS,
+                          query="q() :- TA(x).\nq() :- Reg(x, y).",
+                          method=method, **target)
+    assert code == 2
+    assert out == ""
+    assert err == ("refused: expected a single conjunctive rule, got a "
+                   "union of 2\n")
 
 
 def test_cap_option_moves_auto_to_approx():
@@ -517,10 +536,9 @@ def test_exact_commands_do_not_import_numpy():
     assert result.stdout.strip() == "False"
 
 
-def test_readme_quick_start_prints_its_output_block(tmp_path, monkeypatch,
-                                                     capsys):
-    """The README's quick start, run as written, prints the output block
-    that follows it, byte for byte."""
+def _readme_quick_start(tmp_path):
+    """The quick start's script and output block, with the files its
+    script writes written into ``tmp_path``."""
     section = README.read_text().split("## Quick start\n", 1)[1]
     section = section.split("\n## ", 1)[0]
     script, expected = re.findall(r"^```(?:sh)?\n(.*?)^```$", section,
@@ -528,6 +546,14 @@ def test_readme_quick_start_prints_its_output_block(tmp_path, monkeypatch,
     for name, body in re.findall(r"^cat > (\S+) <<'EOF'\n(.*?)^EOF$",
                                  script, re.DOTALL | re.MULTILINE):
         (tmp_path / name).write_text(body)
+    return script, expected
+
+
+def test_readme_quick_start_prints_its_output_block(tmp_path, monkeypatch,
+                                                     capsys):
+    """The README's quick start, run as written, prints the output block
+    that follows it, byte for byte."""
+    script, expected = _readme_quick_start(tmp_path)
     command = shlex.split(re.search(r"^shapfact .*", script.replace(
         "\\\n", ""), re.DOTALL | re.MULTILINE)[0])
     assert command[-2:] == ["--format", "table"]
@@ -536,3 +562,26 @@ def test_readme_quick_start_prints_its_output_block(tmp_path, monkeypatch,
         main(command[1:])
     assert exited.value.code == 0
     assert capsys.readouterr().out == expected
+
+
+def test_readme_library_use_runs_as_written(tmp_path, monkeypatch):
+    """The README's library block, run beside the quick start's files,
+    gives the quick start's values and a relevance witness that replays."""
+    _, expected = _readme_quick_start(tmp_path)
+    values = {fact: Fraction(value) for fact, value in re.findall(
+        r"^  (\S.*?\))\s+endo\s+(\S+)", expected, re.MULTILINE)}
+    assert len(values) == 3
+    section = README.read_text().split("## Library use\n", 1)[1]
+    block = re.search(r"^```python\n(.*?)^```$", section,
+                      re.DOTALL | re.MULTILINE)[1]
+    monkeypatch.chdir(tmp_path)
+    scope: dict = {}
+    exec(block, scope)
+    assert {str(f): v for f, v in scope["values"].items()} == values
+
+    db, query, fact = scope["db"], scope["query"], scope["fact"]
+    witness = scope["relevance"](db, query, fact).witness
+    world = db.exogenous + witness.coalition
+    holds = [eval_boolean(w, query) for w in (world, world + (fact,))]
+    assert holds == ([False, True] if witness.side == "positive"
+                     else [True, False])

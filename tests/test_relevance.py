@@ -1,6 +1,7 @@
 """Relevance decisions: polynomial algorithms vs enumeration, witnesses."""
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -9,9 +10,12 @@ import pytest
 from conftest import (QRSTNR, random_instance, random_union_instance,
                       staff_fact)
 from shapfact.errors import NotPolarityConsistentError
+from shapfact.model import (Database, Fact, Provenance, RelationSym,
+                            disjuncts_of)
 from shapfact.naive import brute_relevance, brute_shapley, eval_boolean
 from shapfact.parsing import parse_facts, parse_query, parse_schema
 from shapfact.relevance import relevance, shapley_is_zero
+from shapfact.structure import relation_polarities
 
 
 def replay(db, query, witness, fact):
@@ -152,3 +156,66 @@ def test_union_agreement_with_enumeration():
     assert witnesses["positive"] >= 150
     assert witnesses["negative"] >= 20
     assert witnesses["second rule"] >= 80
+
+
+def test_one_scan_per_rule_in_the_fact_s_direction(staff_db, q1,
+                                                     monkeypatch):
+    """A fact can flip a polarity-consistent query only the way its
+    relation's polarity says, so each call scans each rule it reaches once,
+    on that side, and stops at the first witness."""
+    module = sys.modules[relevance.__module__]
+    real, sides = module._assignments, []
+
+    def spy(rule, fact, side, index):
+        sides.append(side)
+        return real(rule, fact, side, index)
+
+    monkeypatch.setattr(module, "_assignments", spy)
+    rng = random.Random(77)
+    draws = [(staff_db, q1)] + [random_union_instance(rng)
+                                for _ in range(40)]
+    reached_second = 0
+    for db, query in draws:
+        polarity = relation_polarities(query)
+        for fact in db.endogenous:
+            sides.clear()
+            witness = relevance(db, query, fact).witness
+            reached = (len(disjuncts_of(query)) if witness is None
+                       else witness.disjunct + 1)
+            side = polarity.get(fact.relation.name, "positive")
+            assert sides == [side] * reached
+            reached_second += reached == 2
+    assert reached_second >= 100  # 135 calls at seed 77
+
+
+def test_facts_no_atom_names_change_no_result():
+    """Adding facts of a relation the query never names leaves every
+    original fact's result, witness included, as it was, and the added
+    endogenous facts are relevant to neither engine."""
+    rng = random.Random(4242)
+    original = relevant = added = 0
+    for draw in range(300):
+        db, query = (random_union_instance(rng) if draw % 2 else
+                     random_instance(rng, max_endo=7,
+                                     polarity_consistent=True))
+        before = {f: relevance(db, query, f) for f in db.endogenous}
+        extra = RelationSym("N", rng.choice((1, 2)))
+        facts = {}
+        for _ in range(rng.randint(1, 4)):
+            args = tuple(rng.choice(("c0", "c1", "c2"))
+                         for _ in range(extra.arity))
+            facts[args] = Fact(extra, args, rng.choice(list(Provenance)))
+        grown = Database(db.schema.extended([extra]),
+                         db.facts + tuple(facts.values()))
+        for fact in grown.endogenous:
+            if fact.relation == extra:
+                assert not relevance(grown, query, fact).relevant
+                assert not brute_relevance(grown, query, fact).relevant
+                added += 1
+            else:
+                assert relevance(grown, query, fact) == before[fact]
+                original += 1
+                relevant += before[fact].relevant
+    # seed 4242 gives 990 original facts, 177 of them relevant, and 315
+    # added ones
+    assert original >= 800 and relevant >= 120 and added >= 250
