@@ -44,7 +44,7 @@ from .model import (Atom, CQNeg, Const, Database, Fact, Provenance, Query,
                     validate_query)
 from .naive import (GapInstance, SubsetOracle, brute_count_satisfying,
                     brute_relevance, brute_shapley, brute_shapley_all,
-                    eval_boolean, gen_gap_instance, shapley_weight)
+                    eval_boolean, gen_gap_instance)
 from .parsing import (format_database, format_fact, format_query,
                       format_schema, parse_fact_reference, parse_facts,
                       parse_query, parse_schema)
@@ -77,8 +77,7 @@ __all__ = [
     "parse_schema", "prob_eval", "prob_eval_hierarchical", "relevance",
     "rewrite", "shapley_additive_fpras", "shapley_exact",
     "shapley_exact_all", "shapley_exo", "shapley_exo_all",
-    "shapley_is_zero", "shapley_weight",
-    "single_disjunct", "validate_database",
+    "shapley_is_zero", "single_disjunct", "validate_database",
     "validate_query",
     "ShapfactError", "InputError", "RefusedError", "InternalError",
     "QuerySyntaxError", "SchemaSyntaxError", "UnknownRelationError",

@@ -156,13 +156,12 @@ def _cmd_shapley(inv: Invocation) -> Report:
         values = (exact.shapley_exact_all(db, query) if inv.all_facts
                   else {f: exact.shapley_exact(db, query, f) for f in targets})
     elif method == "exo":
-        if inv.all_facts:
-            values, trace = rewriting.shapley_exo_all(db, query)
-        else:
-            value, trace = rewriting._shapley_exo_one(db, query, targets[0])
-            values = {targets[0]: value}
+        values = (rewriting.shapley_exo_all(db, query) if inv.all_facts
+                  else {f: rewriting.shapley_exo(db, query, f)
+                        for f in targets})
         if inv.trace:
-            extra["trace"] = trace.describe().splitlines()
+            extra["trace"] = (rewriting.rewrite(db, query)[2]
+                              .describe().splitlines())
     elif method == "brute":
         if inv.all_facts:
             values = naive.brute_shapley_all(db, query, cap=inv.cap)

@@ -224,9 +224,7 @@ def single_disjunct(query: Query) -> CQNeg:
     """Unwrap a query known to consist of a single conjunctive rule."""
     parts = disjuncts_of(query)
     if len(parts) != 1:
-        from .errors import UnsupportedQueryError
-
-        raise UnsupportedQueryError(
+        raise errors.UnsupportedQueryError(
             f"expected a single conjunctive rule, got a union of {len(parts)}"
         )
     return parts[0]
@@ -365,9 +363,8 @@ class Database:
 
     def _require(self, fact: Fact) -> None:
         if fact.key not in self.by_key:
-            from .errors import UnknownFactError
-
-            raise UnknownFactError(f"fact {fact} is not in the database")
+            raise errors.UnknownFactError(
+                f"fact {fact} is not in the database")
 
 
 # ---------------------------------------------------------------------------

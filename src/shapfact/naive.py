@@ -18,7 +18,10 @@ in that coalitional game::
     value(f)  =  sum over E ⊆ endo \\ {f} of
                  |E|! (n - 1 - |E|)! / n!  *  (worth(E ∪ {f}) - worth(E))
 
-where ``n`` is the number of endogenous facts.
+where ``n`` is the number of endogenous facts.  The flips give each
+fact's gains by coalition size ``k``; their weighted sum is taken over the
+integers ``k! (n - 1 - k)!`` and divided by ``n!`` once, into one
+``Fraction`` per fact.
 """
 
 from __future__ import annotations
@@ -337,12 +340,6 @@ def _lowest(coalitions: int) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 
-def shapley_weight(n: int, k: int) -> Fraction:
-    """The permutation weight ``k! (n-1-k)! / n!`` of a coalition of size
-    ``k`` out of ``n`` players."""
-    return Fraction(factorial(k) * factorial(n - 1 - k), factorial(n))
-
-
 def brute_count_satisfying(db: Database, query: Query,
                            cap: int = DEFAULT_CAP) -> list[int]:
     """``result[k]`` = number of k-subsets ``E`` of the endogenous facts
@@ -353,12 +350,11 @@ def brute_count_satisfying(db: Database, query: Query,
 
 
 def _weigh(gains: list[int]) -> Fraction:
-    """The Shapley value of a fact from its gains by coalition size."""
+    """The Shapley value of a fact from its gains by coalition size: the
+    integer sum of ``k! (n-1-k)! * gains[k]``, divided once by ``n!``."""
     n = len(gains)
-    return sum(
-        (shapley_weight(n, k) * g for k, g in enumerate(gains) if g),
-        Fraction(0),
-    )
+    return Fraction(sum(factorial(k) * factorial(n - 1 - k) * g
+                        for k, g in enumerate(gains) if g), factorial(n))
 
 
 def brute_shapley(db: Database, query: Query, fact: Fact,

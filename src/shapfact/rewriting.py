@@ -39,12 +39,15 @@ The exogenous relations are the ones the schema declares ``exogenous``.
 Every step keeps the truth value of the rule on every coalition of the
 facts it keeps, and drops only null players: removing a null player
 leaves every other Shapley value and the query's probability unchanged.
-:func:`shapley_exo_all` gives each dropped fact its value 0.  The
-package's tests replay the recorded steps one at a time and check exactly
-that.  Step application is a pure function (:func:`apply_step`): a step
-holds the atoms it removes and what takes their place, so the steps of a
-:class:`RewriteTrace`, applied in order to the original rule and database
-over the trace's domain, rebuild the rewritten ones.
+:func:`shapley_exo_all` and :func:`shapley_exo` rewrite, then call the
+exact engine's entry points, and give each dropped fact its value 0; like
+the exact engine they return values only, and :func:`rewrite` returns the
+trace of its steps.  The package's tests replay the recorded steps one at
+a time and check exactly that.  Step application is a pure function
+(:func:`apply_step`): a step holds the atoms it removes and what takes
+their place, so the steps of a :class:`RewriteTrace`, applied in order to
+the original rule and database over the trace's domain, rebuild the
+rewritten ones.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from .errors import (
     InternalError,
     SelfJoinError,
 )
+from .exact import shapley_exact, shapley_exact_all
 from .model import (
     RESERVED_PREFIX,
     Atom,
@@ -77,6 +81,7 @@ from .model import (
     schema_violations,
     single_disjunct,
 )
+from .naive import _image, _index, _match, iter_homomorphisms
 from .structure import (
     exogenous_atom_components,
     exogenous_variables,
@@ -177,8 +182,6 @@ def _split(db: Database, component: Sequence[Atom]
     """The positive atoms of ``component``, their facts by relation, and a
     test of whether an assignment sends a negated atom of the component
     onto one of its facts."""
-    from .naive import _image, _index
-
     positive = [a for a in component if not a.negated]
     negated = [a for a in component if a.negated]
     index = _index(f for a in positive
@@ -194,8 +197,6 @@ def _split(db: Database, component: Sequence[Atom]
 
 def _filter(db: Database, rule: CQNeg, step: FilterStep
             ) -> tuple[Database, CQNeg, int]:
-    from .naive import _match, iter_homomorphisms
-
     component, anchor = step.component, step.anchor
     positive, index, blocked = _split(db, component)
     inside = {v for a in component for v in a.variables}
@@ -225,8 +226,6 @@ def _filter(db: Database, rule: CQNeg, step: FilterStep
 
 def _materialise(db: Database, rule: CQNeg, step: MaterialiseStep,
                  domain: Sequence[str]) -> tuple[Database, CQNeg, int]:
-    from .naive import iter_homomorphisms
-
     component = step.component
     positive, index, blocked = _split(db, component)
     bound = {v for a in positive for v in a.variables}
@@ -349,36 +348,22 @@ def _containing_atom(ordinary: Sequence[Atom], needed: tuple[str, ...]
     )
 
 
-def shapley_exo_all(db: Database, query: Query
-                    ) -> tuple[dict[Fact, Fraction], RewriteTrace]:
+def shapley_exo_all(db: Database, query: Query) -> dict[Fact, Fraction]:
     """Shapley values of every endogenous fact of ``db``, computed by
-    rewriting the exogenous relations away and running the exact engine,
-    and the rewrite's trace.  A fact that a filter step dropped is a null
-    player and gets 0."""
-    from .exact import shapley_exact_all
-
-    new_db, new_rule, trace = rewrite(db, query)
+    rewriting the exogenous relations away and running the exact engine.
+    A fact that a filter step dropped is a null player and gets 0."""
+    new_db, new_rule, _trace = rewrite(db, query)
     values = shapley_exact_all(new_db, new_rule)
     zero = Fraction(0)
-    return {f: values.get(f, zero) for f in db.endogenous}, trace
-
-
-def _shapley_exo_one(db: Database, query: Query, fact: Fact
-                     ) -> tuple[Fraction, RewriteTrace]:
-    """The Shapley value of an endogenous fact, by the exact engine along
-    the fact's path in the rewritten database, and the rewrite's trace.  A
-    fact that a filter step dropped is a null player and reads 0 without
-    a count."""
-    from .exact import shapley_exact
-
-    stored = db.require_endogenous(fact)
-    new_db, new_rule, trace = rewrite(db, query)
-    if stored not in new_db:
-        return Fraction(0), trace
-    return shapley_exact(new_db, new_rule, stored), trace
+    return {f: values.get(f, zero) for f in db.endogenous}
 
 
 def shapley_exo(db: Database, query: Query, fact: Fact) -> Fraction:
-    """Shapley value of an endogenous fact, by the exact engine on the
-    rewritten database."""
-    return _shapley_exo_one(db, query, fact)[0]
+    """Shapley value of an endogenous fact, by the exact engine along the
+    fact's path in the rewritten database.  A fact that a filter step
+    dropped is a null player and reads 0 without a count."""
+    stored = db.require_endogenous(fact)
+    new_db, new_rule, _trace = rewrite(db, query)
+    if stored not in new_db:
+        return Fraction(0)
+    return shapley_exact(new_db, new_rule, stored)

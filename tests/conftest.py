@@ -15,7 +15,7 @@ from typing import Collection
 import pytest
 
 from shapfact.model import (Atom, CQNeg, Const, Database, Fact, Provenance,
-                            RelationSym, Schema, UCQNeg, Var,
+                            RelationSym, Schema, UCQNeg, Var, active_domain,
                             single_disjunct)
 from shapfact.parsing import parse_facts, parse_query, parse_schema
 from shapfact.structure import (VerdictKind, classify, is_hierarchical,
@@ -91,6 +91,22 @@ def with_exogenous(rule: CQNeg, names: Collection[str]) -> CQNeg:
 
     return CQNeg(tuple(Atom(flagged(a.relation), a.terms, a.negated)
                        for a in rule.atoms), head=rule.head)
+
+
+def reverse_constants(db: Database, rule: CQNeg
+                      ) -> tuple[Database, CQNeg, dict[str, str]]:
+    """``db`` and ``rule`` with every constant renamed so that the sorted
+    active domain reverses (the smallest constant becomes the largest, and
+    so on), and the renaming."""
+    constants = active_domain(db, rule)
+    names = {c: f"v{len(constants) - i:02d}" for i, c in enumerate(constants)}
+    facts = [Fact(f.relation, tuple(names[a] for a in f.args), f.provenance,
+                  f.probability) for f in db.facts]
+    atoms = tuple(
+        Atom(a.relation, tuple(Const(names[t.value]) if isinstance(t, Const)
+                               else t for t in a.terms), a.negated)
+        for a in rule.atoms)
+    return Database(db.schema, facts), CQNeg(atoms, head=rule.head), names
 
 
 def staff_fact(db: Database, name: str, *args: str) -> Fact:

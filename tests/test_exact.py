@@ -9,14 +9,13 @@ import pytest
 
 from conftest import (Q2, RULE_SHAPES, STAFF_Q1_SAT_COUNTS, STAFF_Q1_VALUES,
                       random_hierarchical_instance, random_instance,
-                      random_shaped_instance, staff_fact)
+                      random_shaped_instance, reverse_constants, staff_fact)
 from shapfact import decompose, exact
 from shapfact.errors import (FactNotEndogenousError, NotHierarchicalError,
                              SelfJoinError)
 from shapfact.exact import (count_satisfying_subsets, shapley_exact,
                             shapley_exact_all)
-from shapfact.model import (Atom, CQNeg, Const, Database, Fact, Provenance,
-                            Var, active_domain)
+from shapfact.model import Database, Fact, Provenance, Var
 from shapfact.naive import (brute_count_satisfying, brute_shapley,
                             brute_shapley_all, eval_boolean)
 from shapfact.parsing import parse_facts, parse_query, parse_schema
@@ -310,26 +309,12 @@ def test_one_target_correlates_once_per_chain_on_its_path(staff_schema, q1,
     assert calls["correlate"] > 2 * db.n_endogenous
 
 
-def _renamed(db, query, names):
-    facts = [Fact(f.relation, tuple(names[a] for a in f.args), f.provenance,
-                  f.probability) for f in db.facts]
-    atoms = tuple(
-        Atom(a.relation, tuple(Const(names[t.value]) if isinstance(t, Const)
-                               else t for t in a.terms), a.negated)
-        for a in query.atoms)
-    return Database(db.schema, facts), CQNeg(atoms)
-
-
 def test_order_reversing_renaming_keeps_every_value():
     rng = random.Random(8642)
     for shape in RULE_SHAPES:
         for _ in range(20):
             db, query = random_shaped_instance(rng, shape)
-            constants = active_domain(db, query)
-            # the smallest constant becomes the largest, and so on
-            names = {c: f"v{len(constants) - i:02d}"
-                     for i, c in enumerate(constants)}
-            new_db, new_query = _renamed(db, query, names)
+            new_db, new_query, names = reverse_constants(db, query)
             moved = {Fact(f.relation, tuple(names[a] for a in f.args)): v
                      for f, v in shapley_exact_all(db, query).items()}
             assert shapley_exact_all(new_db, new_query) == moved

@@ -23,10 +23,10 @@ from shapfact.model import (Database, Fact, Provenance, RelationSym, Var,
                             disjuncts_of)
 from shapfact import naive
 from shapfact.naive import (DEFAULT_CAP, SubsetOracle, _index, _match,
-                            brute_count_satisfying, brute_relevance,
+                            _weigh, brute_count_satisfying, brute_relevance,
                             brute_shapley, brute_shapley_all, eval_boolean,
                             gen_gap_instance, hom_profiles,
-                            iter_homomorphisms, shapley_weight)
+                            iter_homomorphisms)
 from shapfact.parsing import parse_facts, parse_query, parse_schema
 from shapfact.relevance import relevance
 
@@ -60,11 +60,11 @@ def test_subset_formula_equals_permutation_definition():
 
 
 def test_weights_cover_all_coalitions():
-    # summing weight(n, k) over the C(n-1, k) coalitions of each size
-    # accounts for every permutation exactly once
+    # a fact that gains in each of the C(n-1, k) coalitions of every size
+    # k gains in every permutation, so the weights account for each
+    # permutation exactly once
     for n in range(1, 9):
-        assert sum(math.comb(n - 1, k) * shapley_weight(n, k)
-                   for k in range(n)) == 1
+        assert _weigh([math.comb(n - 1, k) for k in range(n)]) == 1
 
 
 def _world(*facts_text):

@@ -8,13 +8,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import (GAIFMAN_QPRIME, NOPATH_Q, PATH_QPRIME, Q2, Q2_SHAPES,
-                      random_exo_rewrite_instance, random_q2_instance,
-                      staff_fact, with_exogenous)
+                      RULE_SHAPES, random_exo_rewrite_instance,
+                      random_q2_instance, random_shaped_instance,
+                      reverse_constants, staff_fact, with_exogenous)
 from shapfact import decompose, rewriting
 from shapfact.errors import (BlowupExceededError, HasNonHierPathError,
                              ProvenanceError, ReservedNameError,
                              SelfJoinError)
-from shapfact.exact import shapley_exact_all
+from shapfact.exact import shapley_exact, shapley_exact_all
 from shapfact.model import (RESERVED_PREFIX, Atom, CQNeg, Database, Fact,
                             Provenance, RelationSym, Schema, Var,
                             active_domain, single_disjunct)
@@ -56,7 +57,7 @@ def test_course_query_rewrite_shape(staff_db_exo):
 def test_course_query_values_preserved(staff_db_exo):
     q = parse_query(Q2, staff_db_exo.schema)
     expected = brute_shapley_all(staff_db_exo, q)
-    values, _trace = shapley_exo_all(staff_db_exo, q)
+    values = shapley_exo_all(staff_db_exo, q)
     assert values == expected
     assert list(values) == list(staff_db_exo.endogenous)
 
@@ -199,8 +200,8 @@ def _check_guard(rule, kind):
     for facts, holds in (("endo A(a)\nendo B()\nexo V(b)", True),
                          ("endo A(a)\nendo B()", False)):
         db = parse_facts(facts, schema)
-        values, trace = shapley_exo_all(db, q)
-        assert [type(s) for s in trace.steps] == [kind]
+        values = shapley_exo_all(db, q)
+        assert [type(s) for s in rewrite(db, q)[2].steps] == [kind]
         expected = brute_shapley_all(db, q)
         assert values == expected
         assert any(expected.values()) == holds
@@ -302,8 +303,8 @@ def test_matches_oracle_on_random_instances():
     rng = random.Random(555)
     for _ in range(30):
         db, q = random_exo_rewrite_instance(rng, max_endo=7)
-        values, trace = shapley_exo_all(db, q)
-        assert len(trace.steps) == len(
+        values = shapley_exo_all(db, q)
+        assert len(rewrite(db, q)[2].steps) == len(
             exogenous_atom_components(single_disjunct(q)))
         assert values == brute_shapley_all(db, q)
 
@@ -378,7 +379,7 @@ def test_filter_steps_match_the_materialise_only_reference(generator, seed,
     for _ in range(200):
         db, rule = generator(rng, max_endo=8)
         expected = brute_shapley_all(db, rule)
-        values, _trace = shapley_exo_all(db, rule)
+        values = shapley_exo_all(db, rule)
         assert values == expected
         assert shapley_exact_all(*_materialise_only(db, rule)) == expected
         new_db, _, _ = rewrite(db, rule)
@@ -415,7 +416,7 @@ def test_single_fact_matches_all_and_dropped_facts_skip_the_count(
     nonzero = dropped = 0
     for _ in range(100):
         db, rule = generator(rng, max_endo=8)
-        values, _trace = shapley_exo_all(db, rule)
+        values = shapley_exo_all(db, rule)
         kept, _, _ = rewrite(db, rule)
         for fact in db.endogenous:
             counts.clear()
@@ -424,6 +425,73 @@ def test_single_fact_matches_all_and_dropped_facts_skip_the_count(
             dropped += fact not in kept
         nonzero += any(values.values())
     assert nonzero >= floors[0] and dropped >= floors[1]
+
+
+@pytest.mark.parametrize("generator, seed, floors", [
+    (random_q2_instance, 25001, (40, 0)),
+    (random_exo_rewrite_instance, 25002, (18, 55)),
+])
+def test_order_reversing_renaming_keeps_every_value(generator, seed, floors):
+    """Renaming every constant, in the facts and the rule, so that the
+    sorted domain reverses moves each value to the renamed fact; the
+    domain that materialise steps pad over reverses with it.  The floors
+    count the draws with a nonzero value, and with a materialise step
+    (Q2-shaped rules are filtered only)."""
+    rng = random.Random(seed)
+    nonzero = materialised = 0
+    for _ in range(200):
+        db, rule = generator(rng, max_endo=8)
+        new_db, new_rule, names = reverse_constants(db, rule)
+        values = shapley_exo_all(db, rule)
+        moved = {Fact(f.relation, tuple(names[a] for a in f.args)): v
+                 for f, v in values.items()}
+        assert shapley_exo_all(new_db, new_rule) == moved
+        nonzero += any(values.values())
+        materialised += any(isinstance(s, MaterialiseStep)
+                            for s in rewrite(db, rule)[2].steps)
+    assert nonzero >= floors[0] and materialised >= floors[1]
+
+
+@pytest.mark.parametrize("generator, seed, floor", [
+    (random_q2_instance, 25001, 40),
+    (random_exo_rewrite_instance, 25002, 18),
+])
+def test_facts_of_an_unused_relation_are_null_players(generator, seed,
+                                                      floor):
+    """An endogenous fact of a relation ``N`` that the schema declares and
+    the rule never names gets 0, and every other value stays; its fresh
+    constant also widens the domain that materialise steps pad over.  The
+    floor counts the draws with a nonzero value."""
+    rng = random.Random(seed)
+    unused = RelationSym("N", 1)
+    nonzero = 0
+    for _ in range(200):
+        db, rule = generator(rng, max_endo=8)
+        extra = Fact(unused, ("fresh",), Provenance.ENDOGENOUS)
+        grown = Database(db.schema.extended([unused]), db.facts + (extra,))
+        values = shapley_exo_all(db, rule)
+        assert shapley_exo_all(grown, rule) == {**values, extra: 0}
+        assert shapley_exo(grown, rule, extra) == 0
+        nonzero += any(values.values())
+    assert nonzero >= floor
+
+
+def test_without_exogenous_relations_exo_is_the_exact_engine():
+    """A hierarchical rule with no exogenous relation rewrites in no step,
+    so the exo engine returns the exact engine's values, for all facts and
+    for each one."""
+    rng = random.Random(25003)
+    nonzero = 0
+    for shape in sorted(RULE_SHAPES):
+        for _ in range(10):
+            db, rule = random_shaped_instance(rng, shape)
+            values = shapley_exact_all(db, rule)
+            assert shapley_exo_all(db, rule) == values
+            for fact in db.endogenous:
+                assert shapley_exo(db, rule, fact) \
+                    == shapley_exact(db, rule, fact)
+            nonzero += any(values.values())
+    assert nonzero >= 35
 
 
 # per shape: facts, and the arguments of the R facts that the filter
@@ -462,7 +530,7 @@ def test_anchor_shapes_drop_exactly_the_unusable_facts(shape):
     assert sorted(f.args for f in gone) == dropped
     expected = brute_shapley_all(db, rule)
     assert any(expected.values())
-    assert shapley_exo_all(db, rule)[0] == expected
+    assert shapley_exo_all(db, rule) == expected
 
 
 def test_trace_describe_is_readable(staff_db_exo):
