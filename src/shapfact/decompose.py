@@ -17,19 +17,21 @@ single probability.  The recursion:
    influence the query and only contribute the total weight of their
    worlds; every other fact goes to its atom's component, and from then on
    it is routed by its relation alone;
-3. independent parts multiply: their vectors convolve;
+3. independent parts multiply: their vectors convolve, and a lone part
+   passes up as it is;
 4. a lone component with an unbound variable is solved through its *root*
    variable (one occurring in all of the component's atoms): facts split
    by their argument at the root's position in their relation's atom into
-   independent sub-problems, the component fails exactly when every
-   sub-problem fails, so the failure vectors (each sub-problem's total
-   minus its satisfying vector) convolve, and the result is complemented
-   against the total; below the split the root is bound, and the atoms
-   split into components again.  Free facts are found here too: a root
-   value without a fact of some positive atom fails in every world, so
-   its failure vector is its total; the facts of all such root values
-   pool into one total with no subtree, and only the other root values'
-   sub-problems are solved;
+   independent sub-problems, one per root value in the order the values
+   first occur (the product does not depend on it), the component fails
+   exactly when every sub-problem fails, so the failure vectors (each
+   sub-problem's total minus its satisfying vector) convolve, and the
+   result is complemented against the total; below the split the root is
+   bound, and the atoms split into components again.  Free facts are
+   found here too: a root value without a fact of some positive atom
+   fails in every world, so its failure vector is its total; the facts of
+   all such root values pool into one total with no subtree, and only the
+   other root values' sub-problems are solved;
 5. a lone atom whose variables are all bound reads its vector off the
    weighting.
 
@@ -49,7 +51,8 @@ with no root variable, which compiling the plan refuses.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from itertools import repeat
+from operator import add, attrgetter, mul, sub
 from typing import (Any, Callable, Collection, Iterable, NamedTuple, Optional,
                     Sequence, Union)
 
@@ -100,6 +103,7 @@ Vector = list
 Total = Callable[[Sequence[Fact]], Vector]
 Ground = Callable[[Atom, Optional[Fact]], tuple[Vector, Any]]
 _UNIT: Vector = [1]  # the empty product, tested by identity
+_relation_name = attrgetter("relation.name")
 
 
 def weighted_count(query: Query, facts: Sequence[Fact], total: Total,
@@ -122,7 +126,8 @@ def weighted_count(query: Query, facts: Sequence[Fact], total: Total,
     returned it; or a convolution chain, a list with one ``(prefix,
     factor, child)`` per factor whose subtree holds a leaf: the product of
     the factors convolved before it (see :func:`_product`), the factor,
-    and its subtree."""
+    and its subtree.  A product of one factor is no chain: the factor's
+    own tree stands for it."""
     rule = single_disjunct(query)
     if not is_self_join_free(rule):
         raise SelfJoinError("weighted counting requires a self-join-free "
@@ -163,20 +168,22 @@ class _Split(NamedTuple):
 
     def solve(self, facts: Sequence[Fact], total: Total,
               ground: Ground) -> tuple[Vector, Any]:
-        groups: defaultdict[str, list[Fact]] = defaultdict(list)
+        position = self.position
+        groups: dict[str, list[Fact]] = {}
         for fact in facts:
-            groups[fact.args[self.position[fact.relation.name]]].append(fact)
+            groups.setdefault(fact.args[position[fact.relation.name]],
+                              []).append(fact)
         # the component fails exactly when every root value's sub-problem
-        # fails; failures over disjoint fact groups multiply.  A group
-        # without a fact of some positive atom fails in every world, so its
-        # failures are its total: such groups pool into free facts, whose
-        # one total has no subtree
+        # fails; failures over disjoint fact groups multiply, in any order.
+        # A group without a fact of some positive atom fails in every
+        # world, so its failures are its total: such groups pool into free
+        # facts, whose one total has no subtree
+        positive, below = self.positive, self.below.solve
         free: list[Fact] = []
         parts = []
-        for _value, group in sorted(groups.items()):
-            if (not self.positive
-                    or self.positive.issubset(f.relation.name for f in group)):
-                sat, child = self.below.solve(group, total, ground)
+        for group in groups.values():
+            if not positive or positive.issubset(map(_relation_name, group)):
+                sat, child = below(group, total, ground)
                 parts.append((_complement(total(group), sat), child))
             else:
                 free += group
@@ -239,7 +246,9 @@ def _compile(atoms: Sequence[Atom], bound: frozenset[str]
 def _complement(total: Vector, vector: Vector) -> Vector:
     if len(vector) != len(total):
         raise InternalError("root split lost track of endogenous facts")
-    return [t - v for t, v in zip(total, vector)]
+    if len(total) == 1:
+        return [total[0] - vector[0]]
+    return list(map(sub, total, vector))
 
 
 def _product(parts: Sequence[tuple[Vector, Any]]) -> tuple[Vector, Any]:
@@ -249,7 +258,10 @@ def _product(parts: Sequence[tuple[Vector, Any]]) -> tuple[Vector, Any]:
     each kind in the parts' order, so the chain holds exactly the parts
     with a subtree: the reverse pass never steps through a factor it has
     nothing to hand.  A product without leaves (every one of
-    probability's) keeps the parts' order and records nothing."""
+    probability's) keeps the parts' order and records nothing.  A product
+    of one part is that part, vector and tree."""
+    if len(parts) == 1:
+        return parts[0]
     vector = _UNIT
     later: list[tuple[Vector, Any]] = []
     for factor, child in parts:
@@ -265,15 +277,18 @@ def _product(parts: Sequence[tuple[Vector, Any]]) -> tuple[Vector, Any]:
 
 
 def _convolve(a: Vector, b: Vector) -> Vector:
+    if len(a) < len(b):
+        a, b = b, a
     # probabilities are length-1 vectors, whose product needs no sum
-    if len(a) == 1:
-        return [a[0] * y for y in b]
     if len(b) == 1:
-        return [x * b[0] for x in a]
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
+        if len(a) == 1:
+            return [a[0] * b[0]]
+        return list(map(mul, a, repeat(b[0])))
+    # each entry of the shorter vector adds a shifted multiple of the other
+    width = len(a)
+    out = [0] * (width + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            out[j:j + width] = map(add, out[j:j + width],
+                                   map(mul, a, repeat(y)))
     return out

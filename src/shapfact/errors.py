@@ -63,7 +63,14 @@ class ReservedNameError(InputError):
 
 class DuplicateFactError(InputError):
     """Two facts with the same relation and arguments disagree on
-    provenance or probability."""
+    provenance or probability: ``stored``, the one read first, and
+    ``fact``."""
+
+    def __init__(self, message: str, stored: object = None,
+                 fact: object = None):
+        super().__init__(message)
+        self.stored = stored
+        self.fact = fact
 
 
 class ProvenanceError(InputError):

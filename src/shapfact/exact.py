@@ -35,7 +35,8 @@ node's facts:
   corr(A_i, F_i)`` for the children to its left — no division, and no
   product of the siblings per child.  The factors without a subtree
   convolve first, so they sit in the prefixes and the pass never steps
-  through them;
+  through them.  A product of one factor is that factor, and the covector
+  passes to it unchanged;
 * a root split ``S = T - prod U_v`` with ``U_v = T_v - S_v`` flips the sign
   twice, so the covector passes through unchanged; binomials such as ``T``
   have equal derivatives in ``a_f`` and ``b_f`` and drop out;
@@ -44,10 +45,13 @@ node's facts:
   never reaches are null players and get 0.
 
 All of this is integer arithmetic; each value is one ``Fraction`` over
-``n!``.  The pass is linear in the covector, so it starts from ``W[k] /
-g`` with ``g`` the gcd of the weights, and each numerator is multiplied
-by ``g`` again: the weights share most of their bits (at 832 facts,
-5675 of 6867), and the pass's products shrink with them.
+``n!``, shared by the facts with the same numerator.  The weights are
+built from ``W[0] = (n-1)!`` by ``W[k+1] = W[k] (k+1) / (n-1-k)``, not
+from ``2n`` factorials.  The pass is linear in the covector, so it
+starts from ``W[k] / g`` with ``g`` the gcd of the weights, and each
+numerator is multiplied by ``g`` again: the weights share most of their
+bits (at 832 facts, 5675 of 6867), and the pass's products shrink with
+them.
 
 **Only the targets' paths.**  The forward count keeps a leaf only for the
 facts being valued, so every subtree without one is ``None`` and leaves
@@ -59,12 +63,13 @@ plus one correlation per chain on the path from the root to its leaf.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import comb, factorial, gcd
-from operator import mul
+from operator import add, attrgetter, countOf, mul
 from typing import Any, Collection, Optional, Sequence
 
 from . import decompose
-from .model import Atom, Database, Fact, Query
+from .model import Atom, Database, Fact, Provenance, Query
 
 CountVector = list[int]
 
@@ -73,9 +78,10 @@ def _binomials() -> decompose.Total:
     """The counting weighting's total: the binomials of the number of
     endogenous facts, each row built once per call of the recursion."""
     rows: dict[int, CountVector] = {}
+    provenance = attrgetter("provenance")
 
     def total(facts: Sequence[Fact]) -> CountVector:
-        n = sum(1 for f in facts if f.endogenous)
+        n = countOf(map(provenance, facts), Provenance.ENDOGENOUS)
         row = rows.get(n)
         if row is None:
             row = rows[n] = [comb(n, k) for k in range(n + 1)]
@@ -91,7 +97,7 @@ def _ground(targets: Collection[Fact]) -> decompose.Ground:
 
     def ground(atom: Atom, fact: Optional[Fact]
                ) -> tuple[CountVector, Optional[tuple[Fact, int]]]:
-        if fact is not None and fact.endogenous:
+        if fact is not None and fact.provenance is Provenance.ENDOGENOUS:
             sign = -1 if atom.negated else 1
             leaf = (fact, sign) if fact in targets else None
             return ([1, 0] if atom.negated else [0, 1]), leaf
@@ -106,9 +112,15 @@ def _correlate(a: Sequence[int], b: Sequence[int]) -> CountVector:
     """``out[t] = sum_s a[s + t] * b[s]``: the covector of one convolution
     factor given the covector ``a`` of the product and the other factor
     ``b``."""
-    width = len(b)
-    return [sum(map(mul, a[t:t + width], b))
-            for t in range(len(a) - width + 1)]
+    width, length = len(b), len(a) - len(b) + 1
+    if width > length:
+        return [sum(map(mul, a[t:t + width], b)) for t in range(length)]
+    # the shorter loop: each entry of ``b`` adds a slice of ``a``
+    out = [0] * length
+    for s, y in enumerate(b):
+        if y:
+            out = list(map(add, out, map(mul, a[s:s + length], repeat(y))))
+    return out
 
 
 def count_satisfying_subsets(db: Database, query: Query) -> CountVector:
@@ -147,12 +159,17 @@ def _shapley(db: Database, query: Query, targets: Sequence[Fact]
     numerators: dict[Fact, int] = {}
     scale = 1
     if tree is not None:
-        weights = [factorial(k) * factorial(n - 1 - k) for k in range(n)]
+        # k! (n-1-k)!, each from the one before
+        weights = [factorial(n - 1)]
+        for k in range(n - 1):
+            weights.append(weights[k] * (k + 1) // (n - 1 - k))
         scale = gcd(*weights)
         _reverse(tree, [w // scale for w in weights], numerators)
+    # few distinct numerators, each one Fraction
     total = factorial(n)
-    return {fact: Fraction(numerators.get(fact, 0) * scale, total)
-            for fact in targets}
+    values = {v: Fraction(v * scale, total)
+              for v in {0, *numerators.values()}}
+    return {fact: values[numerators.get(fact, 0)] for fact in targets}
 
 
 def shapley_exact_all(db: Database, query: Query) -> dict[Fact, Fraction]:

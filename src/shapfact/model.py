@@ -277,28 +277,31 @@ class Database:
         self.schema = schema
         by_key: dict[tuple[str, tuple[str, ...]], Fact] = {}
         for fact in facts:
-            prior = by_key.setdefault(fact.key, fact)
+            prior = by_key.setdefault((fact.relation.name, fact.args), fact)
             if prior is not fact and (
                     prior.provenance is not fact.provenance
                     or prior.probability != fact.probability):
                 raise DuplicateFactError(
                     f"conflicting duplicate fact {fact}: "
-                    f"{prior.provenance.value} vs {fact.provenance.value}"
-                )
+                    f"{prior.provenance.value} vs {fact.provenance.value}",
+                    prior, fact)
         self.by_key = by_key
-        # keys are unique, so sorting them orders the facts
+        # keys are unique, so sorting them orders the facts, and the facts
+        # of one relation are consecutive
         self.facts: tuple[Fact, ...] = tuple(
-            by_key[key] for key in sorted(by_key))
-        self.endogenous: tuple[Fact, ...] = tuple(
-            f for f in self.facts if f.endogenous
-        )
-        self.exogenous: tuple[Fact, ...] = tuple(
-            f for f in self.facts if not f.endogenous
-        )
-        by_rel: dict[str, list[Fact]] = {}
-        for f in self.facts:
-            by_rel.setdefault(f.relation.name, []).append(f)
-        self._by_rel = {name: tuple(fs) for name, fs in by_rel.items()}
+            map(by_key.__getitem__, sorted(by_key)))
+        endogenous: list[Fact] = []
+        exogenous: list[Fact] = []
+        starts: dict[str, int] = {}
+        for i, fact in enumerate(self.facts):
+            (endogenous if fact.provenance is Provenance.ENDOGENOUS
+             else exogenous).append(fact)
+            starts.setdefault(fact.relation.name, i)
+        self.endogenous = tuple(endogenous)
+        self.exogenous = tuple(exogenous)
+        ends = [*starts.values(), len(self.facts)][1:]
+        self._by_rel = {name: self.facts[start:end] for (name, start), end
+                        in zip(starts.items(), ends)}
 
     @property
     def n_endogenous(self) -> int:

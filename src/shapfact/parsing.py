@@ -102,9 +102,9 @@ def _unquote(text: str) -> str:
 
 def _args(text: str) -> tuple[str, ...]:
     """The constants of an argument list that the atom pattern matched;
-    without a quote, that is bare words between commas."""
+    without a quote, that is the bare words between commas and spaces."""
     if "'" not in text:
-        return tuple(map(str.strip, text.split(","))) if text else ()
+        return tuple(text.replace(",", " ").split())
     return tuple(_unquote(c) if c[0] == "'" else c
                  for c in _CONSTANT_RE.findall(text))
 
@@ -237,7 +237,8 @@ def parse_schema(text: str) -> Schema:
         raise errors.SchemaSyntaxError(f"line {lineno}: {exc}") from None
 
 
-# a whole fact line; blank and comment-only lines match with no keyword
+# a whole fact line; blank and comment-only lines match with no keyword.
+# Its groups are, in order, keyword, p, name and args
 _FACT_LINE = re.compile(
     rf"\s*(?:(?:(?P<keyword>exo|endo)|prob\s+(?P<p>\S+))\s+{_ATOM}\s*)?"
     r"(?:#.*)?"
@@ -283,7 +284,8 @@ def _resolve(lineno: int, name: str, args: tuple[str, ...],
 def parse_facts(text: str, schema: Schema) -> Database:
     """Parse fact lines into a database over ``schema``.
 
-    Identical duplicate lines are deduplicated; a line that disagrees about
+    The lines stream into :class:`Database`, which deduplicates each fact
+    once: identical duplicate lines merge, and a line that disagrees about
     an already-seen fact's provenance or probability is an error naming
     both lines.
 
@@ -296,32 +298,42 @@ def parse_facts(text: str, schema: Schema) -> Database:
     raise_first(schema_violations(schema))
     resolved: dict[tuple, tuple[RelationSym, Provenance,
                                 Optional[Fraction]]] = {}
-    first_seen: dict[tuple[str, tuple[str, ...]], tuple[int, Fact]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        m = _FACT_LINE.fullmatch(line)
-        if m is None:
-            raise errors.SchemaSyntaxError(
-                f"line {lineno}: expected 'exo|endo|prob p Name(c, ...)', "
-                f"got: {line.strip()}"
-            )
-        name = m["name"]
-        if name is None:
-            continue
-        args = _args(m["args"])
-        key = (name, len(args), m["keyword"], m["p"])
-        found = resolved.get(key)
-        if found is None:
-            found = resolved[key] = _resolve(lineno, name, args,
-                                             m["keyword"], m["p"], schema)
-        fact = Fact(found[0], args, found[1], found[2])
-        prior_line, prior = first_seen.setdefault(fact.key, (lineno, fact))
-        if prior is not fact and (prior.provenance is not fact.provenance
-                                  or prior.probability != fact.probability):
-            raise errors.DuplicateFactError(
-                f"line {lineno}: {format_fact(fact)} conflicts with line "
-                f"{prior_line}: {format_fact(prior)}"
-            )
-    return Database(schema, [fact for _, fact in first_seen.values()])
+    lines = text.splitlines()
+    lineno = 0
+
+    def facts():
+        nonlocal lineno
+        for lineno, line in enumerate(lines, start=1):
+            m = _FACT_LINE.fullmatch(line)
+            if m is None:
+                raise errors.SchemaSyntaxError(
+                    f"line {lineno}: expected 'exo|endo|prob p "
+                    f"Name(c, ...)', got: {line.strip()}"
+                )
+            keyword, p, name, args_text = m.groups()
+            if name is None:
+                continue
+            args = _args(args_text)
+            key = (name, len(args), keyword, p)
+            found = resolved.get(key)
+            if found is None:
+                found = resolved[key] = _resolve(lineno, name, args, keyword,
+                                                 p, schema)
+            yield Fact(found[0], args, found[1], found[2])
+
+    # the database refuses a conflicting duplicate as it reads the second
+    # line, the last one read; the first is the earliest line of the fact
+    try:
+        return Database(schema, facts())
+    except errors.DuplicateFactError as exc:
+        stored, fact = exc.stored, exc.fact
+        first = next(n for n, m in enumerate(map(_FACT_LINE.fullmatch, lines),
+                                             start=1)
+                     if m["name"] is not None
+                     and (m["name"], _args(m["args"])) == stored.key)
+        raise errors.DuplicateFactError(
+            f"line {lineno}: {format_fact(fact)} conflicts with line "
+            f"{first}: {format_fact(stored)}", stored, fact) from None
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,9 @@ def _ground(atom: Atom, fact: Optional[Fact]
             ) -> tuple[list[Union[_Ratio, int]], None]:
     """A ground atom's probability: an int for a certain, impossible or
     missing fact, else a ``_Ratio``."""
-    p = 0 if fact is None else fact_probability(fact)
+    p = 0 if fact is None else fact.probability
+    if p is None:  # a certain fact
+        p = 1
     numerator, denominator = p.numerator, p.denominator
     if atom.negated:
         numerator = denominator - numerator

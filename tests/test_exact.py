@@ -211,9 +211,11 @@ def test_single_fact_path_matches_all_across_rule_shapes():
 
 def _unscaled_full_pass(db, query):
     """Every endogenous fact's value by a reverse pass over all leaves
-    from the unscaled weights ``k! (n-1-k)!``: the reference for the
-    engine's pass, which divides the weights by their gcd and walks only
-    its targets' paths."""
+    from the unscaled weights ``k! (n-1-k)!``, each its two factorials,
+    and one Fraction per fact: the reference for the engine's pass, which
+    builds each weight from the one before, divides the weights by their
+    gcd, walks only its targets' paths and shares a Fraction between
+    equal numerators."""
     vector, tree = decompose.weighted_count(
         query, db.facts, exact._binomials(), exact._ground(db.endogenous))
     n = len(vector) - 1
@@ -261,6 +263,17 @@ def test_scaled_pass_matches_the_unscaled_full_pass(staff_schema, q1):
         assert sum(v != 0 for v in values.values()) >= 150
         for fact in rng.sample(list(db.endogenous), 5):
             assert shapley_exact(db, q1, fact) == expected[fact]
+    # and every rule shape at up to 10 endogenous facts
+    rng = random.Random(26001)
+    nontrivial = 0
+    for shape in sorted(RULE_SHAPES):
+        for _ in range(30):
+            db, query = random_shaped_instance(rng, shape, max_endo=10)
+            values = shapley_exact_all(db, query)
+            assert values == _unscaled_full_pass(db, query)
+            nontrivial += any(values.values())
+    # 104 of these 210 draws value some fact above or below 0
+    assert nontrivial >= 95
 
 
 def _path_chains(tree, fact):

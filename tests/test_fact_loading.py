@@ -5,14 +5,16 @@ name, arity, keyword and probability text) once, and splits argument lists
 without quotes on commas.  The reference below resolves, parses and checks
 every line on its own and reads every argument list with the constant
 pattern; both must give the same facts in the same order, or the same
-error."""
+error.  ``Database`` indexes the facts it is given in one pass; every view
+of a loaded database must equal both that of a database built from the
+reference's facts and the view recomputed from them here."""
 
 import random
 from fractions import Fraction
 from typing import Optional
 
 from shapfact import errors
-from shapfact.model import (Fact, Provenance, RelationSym, Schema,
+from shapfact.model import (Database, Fact, Provenance, RelationSym, Schema,
                             fact_violations, raise_first, schema_violations)
 from shapfact.parsing import (_CONSTANT_RE, _FACT_LINE, _unquote,
                               format_fact, parse_facts, parse_schema)
@@ -183,6 +185,37 @@ def _fact_file(rng: random.Random) -> tuple[str, int]:
     return rng.choice(["\n", "\r\n"]).join(lines), len(atoms)
 
 
+# every relation of the schema, and one it lacks
+NAMES = [rel.name for rel in SCHEMA.relations] + ["V"]
+
+
+def _row(fact: Fact) -> tuple:
+    return fact.relation, fact.args, fact.provenance, fact.probability
+
+
+def _rows(facts) -> list[tuple]:
+    return [_row(fact) for fact in facts]
+
+
+def _views(db: Database) -> tuple:
+    """Every view a database gives of its facts, each fact as a full row."""
+    return (_rows(db.facts), _rows(db.endogenous), _rows(db.exogenous),
+            {key: _row(fact) for key, fact in db.by_key.items()},
+            {name: _rows(db.relation_facts(name)) for name in NAMES},
+            {name: db.tuples(name) for name in NAMES})
+
+
+def _reference_views(facts: tuple[Fact, ...]) -> tuple:
+    """The views of ``_views``, from facts in canonical order."""
+    def of(name):
+        return [f for f in facts if f.relation.name == name]
+    return (_rows(facts), _rows(f for f in facts if f.endogenous),
+            _rows(f for f in facts if not f.endogenous),
+            {f.key: _row(f) for f in facts},
+            {name: _rows(of(name)) for name in NAMES},
+            {name: frozenset(f.args for f in of(name)) for name in NAMES})
+
+
 def _outcome(loader, text: str):
     try:
         return [(f.relation, f.args, f.provenance, f.probability)
@@ -205,6 +238,10 @@ def test_fact_loading_matches_the_per_line_reference():
                           if FIRST_ERRORS[fault][0] is kind
                           and FIRST_ERRORS[fault][1] in message)
         else:
+            reference = reference_parse_facts(text, SCHEMA)
+            assert _views(parse_facts(text, SCHEMA)) \
+                == _views(Database(SCHEMA, reference)) \
+                == _reference_views(reference), text
             loaded += bool(expected)
             deduplicated += len(expected) < fact_lines
     # every injected fault is the first error of many files, and most of
