@@ -270,7 +270,7 @@ class Database:
     conflicting.  All fact tuples exposed by this class are in canonical
     order (sorted by relation name, then arguments), so every downstream
     computation is deterministic.  ``by_key`` maps each fact's key to the
-    stored fact.
+    stored fact, and ``by_relation`` each relation name to its facts.
     """
 
     def __init__(self, schema: Schema, facts: Iterable[Fact]):
@@ -293,15 +293,15 @@ class Database:
         endogenous: list[Fact] = []
         exogenous: list[Fact] = []
         starts: dict[str, int] = {}
+        endo = Provenance.ENDOGENOUS  # a member lookup is slow in a loop
         for i, fact in enumerate(self.facts):
-            (endogenous if fact.provenance is Provenance.ENDOGENOUS
-             else exogenous).append(fact)
+            (endogenous if fact.provenance is endo else exogenous).append(fact)
             starts.setdefault(fact.relation.name, i)
         self.endogenous = tuple(endogenous)
         self.exogenous = tuple(exogenous)
         ends = [*starts.values(), len(self.facts)][1:]
-        self._by_rel = {name: self.facts[start:end] for (name, start), end
-                        in zip(starts.items(), ends)}
+        self.by_relation = {name: self.facts[start:end] for (name, start), end
+                            in zip(starts.items(), ends)}
 
     @property
     def n_endogenous(self) -> int:
@@ -330,10 +330,10 @@ class Database:
         return stored
 
     def relation_facts(self, name: str) -> tuple[Fact, ...]:
-        return self._by_rel.get(name, ())
+        return self.by_relation.get(name, ())
 
     def tuples(self, name: str) -> frozenset[tuple[str, ...]]:
-        return frozenset(f.args for f in self._by_rel.get(name, ()))
+        return frozenset(f.args for f in self.by_relation.get(name, ()))
 
     # -- derived databases --------------------------------------------------
 

@@ -19,10 +19,15 @@ extends the assignment and sends no negated atom onto a fact.
   an anti-join where it is negated (Yannakakis, "Algorithms for Acyclic
   Database Schemes", VLDB 1981).  Each anchor fact that matches the anchor
   binds the shared variables, and it stays iff the component holds under
-  that binding; the answer is computed once per distinct binding, so no
-  variable ranges over the active domain.  The other anchor facts are in
-  no satisfying grounding, so they are null players and are dropped, and
-  the component's atoms and relations go.
+  that binding, so no variable ranges over the active domain.  The
+  component is evaluated once per step, not once per binding: its
+  positive atoms are enumerated once, joined with the anchor facts'
+  distinct bindings when they leave a shared variable unbound, and
+  projected onto the shared variables.  Each anchor fact is matched
+  against the anchor once per rewrite, however many filter steps share
+  the anchor.  The other anchor facts are in no satisfying grounding, so
+  they are null players and are dropped, and the component's atoms and
+  relations go.
 * A **materialise** step, the fallback when no positive ordinary atom
   holds the shared variables, replaces the component by one fresh
   exogenous atom.  Its variables are the shared variables, then the other
@@ -47,14 +52,20 @@ a time and check exactly that.  Step application is a pure function
 (:func:`apply_step`): a step holds the atoms it removes and what takes
 their place, so the steps of a :class:`RewriteTrace`, applied in order to
 the original rule and database over the trace's domain, rebuild the
-rewritten ones.
+rewritten ones.  :func:`rewrite` applies its steps to the facts by
+relation and builds the rewritten database once, at the end;
+:func:`apply_step` builds one per replayed step.  A rule with no
+exogenous relation takes no step and gets its database back as it is,
+and the trace's domain is computed only when it is read.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Sequence, Union
 
 from .errors import (
@@ -81,10 +92,9 @@ from .model import (
     schema_violations,
     single_disjunct,
 )
-from .naive import _image, _index, _match, iter_homomorphisms
+from .naive import _Index, _match, iter_homomorphisms
 from .structure import (
     exogenous_atom_components,
-    exogenous_variables,
     has_non_hierarchical_path,
     is_hierarchical,
     is_self_join_free,
@@ -94,6 +104,8 @@ from .structure import (
 #: Refuse any materialise step that would build more tuples than this;
 #: read when each step runs.
 BLOWUP_CAP = 10_000_000
+
+Relations = dict[str, Sequence[Fact]]
 
 
 @dataclass(frozen=True)
@@ -134,16 +146,22 @@ RewriteStep = Union[FilterStep, MaterialiseStep]
 
 @dataclass(frozen=True)
 class RewriteTrace:
-    """The rewrite's domain, exogenous relations and steps.  ``sizes``
-    holds, per step, the facts of each relation of its component and the
-    facts the step leaves: the anchor facts a filter step keeps, or the
-    tuples a materialise step builds.  The sizes are a human-readable
-    record and play no role in replay."""
+    """The rewrite's exogenous relations and steps.  ``sizes`` holds, per
+    step, the facts of each relation of its component and the facts the
+    step leaves: the anchor facts a filter step keeps, or the tuples a
+    materialise step builds.  The sizes are a human-readable record and
+    play no role in replay.  ``source`` is the rewritten database and
+    query, and :attr:`domain` their active domain, which materialise steps
+    range over; it is computed when first read."""
 
-    domain: tuple[str, ...]
     exogenous: tuple[str, ...]
     steps: tuple[RewriteStep, ...]
     sizes: tuple[tuple[tuple[int, ...], int], ...]
+    source: tuple[Database, Query] = field(repr=False, compare=False)
+
+    @cached_property
+    def domain(self) -> tuple[str, ...]:
+        return active_domain(*self.source)
 
     def describe(self) -> str:
         lines = [f"domain size {len(self.domain)}; exogenous relations: "
@@ -171,63 +189,113 @@ def apply_step(db: Database, rule: CQNeg, step: RewriteStep,
     building any fact when the homomorphisms of the positive atoms, times
     the domain size to the power of the variables they leave unbound,
     exceed :data:`BLOWUP_CAP`."""
+    relations = dict(db.by_relation)
+    rule = _apply(relations, rule, step, domain, set())
+    tuples = (len(relations[step.relation.name])
+              if isinstance(step, MaterialiseStep) else 0)
+    return _database(db, [step], relations), rule, tuples
+
+
+def _database(db: Database, steps: Sequence[RewriteStep],
+              relations: Relations) -> Database:
+    """The database of ``relations`` under ``db``'s schema, less the
+    relations of the steps' components and with their fresh ones."""
+    schema = db.schema.extended(
+        [s.relation for s in steps if isinstance(s, MaterialiseStep)],
+        dropped=[a.relation.name for s in steps for a in s.component])
+    return Database(schema, itertools.chain.from_iterable(relations.values()))
+
+
+def _apply(relations: Relations, rule: CQNeg, step: RewriteStep,
+           domain: Sequence[str], matched: set[str]) -> CQNeg:
+    """Apply ``step`` to the facts by relation, in place, and return the
+    new rule.  ``matched`` holds the relations of the anchors whose facts
+    have been matched against them."""
+    # the rule is self-join-free, so a relation name stands for its atom
+    names = [a.relation.name for a in step.component]
     if isinstance(step, FilterStep):
-        return _filter(db, rule, step)
-    return _materialise(db, rule, step, domain)
+        _filter(relations, step, matched)
+        atoms = tuple(a for a in rule.atoms if a.relation.name not in names)
+    else:
+        relations[step.relation.name] = _materialise(relations, step, domain)
+        atoms = tuple(step.atom if a.relation.name == names[0] else a
+                      for a in rule.atoms if a.relation.name not in names[1:])
+    for name in names:
+        relations.pop(name, None)
+    return CQNeg(atoms, head=rule.head)
 
 
-def _split(db: Database, component: Sequence[Atom]
-           ) -> tuple[list[Atom], dict[str, list[tuple[str, ...]]],
-                      Callable[[dict[str, str]], bool]]:
-    """The positive atoms of ``component``, their facts by relation, and a
+def _split(relations: Relations, component: Sequence[Atom]
+           ) -> tuple[list[Atom], _Index, Callable[[dict[str, str]], bool]]:
+    """The positive atoms of ``component``, their facts indexed, and a
     test of whether an assignment sends a negated atom of the component
     onto one of its facts."""
     positive = [a for a in component if not a.negated]
-    negated = [a for a in component if a.negated]
-    index = _index(f for a in positive
-                   for f in db.relation_facts(a.relation.name))
-    present = {a.relation.name: db.tuples(a.relation.name) for a in negated}
+    # a relation's facts are distinct and sorted, as the index keeps them
+    index = _Index({a.relation.name: [f.args for f in
+                                      relations.get(a.relation.name, ())]
+                    for a in component})
+    # per negated atom, its variables' values in each fact it matches
+    hits = []
+    for atom in component:
+        if atom.negated:
+            free, rows = index.candidates(atom, {})
+            hits.append((_reader(list(free)),
+                         set(map(_reader(list(free.values())), rows))))
 
     def blocked(h: dict[str, str]) -> bool:
-        return any(_image(a, h)[1] in present[a.relation.name]
-                   for a in negated)
+        return any(read(h) in values for read, values in hits)
 
-    return positive, index, blocked
+    return positive, index, blocked if hits else lambda h: False
 
 
-def _filter(db: Database, rule: CQNeg, step: FilterStep
-            ) -> tuple[Database, CQNeg, int]:
-    component, anchor = step.component, step.anchor
-    positive, index, blocked = _split(db, component)
+def _reader(items: Sequence) -> Callable:
+    """Reads ``items`` out of a sequence or a mapping as one key."""
+    return itemgetter(*items) if items else lambda _: ()
+
+
+def _filter(relations: Relations, step: FilterStep, matched: set[str]) -> None:
+    """Keep the anchor facts under whose binding the component holds.
+
+    The component is evaluated once: its positive atoms are enumerated,
+    joined with the anchor's distinct bindings when they leave a shared
+    variable unbound, and projected onto the shared variables.  The
+    anchor's facts are matched against it on its first step only; a later
+    step on the same anchor reads the facts kept."""
+    anchor, component = step.anchor, step.component
     inside = {v for a in component for v in a.variables}
-    shared = [v for v in anchor.variables if v in inside]
-    holds: dict[tuple[str, ...], bool] = {}
-    kept: list[Fact] = []
-    for fact in db.relation_facts(anchor.relation.name):
-        binding = _match(anchor, fact.args, {})
-        if binding is None:
-            continue
-        key = tuple(binding[v] for v in shared)
-        if key not in holds:
-            holds[key] = any(
-                not blocked(h) for h in iter_homomorphisms(
-                    positive, index, dict(zip(shared, key))))
-        if holds[key]:
-            kept.append(fact)
-    names = {a.relation.name for a in component}
-    skip = names | {anchor.relation.name}
-    new_rule = CQNeg(tuple(a for a in rule.atoms if a not in component),
-                     head=rule.head)
-    new_db = Database(db.schema.extended((), dropped=names),
-                      [f for f in db.facts if f.relation.name not in skip]
-                      + kept)
-    return new_db, new_rule, 0
+    variables = anchor.variables
+    shared = [v for v in variables if v in inside]
+    terms = [t.name if isinstance(t, Var) else None for t in anchor.terms]
+    at = [terms.index(v) for v in shared]
+    facts = relations.get(anchor.relation.name, ())
+    if anchor.relation.name not in matched:
+        matched.add(anchor.relation.name)
+        # an anchor of distinct variables matches every fact of its arity
+        width = len(anchor.terms)
+        plain = len(variables) == width
+        facts = [f for f in facts if (len(f.args) == width if plain else
+                                      _match(anchor, f.args, {}) is not None)]
+    keys = list(map(_reader(at), (f.args for f in facts)))
+    positive, index, blocked = _split(relations, component)
+    if not {v for a in positive for v in a.variables}.issuperset(shared):
+        # a relation, under the reserved prefix, of the distinct bindings
+        positive.append(Atom(RelationSym(RESERVED_PREFIX, len(shared)),
+                             tuple(map(Var, shared))))
+        index[RESERVED_PREFIX] = sorted(key if len(at) > 1 else (key,)
+                                        for key in set(keys))
+    read = _reader(shared)
+    good = {read(h) for h in iter_homomorphisms(positive, index)
+            if not blocked(h)}
+    relations[anchor.relation.name] = [f for f, key in zip(facts, keys)
+                                       if key in good]
 
 
-def _materialise(db: Database, rule: CQNeg, step: MaterialiseStep,
-                 domain: Sequence[str]) -> tuple[Database, CQNeg, int]:
+def _materialise(relations: Relations, step: MaterialiseStep,
+                 domain: Sequence[str]) -> tuple[Fact, ...]:
+    """The fresh relation's facts, sorted."""
     component = step.component
-    positive, index, blocked = _split(db, component)
+    positive, index, blocked = _split(relations, component)
     bound = {v for a in positive for v in a.variables}
     free = [v for v in dict.fromkeys(v for a in component if a.negated
                                      for v in a.variables)
@@ -252,17 +320,11 @@ def _materialise(db: Database, rule: CQNeg, step: MaterialiseStep,
             h.update(zip(free, values))
             if not blocked(h):
                 projected.add(tuple(h[v] for v in step.proj_vars))
-    facts = tuple(
+    return tuple(
         Fact(step.relation, args + pad, Provenance.EXOGENOUS)
         for args in sorted(projected)
         for pad in itertools.product(ordered, repeat=len(step.pad_vars))
     )
-    new_rule = CQNeg(tuple(step.atom if a == component[0] else a
-                           for a in rule.atoms if a not in component[1:]),
-                     head=rule.head)
-    new_db = db.with_relations_replaced([a.relation.name for a in component],
-                                        [step.relation], facts)
-    return new_db, new_rule, len(facts)
 
 
 def rewrite(db: Database, query: Query
@@ -292,37 +354,46 @@ def rewrite(db: Database, query: Query
             f"non-hierarchical path survives the exogenous relations: {path}",
             witness=path,
         )
+    if not exo_names:
+        return db, rule, RewriteTrace((), (), (), (db, query))
     symbols = Schema(a.relation for a in rule.atoms)
+    # only a fact that fails this quick test can have a violation
     raise_first([problem for name in sorted(exo_names)
                  for fact in db.relation_facts(name)
+                 if fact.endogenous or fact.probability not in (None, 1)
+                 or len(fact.args) != symbols[name].arity
+                 or not "".join(fact.args).isprintable()
                  for problem in fact_violations(fact, symbols)])
-    domain = active_domain(db, query)
-    exo_vars = exogenous_variables(rule)
-    ordinary = [a for a in rule.atoms if a.relation.name not in exo_names]
+    ordinary = [(a, set(a.variables)) for a in rule.atoms
+                if a.relation.name not in exo_names]
+    outside = set().union(*(seen for _, seen in ordinary))
+    relations = dict(db.by_relation)
+    matched: set[str] = set()
+    domain: tuple[str, ...] = ()
     steps: list[RewriteStep] = []
     sizes: list[tuple[tuple[int, ...], int]] = []
     for seq, component in enumerate(exogenous_atom_components(rule),
                                     start=1):
         proj = tuple(dict.fromkeys(v for a in component for v in a.variables
-                                   if v not in exo_vars))
-        anchor = next((a for a in ordinary if not a.negated
-                       and set(proj) <= set(a.variables)), None)
-        step: RewriteStep
+                                   if v in outside))
+        holders = [a for a, seen in ordinary if seen.issuperset(proj)]
+        anchor = next((a for a in holders if not a.negated), None)
         if anchor is not None:
-            step = FilterStep(component, anchor)
+            step: RewriteStep = FilterStep(component, anchor)
+        elif proj and not holders:
+            raise InternalError(f"no ordinary atom contains {sorted(proj)}; a "
+                                "non-hierarchical path was missed")
         else:
-            pad: tuple[str, ...] = ()
-            if proj:
-                beta = _containing_atom(ordinary, proj)
-                pad = tuple(v for v in beta.variables if v not in proj)
+            pad = tuple(v for v in holders[0].variables
+                        if v not in proj) if proj else ()
             sym = RelationSym(f"{RESERVED_PREFIX}{seq}",
                               len(proj) + len(pad), exogenous_only=True)
             step = MaterialiseStep(component, sym, proj, pad)
-        before = tuple(len(db.relation_facts(a.relation.name))
+            domain = domain or active_domain(db, query)
+        before = tuple(len(relations.get(a.relation.name, ()))
                        for a in component)
-        db, rule, after = apply_step(db, rule, step, domain)
-        if anchor is not None:
-            after = len(db.relation_facts(anchor.relation.name))
+        rule = _apply(relations, rule, step, domain, matched)
+        after = len(relations[(anchor or step).relation.name])
         steps.append(step)
         sizes.append((before, after))
 
@@ -330,22 +401,9 @@ def rewrite(db: Database, query: Query
         raise InternalError(
             f"rewrite produced a non-hierarchical rule: {rule}"
         )
-    trace = RewriteTrace(domain=tuple(domain),
-                         exogenous=tuple(sorted(exo_names)),
-                         steps=tuple(steps), sizes=tuple(sizes))
-    return db, rule, trace
-
-
-def _containing_atom(ordinary: Sequence[Atom], needed: tuple[str, ...]
-                     ) -> Atom:
-    want = set(needed)
-    for atom in ordinary:
-        if want <= set(atom.variables):
-            return atom
-    raise InternalError(
-        f"no ordinary atom contains {sorted(want)}; a non-hierarchical "
-        f"path should have been detected"
-    )
+    trace = RewriteTrace(tuple(sorted(exo_names)), tuple(steps),
+                         tuple(sizes), (db, query))
+    return _database(db, steps, relations), rule, trace
 
 
 def shapley_exo_all(db: Database, query: Query) -> dict[Fact, Fraction]:

@@ -12,19 +12,21 @@ from conftest import (GAIFMAN_QPRIME, NOPATH_Q, PATH_QPRIME, Q2, Q2_SHAPES,
                       random_q2_instance, random_shaped_instance,
                       reverse_constants, staff_fact, with_exogenous)
 from shapfact import decompose, rewriting
-from shapfact.errors import (BlowupExceededError, HasNonHierPathError,
+from shapfact.errors import (ArityError, BadProbabilityError,
+                             BlowupExceededError, HasNonHierPathError,
                              ProvenanceError, ReservedNameError,
-                             SelfJoinError)
+                             SchemaSyntaxError, SelfJoinError)
 from shapfact.exact import shapley_exact, shapley_exact_all
-from shapfact.model import (RESERVED_PREFIX, Atom, CQNeg, Database, Fact,
-                            Provenance, RelationSym, Schema, Var,
-                            active_domain, single_disjunct)
-from shapfact.naive import (_image, _index, brute_shapley_all,
+from shapfact.model import (RESERVED_PREFIX, CQNeg, Database, Fact,
+                            Provenance, RelationSym, Schema, active_domain,
+                            fact_violations, single_disjunct)
+from shapfact.naive import (_image, _index, _match, brute_shapley_all,
                             iter_homomorphisms)
 from shapfact.parsing import parse_facts, parse_query, parse_schema
 from shapfact.prob import brute_prob, prob_eval, prob_eval_hierarchical
-from shapfact.rewriting import (FilterStep, MaterialiseStep, apply_step,
-                                rewrite, shapley_exo, shapley_exo_all)
+from shapfact.rewriting import (FilterStep, MaterialiseStep, RewriteTrace,
+                                apply_step, rewrite, shapley_exo,
+                                shapley_exo_all)
 from shapfact.structure import (VerdictKind, classify_query,
                                 exogenous_atom_components,
                                 exogenous_variables, is_hierarchical,
@@ -248,6 +250,41 @@ def test_rejects_endogenous_facts_in_exogenous_relations():
         rewrite(db, q)
 
 
+EXO, ENDO = Provenance.EXOGENOUS, Provenance.ENDOGENOUS
+
+
+@pytest.mark.parametrize("extra, kind", [
+    ([], None),
+    ([(("a\nb",), EXO, None)], SchemaSyntaxError),
+    ([(("c",), ENDO, None)], ProvenanceError),
+    ([(("d",), EXO, Fraction(1, 2))], BadProbabilityError),
+    ([(("e", "f"), EXO, None)], ArityError),
+    ([(("g\th",), EXO, Fraction(1)), (("i",), ENDO, Fraction(3, 2)),
+      (("j\x85",), EXO, None)], ProvenanceError),
+], ids=["valid", "line-break", "endogenous", "uncertain", "arity",
+        "counted"])
+def test_exogenous_facts_are_refused_as_fact_violations_says(extra, kind):
+    """The rewrite refuses the first violation that
+    ``fact_violations`` finds among the facts of the exogenous relations,
+    counting the others, or none; a tab is no line break."""
+    r, s = RelationSym("R", 1), RelationSym("S", 1, exogenous_only=True)
+    facts = [Fact(r, ("a",)), Fact(s, ("a",), Provenance.EXOGENOUS),
+             Fact(s, ("b",), Provenance.EXOGENOUS, Fraction(1))]
+    facts += [Fact(s, *fact) for fact in extra]
+    db = Database(Schema([r, s]), facts)
+    q = parse_query("q() :- R(x), S(x).", db.schema)
+    problems = [p for f in db.relation_facts("S")
+                for p in fact_violations(f, db.schema)]
+    if kind is None:
+        assert not problems and rewrite(db, q)
+        return
+    message = problems[0][1] + (f" (and {len(problems) - 1} more "
+                                f"problem(s))" if len(problems) > 1 else "")
+    with pytest.raises(kind) as err:
+        rewrite(db, q)
+    assert problems[0][0] is kind and str(err.value) == message
+
+
 def test_refuses_a_schema_that_declares_a_reserved_name():
     # the first fresh relation would be __exo_1, which the schema holds
     r, s, taken = (RelationSym("R", 1), RelationSym("S", 1, True),
@@ -316,45 +353,129 @@ def _materialise_only(db, rule):
     as the reference that the filter steps are checked against."""
     domain = active_domain(db, rule)
     exo_vars = exogenous_variables(rule)
-    ordinary = [a for a in rule.atoms if not a.relation.exogenous_only]
     for seq, component in enumerate(exogenous_atom_components(rule),
                                     start=1):
-        proj = tuple(dict.fromkeys(v for a in component for v in a.variables
-                                   if v not in exo_vars))
-        pad = ()
-        if proj:
-            beta = next(a for a in ordinary
-                        if set(proj) <= set(a.variables))
-            pad = tuple(v for v in beta.variables if v not in proj)
-        positive = [a for a in component if not a.negated]
-        negated = [a for a in component if a.negated]
-        bound = {v for a in positive for v in a.variables}
-        free = [v for v in dict.fromkeys(v for a in negated
-                                         for v in a.variables)
-                if v not in bound]
-        index = _index(f for a in positive
-                       for f in db.relation_facts(a.relation.name))
-        present = {a.relation.name: db.tuples(a.relation.name)
-                   for a in negated}
-        projected = set()
-        for h in iter_homomorphisms(positive, index):
-            for values in itertools.product(domain, repeat=len(free)):
-                h.update(zip(free, values))
-                if not any(_image(a, h)[1] in present[a.relation.name]
-                           for a in negated):
-                    projected.add(tuple(h[v] for v in proj))
-        sym = RelationSym(f"{RESERVED_PREFIX}{seq}", len(proj) + len(pad),
-                          exogenous_only=True)
-        facts = [Fact(sym, args + more, Provenance.EXOGENOUS)
-                 for args in projected
-                 for more in itertools.product(domain, repeat=len(pad))]
-        fresh = Atom(sym, tuple(Var(v) for v in proj + pad))
-        rule = CQNeg(tuple(fresh if a == component[0] else a
-                           for a in rule.atoms if a not in component[1:]),
-                     head=rule.head)
-        db = db.with_relations_replaced([a.relation.name for a in component],
-                                        [sym], facts)
+        db, rule, _, _ = _materialised(db, rule, seq, component, domain,
+                                       exo_vars)
     return db, rule
+
+
+def _reference_parts(db, component):
+    positive = [a for a in component if not a.negated]
+    negated = [a for a in component if a.negated]
+    index = _index(f for a in positive
+                   for f in db.relation_facts(a.relation.name))
+    present = {a.relation.name: db.tuples(a.relation.name) for a in negated}
+
+    def blocked(h):
+        return any(_image(a, h)[1] in present[a.relation.name]
+                   for a in negated)
+
+    return positive, negated, index, blocked
+
+
+def _materialised(db, rule, seq, component, domain, exo_vars):
+    """One materialise step of the references: the database, the rule,
+    the step and the tuples it builds."""
+    ordinary = [a for a in rule.atoms if not a.relation.exogenous_only]
+    proj = tuple(dict.fromkeys(v for a in component for v in a.variables
+                               if v not in exo_vars))
+    pad = ()
+    if proj:
+        beta = next(a for a in ordinary if set(proj) <= set(a.variables))
+        pad = tuple(v for v in beta.variables if v not in proj)
+    positive, negated, index, blocked = _reference_parts(db, component)
+    bound = {v for a in positive for v in a.variables}
+    free = [v for v in dict.fromkeys(v for a in negated for v in a.variables)
+            if v not in bound]
+    projected = set()
+    for h in iter_homomorphisms(positive, index):
+        for values in itertools.product(domain, repeat=len(free)):
+            h.update(zip(free, values))
+            if not blocked(h):
+                projected.add(tuple(h[v] for v in proj))
+    sym = RelationSym(f"{RESERVED_PREFIX}{seq}", len(proj) + len(pad),
+                      exogenous_only=True)
+    facts = [Fact(sym, args + more, Provenance.EXOGENOUS)
+             for args in projected
+             for more in itertools.product(domain, repeat=len(pad))]
+    step = MaterialiseStep(component, sym, proj, pad)
+    rule = CQNeg(tuple(step.atom if a == component[0] else a
+                       for a in rule.atoms if a not in component[1:]),
+                 head=rule.head)
+    db = db.with_relations_replaced([a.relation.name for a in component],
+                                    [sym], facts)
+    return db, rule, step, len(facts)
+
+
+def _per_step_reference(db, rule):
+    """The rewrite as it stood before it judged each component once: a
+    filter step matches every anchor fact again and searches the
+    homomorphisms of the component once per distinct binding, and every
+    step builds a whole database.  Kept here as the reference that the
+    one-pass rewrite is checked against; returns the rewritten database
+    and rule, the steps, their sizes and the domain."""
+    domain = active_domain(db, rule)
+    exo_vars = exogenous_variables(rule)
+    steps, sizes = [], []
+    for seq, component in enumerate(exogenous_atom_components(rule),
+                                    start=1):
+        before = tuple(len(db.relation_facts(a.relation.name))
+                       for a in component)
+        inside = {v for a in component for v in a.variables}
+        anchor = next((a for a in rule.atoms if not a.negated
+                       and not a.relation.exogenous_only
+                       and inside - exo_vars <= set(a.variables)), None)
+        if anchor is None:
+            db, rule, step, after = _materialised(db, rule, seq, component,
+                                                  domain, exo_vars)
+            steps.append(step)
+            sizes.append((before, after))
+            continue
+        positive, _, index, blocked = _reference_parts(db, component)
+        shared = [v for v in anchor.variables if v in inside]
+        holds, kept = {}, []
+        for fact in db.relation_facts(anchor.relation.name):
+            binding = _match(anchor, fact.args, {})
+            if binding is None:
+                continue
+            key = tuple(binding[v] for v in shared)
+            if key not in holds:
+                holds[key] = any(not blocked(h) for h in iter_homomorphisms(
+                    positive, index, dict(zip(shared, key))))
+            if holds[key]:
+                kept.append(fact)
+        names = {a.relation.name for a in component}
+        skip = names | {anchor.relation.name}
+        db = Database(db.schema.extended((), dropped=names),
+                      [f for f in db.facts if f.relation.name not in skip]
+                      + kept)
+        rule = CQNeg(tuple(a for a in rule.atoms if a not in component),
+                     head=rule.head)
+        steps.append(FilterStep(component, anchor))
+        sizes.append((before, len(kept)))
+    return db, rule, steps, sizes, domain
+
+
+def _check_against_the_per_step_reference(db, rule):
+    """The rewrite gives the reference's facts, with provenance and
+    probability, schema, rule, steps, sizes, domain and trace text;
+    returns whether a filter step dropped an anchor fact."""
+    new_db, new_rule, trace = rewrite(db, rule)
+    ref_db, ref_rule, steps, sizes, domain = _per_step_reference(db, rule)
+    assert [(f.key, f.provenance, f.probability) for f in new_db.facts] \
+        == [(f.key, f.provenance, f.probability) for f in ref_db.facts]
+    assert new_db.schema.relations == ref_db.schema.relations
+    assert new_rule == ref_rule
+    assert trace.steps == tuple(steps) and trace.sizes == tuple(sizes)
+    assert trace.exogenous == tuple(sorted(
+        a.relation.name for a in rule.atoms if a.relation.exogenous_only))
+    assert trace.domain == domain
+    assert trace.describe() == RewriteTrace(
+        trace.exogenous, tuple(steps), tuple(sizes), (db, rule)).describe()
+    return any(len(new_db.relation_facts(s.anchor.relation.name))
+               < len(db.relation_facts(s.anchor.relation.name))
+               for s in steps if isinstance(s, FilterStep))
 
 
 def _priced(rng, db):
@@ -392,6 +513,155 @@ def test_filter_steps_match_the_materialise_only_reference(generator, seed,
         assert prob_eval_hierarchical(*_materialise_only(priced, rule)) \
             == want
     assert nonzero >= floors[0] and dropping >= floors[1]
+
+
+@pytest.mark.parametrize("generator, seed, floor", [
+    (random_q2_instance, 29001, 170),
+    (random_exo_rewrite_instance, 29002, 90),
+])
+def test_rewrite_matches_the_per_step_reference(generator, seed, floor):
+    """The one-pass rewrite gives what the per-step reference gives, on
+    priced draws.  The floor counts the draws where a filter step drops an
+    anchor fact: 193 and 104 of the 200."""
+    rng = random.Random(seed)
+    dropping = 0
+    for _ in range(200):
+        db, rule = generator(rng, max_endo=8)
+        dropping += _check_against_the_per_step_reference(_priced(rng, db),
+                                                          rule)
+    assert dropping >= floor
+
+
+# rules whose rewrite takes each shape that a filter step can have, over
+# schemas whose relations R, S and T are ordinary
+REWRITE_SHAPES = {
+    # three components filter R(x, y), one after the other
+    "three_on_one_anchor": ("relation A/1 exogenous\nrelation B/1 exogenous"
+                            "\nrelation C/2 exogenous\nrelation R/2\n"
+                            "relation T/1",
+                            "q() :- A(x), not B(y), R(x, y), C(y, z), "
+                            "not T(x)."),
+    # only the anchor binds y, the variable of the negated component
+    "anchor_binds_negated": ("relation C/2 exogenous\nrelation R/2\n"
+                             "relation T/1",
+                             "q() :- R(x, y), not C(y, K), T(x)."),
+    # S binds x but not y, which only not P and the anchor hold
+    "both_signs_open": ("relation P/2 exogenous\nrelation R/2\n"
+                        "relation S/2 exogenous",
+                        "q() :- R(x, y), S(x, z), not P(z, y)."),
+    # S binds the one shared variable, and not P is checked on its facts
+    "both_signs_bound": ("relation P/1 exogenous\nrelation R/1\n"
+                         "relation S/2 exogenous",
+                         "q() :- R(x), S(x, z), not P(z)."),
+    # S(x) is materialised, then V(y) filters R(y)
+    "materialise_then_filter": (MIXED_SCHEMA, MIXED_Q),
+}
+
+
+def _random_facts(rng, schema):
+    """Random facts over four constants: some of each relation, those of
+    an ordinary relation endogenous with probability 3/4, and priced."""
+    facts = []
+    for rel in schema.relations:
+        rows = list(itertools.product(("a", "b", "c", "K"),
+                                      repeat=rel.arity))
+        for args in rng.sample(rows, rng.randint(0, min(len(rows), 5))):
+            endo = not rel.exogenous_only and rng.random() < 0.75
+            facts.append(Fact(rel, args, Provenance.ENDOGENOUS if endo
+                              else Provenance.EXOGENOUS,
+                              Fraction(rng.randint(1, 7), 8) if endo
+                              else None))
+    return Database(schema, facts)
+
+
+@pytest.mark.parametrize("shape", sorted(REWRITE_SHAPES))
+def test_rewrite_shapes_match_the_per_step_reference(shape):
+    """Each shape takes the steps named, and the one-pass rewrite gives
+    what the per-step reference gives; the floor counts the draws where a
+    filter step drops an anchor fact."""
+    schema_text, text = REWRITE_SHAPES[shape]
+    schema = parse_schema(schema_text)
+    rule = single_disjunct(parse_query(text, schema))
+    kinds = {"three_on_one_anchor": [FilterStep] * 3,
+             "materialise_then_filter": [MaterialiseStep, FilterStep]}
+    # of the 60 draws, 48, 16, 39, 46 and 34 drop one
+    floor = {"three_on_one_anchor": 40, "anchor_binds_negated": 12,
+             "both_signs_open": 32, "both_signs_bound": 38,
+             "materialise_then_filter": 28}[shape]
+    rng = random.Random(29003)
+    dropping = 0
+    for _ in range(60):
+        db = _random_facts(rng, schema)
+        assert [type(s) for s in rewrite(db, rule)[2].steps] \
+            == kinds.get(shape, [FilterStep])
+        dropping += _check_against_the_per_step_reference(db, rule)
+    assert dropping >= floor
+
+
+@pytest.mark.parametrize("anchor, matches", [("R(x, y)", 0),
+                                             ("R(x, y, K)", 1)])
+@pytest.mark.parametrize("components", [1, 2, 3])
+def test_one_database_build_and_one_match_per_anchor_fact(
+        anchor, matches, components, monkeypatch):
+    """However many filter steps share the anchor, a rewrite builds one
+    database and matches each anchor fact against the anchor at most
+    once: once when the anchor has a constant, never when it is distinct
+    variables, which match every fact of its arity."""
+    atoms = ["A(x)", "not B(y)", "C(y, z)"][:components]
+    arity = anchor.count(",") + 1
+    schema = parse_schema("relation A/1 exogenous\nrelation B/1 exogenous\n"
+                          f"relation C/2 exogenous\nrelation R/{arity}\n"
+                          "relation T/1")
+    rule = single_disjunct(parse_query(
+        f"q() :- {', '.join(atoms + [anchor])}, not T(x).", schema))
+    counts = Counter()
+    init, match = Database.__init__, rewriting._match
+
+    def counted_init(self, *args):
+        counts["builds"] += 1
+        init(self, *args)
+
+    def counted_match(*args):
+        counts["matches"] += 1
+        return match(*args)
+
+    rng = random.Random(29004)
+    for _ in range(20):
+        db = _random_facts(rng, schema)
+        monkeypatch.setattr(Database, "__init__", counted_init)
+        monkeypatch.setattr(rewriting, "_match", counted_match)
+        counts.clear()
+        _, _, trace = rewrite(db, rule)
+        monkeypatch.undo()
+        assert [type(s) for s in trace.steps] == [FilterStep] * components
+        assert counts["builds"] == 1
+        assert counts["matches"] == matches * len(db.relation_facts("R"))
+
+
+def test_without_exogenous_relations_the_rewrite_does_no_work(monkeypatch):
+    """A rule with no exogenous relation comes back over the same
+    database, and the active domain is computed only when the trace's
+    domain is read, once."""
+    rng = random.Random(29005)
+    calls = Counter()
+    domain = rewriting.active_domain
+
+    def counted(*args):
+        calls["domain"] += 1
+        return domain(*args)
+
+    monkeypatch.setattr(rewriting, "active_domain", counted)
+    for shape in sorted(RULE_SHAPES):
+        db, rule = random_shaped_instance(rng, shape)
+        calls.clear()
+        new_db, new_rule, trace = rewrite(db, rule)
+        assert new_db is db and new_rule == rule
+        assert (trace.exogenous, trace.steps, trace.sizes) == ((), (), ())
+        assert calls["domain"] == 0
+        assert trace.domain == domain(db, rule) and trace.domain
+        assert calls["domain"] == 1
+        assert trace.describe() == (f"domain size {len(trace.domain)}; "
+                                    f"exogenous relations: (none)")
 
 
 @pytest.mark.parametrize("generator, seed, floors", [
