@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from . import approx, exact, naive, prob, rewriting
 from .relevance import relevance as compute_relevance
 from .errors import InputError, RefusedError
-from .model import Database, Fact, Query, RelationSym, Schema
+from .model import Database, Fact, Query, RelationSym
 from .parsing import (format_database, format_query, format_schema,
                       parse_fact_reference, parse_facts, parse_query,
                       parse_schema)
@@ -72,27 +72,25 @@ def _read_text(path: str, what: str) -> str:
         raise InputError(f"cannot read {what} file {path!r}: {exc}") from exc
 
 
-def _load_query(inv: Invocation, schema: Optional[Schema]) -> Query:
+def _load(inv: Invocation, facts: bool = True
+          ) -> tuple[Query, Optional[Database]]:
+    """The query that ``inv`` names and, unless ``facts`` is false, its
+    database; the schema is read first, then the query, then the facts."""
+    schema = (None if inv.schema is None
+              else parse_schema(_read_text(inv.schema, "schema")))
     if inv.query is None:
         raise InputError("--query is required")
     text = inv.query
     if ":-" not in text:  # a path, not inline rule text
         text = _read_text(text, "query")
-    return parse_query(text, schema)
-
-
-def _load_schema(inv: Invocation) -> Optional[Schema]:
-    if inv.schema is None:
-        return None
-    return parse_schema(_read_text(inv.schema, "schema"))
-
-
-def _load_database(inv: Invocation, schema: Optional[Schema]) -> Database:
+    query = parse_query(text, schema)
+    if not facts:
+        return query, None
     if inv.facts is None:
         raise InputError("--facts is required")
     if schema is None:
         raise InputError("--schema is required when --facts is given")
-    return parse_facts(_read_text(inv.facts, "facts"), schema)
+    return query, parse_facts(_read_text(inv.facts, "facts"), schema)
 
 
 def _lookup_fact(db: Database, reference: str) -> Fact:
@@ -133,17 +131,14 @@ def _target_facts(inv: Invocation, db: Database) -> list[Fact]:
 
 
 def _cmd_classify(inv: Invocation) -> Report:
-    schema = _load_schema(inv)
-    query = _load_query(inv, schema)
+    query, _ = _load(inv, facts=False)
     verdicts = classify_query(query)
     return Report(method="classify", query=format_query(query),
                   classification=[v.to_json() for v in verdicts])
 
 
 def _cmd_shapley(inv: Invocation) -> Report:
-    schema = _load_schema(inv)
-    query = _load_query(inv, schema)
-    db = _load_database(inv, schema)
+    query, db = _load(inv)
     verdicts = classify_query(query)
     method = resolve_method(verdicts, db, inv.method, inv.cap)
     targets = _target_facts(inv, db)
@@ -194,9 +189,7 @@ def _witness_json(witness) -> Optional[dict]:
 
 
 def _cmd_relevance(inv: Invocation) -> Report:
-    schema = _load_schema(inv)
-    query = _load_query(inv, schema)
-    db = _load_database(inv, schema)
+    query, db = _load(inv)
     if inv.fact is None:
         raise InputError("--fact is required")
     fact = _lookup_fact(db, inv.fact)
@@ -212,9 +205,7 @@ def _cmd_relevance(inv: Invocation) -> Report:
 
 
 def _cmd_prob(inv: Invocation) -> Report:
-    schema = _load_schema(inv)
-    query = _load_query(inv, schema)
-    db = _load_database(inv, schema)
+    query, db = _load(inv)
     if inv.method == "brute":
         method = "brute"
         answer = prob.brute_prob(db, query, cap=inv.cap)
@@ -274,11 +265,10 @@ def run(inv: Invocation, stdout=None, stderr=None) -> int:
     """Execute one invocation; returns the process exit code."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    handler = _COMMANDS.get(inv.command)
-    if handler is None:
-        print(f"unknown command {inv.command!r}", file=stderr)
-        return 1
     try:
+        handler = _COMMANDS.get(inv.command)
+        if handler is None:
+            raise InputError(f"unknown command {inv.command!r}")
         # a cap counts facts, so -1 is malformed, not a cap refusing all
         if inv.cap < 0:
             raise InputError(f"cap must be a count of at least 0, "

@@ -137,8 +137,6 @@ def weighted_count(query: Query, facts: Sequence[Fact], total: Total,
         return total(facts), None
     components, plans = _compile(atoms, frozenset())
     buckets, free = bucket_facts(atoms, components, facts)
-    if len(plans) == 1 and not free:
-        return plans[0].solve(buckets[0], total, ground)
     parts = [(total(free), None)] if free else []
     for plan, bucket in zip(plans, buckets):
         parts.append(plan.solve(bucket, total, ground))

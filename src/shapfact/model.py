@@ -122,9 +122,6 @@ class Schema:
     def relations(self) -> tuple[RelationSym, ...]:
         return tuple(self._by_name.values())
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
     def __getitem__(self, name: str) -> RelationSym:
         return self._by_name[name]
 
@@ -205,9 +202,6 @@ class UCQNeg:
     which the query reader requires to be the same for all of them."""
 
     disjuncts: tuple[CQNeg, ...]
-
-    def __str__(self) -> str:
-        return "\n".join(str(d) for d in self.disjuncts)
 
 
 Query = Union[CQNeg, UCQNeg]

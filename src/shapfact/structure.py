@@ -59,10 +59,6 @@ class TripletWitness:
     x: str
     y: str
 
-    def __str__(self) -> str:
-        return (f"({self.atom_x}, {self.atom_xy}, {self.atom_y}) "
-                f"with x={self.x}, y={self.y}")
-
 
 def find_non_hierarchical_triplet(query: CQNeg) -> Optional[TripletWitness]:
     """The lexicographically least witness triplet, or None if the query is
@@ -224,8 +220,8 @@ def has_non_hierarchical_path(query: CQNeg) -> Optional[PathWitness]:
 
 def _bfs_path(adj: dict[str, set[str]], start: str, goal: str,
               deleted: frozenset[str]) -> Optional[list[str]]:
-    if start in deleted or goal in deleted:
-        return None
+    """A shortest ``start``-``goal`` path avoiding ``deleted``, which holds
+    neither endpoint."""
     prev: dict[str, Optional[str]] = {start: None}
     queue = deque([start])
     while queue:

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: method resolution, exit codes,
 output stability, and the generator round-trip."""
 
+import errno
 import hashlib
 import io
 import json
@@ -21,9 +22,9 @@ from conftest import (DATA, Q2, RULE_SHAPES, STAFF_Q1_VALUES,
                       random_q2_instance, random_shaped_instance)
 from shapfact.cli import (Invocation, build_parser, invocation_from_args,
                           main, resolve_method, run)
-from shapfact.naive import DEFAULT_CAP, eval_boolean
+from shapfact.naive import DEFAULT_CAP, brute_shapley_all, eval_boolean
 from shapfact.parsing import (format_database, format_query, format_schema,
-                              parse_query)
+                              parse_facts, parse_query, parse_schema)
 from shapfact.rewriting import rewrite
 from shapfact.structure import classify_query
 
@@ -461,6 +462,114 @@ def test_run_refuses_an_unknown_format():
                           query=Q1_PATH, all_facts=True, fmt="xml")
     assert (code, out) == (1, "")
     assert err == "error: format must be one of json, table, got 'xml'\n"
+
+
+# every refusal that argparse makes first on the command line, as run
+# makes it for a caller that builds the invocation itself; the inputs are
+# checked in the order schema, query, facts
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(command="shapley", schema=SCHEMA, facts=FACTS, all_facts=True),
+     "--query is required"),
+    (dict(command="classify", schema=SCHEMA), "--query is required"),
+    (dict(command="shapley", all_facts=True), "--query is required"),
+    (dict(command="shapley", schema="no/such/schema.txt", all_facts=True),
+     "cannot read schema file 'no/such/schema.txt': [Errno 2] No such file "
+     "or directory: 'no/such/schema.txt'"),
+    (dict(command="shapley", facts=FACTS, query=Q1_PATH, all_facts=True),
+     "--schema is required when --facts is given"),
+    (dict(command="shapley", schema=SCHEMA, query=Q1_PATH, all_facts=True),
+     "--facts is required"),
+    (dict(command="prob", schema=SCHEMA, query=Q1_PATH),
+     "--facts is required"),
+    (dict(command="shapley", schema=SCHEMA, facts=FACTS, query=Q1_PATH,
+          all_facts=True, fact="TA(Adam)"),
+     "--fact and --all are mutually exclusive"),
+    (dict(command="shapley", schema=SCHEMA, facts=FACTS, query=Q1_PATH),
+     "one of --fact or --all is required"),
+    (dict(command="shapley", schema=SCHEMA, facts=FACTS, query=Q1_PATH,
+          all_facts=True, method="bogus"),
+     "unknown method 'bogus'"),
+    (dict(command="prob", schema=SCHEMA, facts=FACTS, query=Q1_PATH,
+          method="bogus"),
+     "unknown probability method 'bogus'; expected auto, lifted or brute"),
+    (dict(command="relevance", schema=SCHEMA, facts=FACTS, query=Q1_PATH),
+     "--fact is required"),
+    (dict(command="nope"), "unknown command 'nope'"),
+], ids=["no-query", "classify-no-query", "nothing", "schema-first",
+        "facts-without-schema", "no-facts", "prob-no-facts", "fact-and-all",
+        "no-target", "shapley-bogus", "prob-bogus", "relevance-no-fact",
+        "unknown-command"])
+def test_run_refuses_what_the_command_line_refuses(kwargs, message):
+    code, out, err = _run(**kwargs)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_gen_gap_refuses_an_unwritable_directory(tmp_path):
+    # a file where the directory should go
+    out = tmp_path / "taken"
+    out.write_text("")
+    code, stdout, err = _run(command="gen-gap", n=2, out=str(out))
+    assert (code, stdout) == (1, "")
+    assert err == (f"error: cannot write to {str(out)!r}: [Errno "
+                   f"{errno.EEXIST}] {os.strerror(errno.EEXIST)}: "
+                   f"{str(out)!r}\n")
+
+
+@pytest.mark.parametrize("method", ["brute", "auto"])
+def test_shapley_all_by_enumeration(method, tmp_path):
+    schema_text = "relation R/1\nrelation S/2\nrelation T/1\n"
+    facts_text = ("endo R(a)\nendo R(b)\nendo S(a, c)\nendo S(b, c)\n"
+                  "exo S(b, d)\nendo T(c)\nendo T(d)\n")
+    query = "q() :- R(x), S(x, y), not T(y)."
+    (tmp_path / "schema.txt").write_text(schema_text)
+    (tmp_path / "facts.txt").write_text(facts_text)
+    payload = _payload(command="shapley", schema=str(tmp_path / "schema.txt"),
+                       facts=str(tmp_path / "facts.txt"), query=query,
+                       all_facts=True, method=method)
+    # the rule is not hierarchical, and 6 endogenous facts are under the cap
+    assert payload["method"] == "brute"
+    schema = parse_schema(schema_text)
+    db = parse_facts(facts_text, schema)
+    expected = brute_shapley_all(db, parse_query(query, schema))
+    assert [(r["relation"], tuple(r["args"]), Fraction(r["value"]))
+            for r in payload["facts"]] == [
+        (f.relation.name, f.args, v) for f, v in expected.items()]
+    assert sum(v != 0 for v in expected.values()) == 6
+
+
+@pytest.mark.parametrize("schema, query, line", [
+    (None, "q() :- R(x), S(x, y), not T(y).",
+     "  rule 1: HardNonHierarchical  [witness: R(x), S(x, y), not T(y)]"),
+    ("relation R/1\nrelation S/2 exogenous\nrelation T/1\n",
+     "q() :- R(x), S(x, y), T(y), S(y, x).",
+     "  rule 1: HardNonHierPath  [witness: R(x), T(y); path x-y]"),
+], ids=["triplet", "path"])
+def test_table_renders_the_witness(schema, query, line, tmp_path):
+    if schema is not None:
+        (tmp_path / "schema.txt").write_text(schema)
+        schema = str(tmp_path / "schema.txt")
+    code, out, err = _run(command="classify", schema=schema, query=query,
+                          fmt="table")
+    assert code == 0, err
+    assert out.splitlines()[-1] == line
+
+
+def test_table_ends_a_sampled_report_with_its_plan():
+    code, out, err = _run(command="shapley", schema=SCHEMA, facts=FACTS,
+                          query=Q1_PATH, fact="TA(Adam)", method="approx",
+                          fmt="table")
+    assert code == 0, err
+    assert out.endswith("\n\nsamples: 2397  seed: 0\n")
+
+
+def test_classify_explains_a_self_join_without_a_path():
+    # with Stud and Course exogenous, Q2 is rewritable; a second Reg atom
+    # keeps the path away but repeats a relation
+    query = Q2.rstrip(".") + ", Reg(x, z)."
+    payload = _payload(command="classify", schema=SCHEMA_EXO, query=query)
+    assert payload["classification"] == [{
+        "kind": "UnknownSelfJoin", "witness": None,
+        "detail": "no non-hierarchical path but not self-join-free"}]
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])

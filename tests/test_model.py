@@ -6,15 +6,15 @@ import pytest
 
 from conftest import staff_fact
 from shapfact import brute_shapley, relevance, shapley_exact, shapley_exo
-from shapfact.errors import (BadProbabilityError, DuplicateFactError,
-                             FactNotEndogenousError, ProvenanceError,
-                             ReservedNameError, SafetyError,
+from shapfact.errors import (ArityError, BadProbabilityError,
+                             DuplicateFactError, FactNotEndogenousError,
+                             ProvenanceError, ReservedNameError, SafetyError,
                              SchemaSyntaxError, UnsupportedQueryError)
 from shapfact.model import (LINE_BREAKS, Atom, CQNeg, Const, Database, Fact,
                             Provenance, RelationSym, Schema, UCQNeg, Var,
-                            active_domain, database_violations, raise_first,
-                            single_disjunct, validate_database,
-                            validate_query)
+                            active_domain, database_violations,
+                            query_violations, raise_first, single_disjunct,
+                            validate_database, validate_query)
 from shapfact.parsing import format_fact, parse_query
 
 R1 = RelationSym("R", 1)
@@ -108,6 +108,13 @@ def test_ground_negated_atom_is_safe():
     # variables and needs no positive support
     q = parse_query("q() :- R(x), not S(A1, B1).")
     assert validate_query(q) == []
+
+
+def test_atom_arity_must_agree_with_the_schema():
+    # the atom agrees with its own symbol, so only the schema's check fires
+    q = CQNeg((Atom(R1, (Var("x"),)),))
+    assert query_violations(q, Schema([RelationSym("R", 2)])) == [
+        (ArityError, "rule 1: atom R(x) disagrees with schema arity 2")]
 
 
 def test_zero_arity_relations_allowed():

@@ -94,6 +94,13 @@ def test_relation_declared_twice_names_the_second_line():
     assert str(excinfo.value) == "line 4: relation R declared twice"
 
 
+def test_malformed_schema_line_names_its_line():
+    with pytest.raises(SchemaSyntaxError) as excinfo:
+        parse_schema("relation R/1\nbogus line")
+    assert str(excinfo.value) == ("line 2: expected 'relation Name/arity "
+                                  "[exogenous]', got: bogus line")
+
+
 def test_unsafe_rule_rejected_at_parse_time():
     with pytest.raises(SafetyError):
         parse_query("q() :- R(x), not S(x, y).")

@@ -13,7 +13,8 @@ from shapfact.errors import NotPolarityConsistentError
 from shapfact.model import (Database, Fact, Provenance, RelationSym,
                             disjuncts_of)
 from shapfact.naive import brute_relevance, brute_shapley, eval_boolean
-from shapfact.parsing import parse_facts, parse_query, parse_schema
+from shapfact.parsing import (format_query, parse_facts, parse_query,
+                              parse_schema)
 from shapfact.relevance import relevance, shapley_is_zero
 from shapfact.structure import relation_polarities
 
@@ -145,7 +146,7 @@ def test_union_agreement_with_enumeration():
             got = relevance(db, query, fact)
             if (got.pos_relevant, got.neg_relevant) != (
                     expected.pos_relevant, expected.neg_relevant):
-                disagreements.append((str(query), str(fact)))
+                disagreements.append((format_query(query), str(fact)))
             if got.witness is not None:
                 assert replay(db, query, got.witness, fact)
                 witnesses[got.witness.side] += 1
