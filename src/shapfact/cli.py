@@ -59,7 +59,11 @@ class Invocation:
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage errors; we reserve 2 for
     refused computations, so usage problems are re-raised as input errors
-    (exit 1)."""
+    (exit 1).  An option left off the command line stays out of the
+    namespace, so :class:`Invocation` holds the only defaults."""
+
+    def __init__(self, **kwargs):
+        super().__init__(argument_default=argparse.SUPPRESS, **kwargs)
 
     def error(self, message: str):  # noqa: A003 - argparse API
         raise InputError(f"{self.prog}: {message}")
@@ -177,17 +181,6 @@ def _cmd_shapley(inv: Invocation) -> Report:
                   extra=extra)
 
 
-def _witness_json(witness) -> Optional[dict]:
-    if witness is None:
-        return None
-    return {
-        "side": witness.side,
-        "disjunct": witness.disjunct,
-        "assignment": {var: value for var, value in witness.assignment},
-        "coalition": [str(f) for f in witness.coalition],
-    }
-
-
 def _cmd_relevance(inv: Invocation) -> Report:
     query, db = _load(inv)
     if inv.fact is None:
@@ -198,7 +191,7 @@ def _cmd_relevance(inv: Invocation) -> Report:
         "relevant": result.relevant,
         "pos_relevant": result.pos_relevant,
         "neg_relevant": result.neg_relevant,
-        "witness": _witness_json(result.witness),
+        "witness": result.witness and result.witness.to_json(),
     }}
     return Report(method="relevance", query=format_query(query),
                   facts=[(fact, None)], extra=extra)
@@ -223,16 +216,13 @@ def _cmd_prob(inv: Invocation) -> Report:
 def _cmd_gen_gap(inv: Invocation) -> Report:
     instance = naive.gen_gap_instance(inv.n)
     out = Path(inv.out)
+    texts = {"schema": format_schema(instance.db.schema),
+             "facts": format_database(instance.db),
+             "query": format_query(instance.query) + "\n"}
     try:
         out.mkdir(parents=True, exist_ok=True)
-        paths = {
-            "schema": out / "schema.txt",
-            "facts": out / "facts.txt",
-            "query": out / "query.txt",
-        }
-        paths["schema"].write_text(format_schema(instance.db.schema))
-        paths["facts"].write_text(format_database(instance.db))
-        paths["query"].write_text(format_query(instance.query) + "\n")
+        for kind, text in texts.items():
+            (out / f"{kind}.txt").write_text(text)
     except OSError as exc:
         raise InputError(f"cannot write to {inv.out!r}: {exc}") from exc
     value = instance.expected_value
@@ -240,7 +230,7 @@ def _cmd_gen_gap(inv: Invocation) -> Report:
                  f"({', '.join(instance.fact.args)})")
     extra = {
         "n": instance.n,
-        "files": {kind: str(p) for kind, p in paths.items()},
+        "files": {kind: str(out / f"{kind}.txt") for kind in texts},
         "fact": fact_text,
         "endogenous_count": instance.db.n_endogenous,
         "expected_value": {"value": rational_string(value),
@@ -302,8 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--schema", help="relation declarations file")
         if facts:
             p.add_argument("--facts", help="database file")
-        p.add_argument("--format", dest="fmt", choices=_FORMATS,
-                       default="json")
+        p.add_argument("--format", dest="fmt", choices=_FORMATS)
 
     p = sub.add_parser("classify", help="tractability analysis of a query")
     add_io(p, facts=False)
@@ -315,14 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--all", dest="all_facts", action="store_true",
                         help="every endogenous fact")
     p.add_argument("--method",
-                   choices=("auto", "exact", "exo", "brute", "approx"),
-                   default="auto")
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=naive.DEFAULT_CAP,
-                   help=f"endogenous-fact limit for enumeration "
-                        f"(default {naive.DEFAULT_CAP})")
+                   choices=("auto", "exact", "exo", "brute", "approx"))
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--delta", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--cap", type=int, help=f"endogenous-fact limit for "
+                   f"enumeration (default {naive.DEFAULT_CAP})")
     p.add_argument("--trace", action="store_true",
                    help="include the rewrite steps in the output")
 
@@ -332,27 +319,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prob", help="query probability over uncertain facts")
     add_io(p)
-    p.add_argument("--method", choices=("auto", "lifted", "brute"),
-                   default="auto")
-    p.add_argument("--cap", type=int, default=naive.DEFAULT_CAP)
+    p.add_argument("--method", choices=("auto", "lifted", "brute"))
+    p.add_argument("--cap", type=int, help=f"uncertain-fact limit for "
+                   f"--method brute (default {naive.DEFAULT_CAP})")
 
     p = sub.add_parser("gen-gap",
                        help="emit a family instance whose attribution "
                             "values shrink super-exponentially")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--format", dest="fmt", choices=_FORMATS,
-                   default="json")
+    p.add_argument("--out", help="output directory")
+    p.add_argument("--format", dest="fmt", choices=_FORMATS)
 
     return parser
 
 
 def invocation_from_args(namespace: argparse.Namespace) -> Invocation:
-    inv = Invocation(command=namespace.command)
-    for name in vars(inv):
-        if hasattr(namespace, name):
-            setattr(inv, name, getattr(namespace, name))
-    return inv
+    return Invocation(**vars(namespace))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> None:

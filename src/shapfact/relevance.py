@@ -56,6 +56,11 @@ class RelevanceWitness:
     coalition: tuple[Fact, ...]
     disjunct: int
 
+    def to_json(self) -> dict:
+        return {"side": self.side, "disjunct": self.disjunct,
+                "assignment": dict(self.assignment),
+                "coalition": [str(f) for f in self.coalition]}
+
 
 @dataclass(frozen=True)
 class RelevanceResult:

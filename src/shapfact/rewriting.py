@@ -150,9 +150,10 @@ class RewriteTrace:
     step, the facts of each relation of its component and the facts the
     step leaves: the anchor facts a filter step keeps, or the tuples a
     materialise step builds.  The sizes are a human-readable record and
-    play no role in replay.  ``source`` is the rewritten database and
-    query, and :attr:`domain` their active domain, which materialise steps
-    range over; it is computed when first read."""
+    play no role in replay.  ``source`` is the database and query that
+    :func:`rewrite` was given, and :attr:`domain` their active domain,
+    which materialise steps and replay range over; it is computed when
+    first read."""
 
     exogenous: tuple[str, ...]
     steps: tuple[RewriteStep, ...]

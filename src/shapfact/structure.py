@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations, permutations, product
 from typing import Collection, Optional, Sequence
 
 from .model import Atom, CQNeg, Query, disjuncts_of
@@ -43,10 +44,6 @@ def is_self_join_free(query: CQNeg) -> bool:
     return True
 
 
-def _atom_vars(query: CQNeg) -> list[frozenset[str]]:
-    return [frozenset(a.variables) for a in query.atoms]
-
-
 @dataclass(frozen=True)
 class TripletWitness:
     """Three atoms certifying non-hierarchy: ``atom_x`` contains ``x`` but
@@ -59,6 +56,12 @@ class TripletWitness:
     x: str
     y: str
 
+    def to_json(self) -> dict:
+        return {"type": "triplet",
+                "atoms": [str(self.atom_x), str(self.atom_xy),
+                          str(self.atom_y)],
+                "x": self.x, "y": self.y}
+
 
 def find_non_hierarchical_triplet(query: CQNeg) -> Optional[TripletWitness]:
     """The lexicographically least witness triplet, or None if the query is
@@ -68,25 +71,13 @@ def find_non_hierarchical_triplet(query: CQNeg) -> Optional[TripletWitness]:
     variable in atoms i and j but not k, and one in j and k but not i; the
     least qualifying variable names are reported.
     """
-    vars_of = _atom_vars(query)
-    n = len(query.atoms)
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            shared_ij = vars_of[i] & vars_of[j]
-            if not shared_ij:
-                continue
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                xs = sorted(shared_ij - vars_of[k])
-                ys = sorted((vars_of[j] & vars_of[k]) - vars_of[i])
-                if xs and ys:
-                    return TripletWitness(
-                        query.atoms[i], query.atoms[j], query.atoms[k],
-                        xs[0], ys[0],
-                    )
+    vars_of = [frozenset(a.variables) for a in query.atoms]
+    for i, j, k in permutations(range(len(vars_of)), 3):
+        xs = (vars_of[i] & vars_of[j]) - vars_of[k]
+        ys = (vars_of[j] & vars_of[k]) - vars_of[i]
+        if xs and ys:
+            return TripletWitness(query.atoms[i], query.atoms[j],
+                                  query.atoms[k], min(xs), min(ys))
     return None
 
 
@@ -123,26 +114,18 @@ def split_components(variables: Sequence[Collection[str]]
     """Indices of atoms, given by their variables, grouped into
     variable-sharing connected components, ordered by smallest member
     index.  Atoms without variables form singletons."""
-    parent = list(range(len(variables)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    by_var: dict[str, int] = {}
+    # each group is a list of atom indices and the variables they hold
+    groups: list[tuple[list[int], set[str]]] = []
     for i, names in enumerate(variables):
-        for v in names:
-            if v in by_var:
-                rep = find(by_var[v])
-                parent[find(i)] = rep
+        members, held, apart = [i], set(names), []
+        for group in groups:
+            if held.isdisjoint(group[1]):
+                apart.append(group)
             else:
-                by_var[v] = i
-    groups: dict[int, list[int]] = {}
-    for i in range(len(variables)):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values())
+                members += group[0]
+                held |= group[1]
+        groups = apart + [(members, held)]
+    return sorted(sorted(members) for members, _ in groups)
 
 
 def exogenous_atom_components(query: CQNeg
@@ -162,14 +145,15 @@ def exogenous_atom_components(query: CQNeg
 
 
 def gaifman_adjacency(query: CQNeg) -> dict[str, set[str]]:
-    """Variable co-occurrence graph over all atoms of the query."""
-    adj: dict[str, set[str]] = {v: set() for v in query.variables}
+    """Variable co-occurrence graph over all atoms of the query, keyed in
+    first-occurrence order."""
+    adj: dict[str, set[str]] = {}
     for atom in query.atoms:
-        vs = atom.variables
-        for a in vs:
-            for b in vs:
-                if a != b:
-                    adj[a].add(b)
+        names = atom.variables
+        for v in names:
+            near = adj.setdefault(v, set())
+            near.update(names)
+            near.discard(v)
     return adj
 
 
@@ -188,6 +172,10 @@ class PathWitness:
         route = "-".join(self.path)
         return f"({self.atom_x}, {self.atom_y}) via {route}"
 
+    def to_json(self) -> dict:
+        return {"type": "path", "atoms": [str(self.atom_x), str(self.atom_y)],
+                "x": self.x, "y": self.y, "path": list(self.path)}
+
 
 def has_non_hierarchical_path(query: CQNeg) -> Optional[PathWitness]:
     """Find a non-hierarchical path relative to the exogenous relations.
@@ -200,43 +188,29 @@ def has_non_hierarchical_path(query: CQNeg) -> Optional[PathWitness]:
     shortest path by BFS with sorted neighbour order.
     """
     adj = gaifman_adjacency(query)
-    candidates = [i for i, a in enumerate(query.atoms)
+    candidates = [(a, frozenset(a.variables)) for a in query.atoms
                   if not a.relation.exogenous_only]
-    vars_of = _atom_vars(query)
-    for ai in candidates:
-        for bi in candidates:
-            if bi <= ai:
-                continue
-            va, vb = vars_of[ai], vars_of[bi]
-            for xv in sorted(va - vb):
-                for yv in sorted(vb - va):
-                    deleted = (va | vb) - {xv, yv}
-                    path = _bfs_path(adj, xv, yv, deleted)
-                    if path is not None:
-                        return PathWitness(query.atoms[ai], query.atoms[bi],
-                                           xv, yv, tuple(path))
+    for (atom_x, va), (atom_y, vb) in combinations(candidates, 2):
+        for xv, yv in product(sorted(va - vb), sorted(vb - va)):
+            path = _bfs_path(adj, xv, yv, (va | vb) - {xv, yv})
+            if path is not None:
+                return PathWitness(atom_x, atom_y, xv, yv, path)
     return None
 
 
 def _bfs_path(adj: dict[str, set[str]], start: str, goal: str,
-              deleted: frozenset[str]) -> Optional[list[str]]:
+              deleted: frozenset[str]) -> Optional[tuple[str, ...]]:
     """A shortest ``start``-``goal`` path avoiding ``deleted``, which holds
     neither endpoint."""
-    prev: dict[str, Optional[str]] = {start: None}
-    queue = deque([start])
+    seen = {start, *deleted}
+    queue = deque([(start,)])
     while queue:
-        node = queue.popleft()
-        if node == goal:
-            path = [node]
-            while prev[node] is not None:
-                node = prev[node]  # type: ignore[assignment]
-                path.append(node)
-            return path[::-1]
-        for nxt in sorted(adj[node]):
-            if nxt in deleted or nxt in prev:
-                continue
-            prev[nxt] = node
-            queue.append(nxt)
+        path = queue.popleft()
+        if path[-1] == goal:
+            return path
+        for nxt in sorted(adj[path[-1]] - seen):
+            seen.add(nxt)
+            queue.append(path + (nxt,))
     return None
 
 
@@ -281,29 +255,12 @@ class VerdictKind(enum.Enum):
 @dataclass(frozen=True)
 class Verdict:
     kind: VerdictKind
-    witness: Optional[object] = None  # TripletWitness | PathWitness
+    witness: TripletWitness | PathWitness | None = None
     detail: str = ""
 
     def to_json(self) -> dict:
-        payload: dict = {"kind": self.kind.value}
-        if isinstance(self.witness, TripletWitness):
-            payload["witness"] = {
-                "type": "triplet",
-                "atoms": [str(self.witness.atom_x), str(self.witness.atom_xy),
-                          str(self.witness.atom_y)],
-                "x": self.witness.x,
-                "y": self.witness.y,
-            }
-        elif isinstance(self.witness, PathWitness):
-            payload["witness"] = {
-                "type": "path",
-                "atoms": [str(self.witness.atom_x), str(self.witness.atom_y)],
-                "x": self.witness.x,
-                "y": self.witness.y,
-                "path": list(self.witness.path),
-            }
-        else:
-            payload["witness"] = None
+        witness = None if self.witness is None else self.witness.to_json()
+        payload: dict = {"kind": self.kind.value, "witness": witness}
         if self.detail:
             payload["detail"] = self.detail
         return payload

@@ -186,6 +186,62 @@ def test_exit_two_on_obstructing_path(tmp_path):
     assert "refused:" in err
 
 
+@pytest.mark.parametrize("command, method", [("shapley", "exo"),
+                                             ("prob", "auto")])
+@pytest.mark.parametrize("query, exogenous, route", [
+    ("q() :- R(x), S(x, y), not T(y).", "", "(R(x), not T(y)) via x-y"),
+    ("q() :- R(x), E(x, z), F(z, y), T(y).", "EF",
+     "(R(x), T(y)) via x-z-y"),
+], ids=["direct", "through-z"])
+def test_path_refusal_names_the_atoms_and_the_route(tmp_path, command, method,
+                                                    query, exogenous, route):
+    # the message writes the witness with PathWitness.__str__
+    schema = tmp_path / "schema.txt"
+    schema.write_text("".join(
+        f"relation {name}/{arity}{' exogenous' * (name in exogenous)}\n"
+        for name, arity in [("R", 1), ("S", 2), ("T", 1), ("E", 2),
+                            ("F", 2)]))
+    facts = tmp_path / "facts.txt"
+    facts.write_text("endo R(A)\n")
+    code, out, err = _run(command=command, schema=str(schema),
+                          facts=str(facts), query=query, method=method,
+                          all_facts=True)
+    assert (code, out) == (2, "")
+    assert err == ("refused: non-hierarchical path survives the exogenous "
+                   f"relations: {route}\n")
+
+
+@pytest.mark.parametrize("argv, given", [
+    (["classify", "--query", Q1_PATH], dict(query=Q1_PATH)),
+    (["shapley", "--query", Q1_PATH, "--fact", "TA(Adam)"],
+     dict(query=Q1_PATH, fact="TA(Adam)")),
+    (["shapley", "--query", Q1_PATH, "--all"],
+     dict(query=Q1_PATH, all_facts=True)),
+    (["relevance", "--query", Q1_PATH, "--fact", "TA(Adam)"],
+     dict(query=Q1_PATH, fact="TA(Adam)")),
+    (["prob", "--query", Q1_PATH], dict(query=Q1_PATH)),
+    (["gen-gap", "--n", "2"], dict(n=2)),
+], ids=["classify", "shapley-fact", "shapley-all", "relevance", "prob",
+        "gen-gap"])
+def test_the_parser_holds_no_default(argv, given):
+    # an option left off the command line takes Invocation's default
+    namespace = build_parser().parse_args(argv)
+    assert vars(namespace) == dict(command=argv[0], **given)
+    assert invocation_from_args(namespace) \
+        == Invocation(command=argv[0], **given)
+
+
+@pytest.mark.parametrize("command",
+                         ["classify", "shapley", "relevance", "prob",
+                          "gen-gap"])
+def test_every_command_has_help(command, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--help"])
+    assert exited.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(f"usage: shapfact {command} ") and err == ""
+
+
 @pytest.mark.parametrize("command, method, target", [
     ("shapley", "exact", dict(all_facts=True)),
     ("shapley", "exact", dict(fact="TA(Adam)")),

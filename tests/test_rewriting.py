@@ -43,6 +43,10 @@ def test_course_query_rewrite_shape(staff_db_exo):
     assert [str(s.anchor) for s in trace.steps] == ["Reg(x, y)"] * 2
     assert str(new_rule) == "q() :- not TA(x), Reg(x, y)."
     assert is_hierarchical(new_rule) and is_self_join_free(new_rule)
+    # the trace keeps the input, not the rewritten database and query: the
+    # materialise steps and replay range over the input's active domain
+    assert trace.source == (staff_db_exo, q)
+    assert trace.source[0] is staff_db_exo
     # the kept endogenous facts survive untouched; the dropped ones are the
     # registrations for CS courses, which are null players
     kept = set(new_db.endogenous)
