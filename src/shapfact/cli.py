@@ -24,9 +24,9 @@ from . import approx, exact, naive, prob, rewriting
 from .relevance import relevance as compute_relevance
 from .errors import InputError, RefusedError
 from .model import Database, Fact, Query, RelationSym
-from .parsing import (format_database, format_query, format_schema,
-                      parse_fact_reference, parse_facts, parse_query,
-                      parse_schema)
+from .parsing import (format_atom, format_database, format_query,
+                      format_schema, parse_fact_reference, parse_facts,
+                      parse_query, parse_schema)
 from .reporting import (Report, decimal_string, rational_string, render_json,
                         render_table)
 from .structure import Verdict, VerdictKind, classify_query
@@ -226,12 +226,10 @@ def _cmd_gen_gap(inv: Invocation) -> Report:
     except OSError as exc:
         raise InputError(f"cannot write to {inv.out!r}: {exc}") from exc
     value = instance.expected_value
-    fact_text = (f"{instance.fact.relation.name}"
-                 f"({', '.join(instance.fact.args)})")
     extra = {
         "n": instance.n,
         "files": {kind: str(out / f"{kind}.txt") for kind in texts},
-        "fact": fact_text,
+        "fact": format_atom(instance.fact),
         "endogenous_count": instance.db.n_endogenous,
         "expected_value": {"value": rational_string(value),
                            "decimal": decimal_string(value)},

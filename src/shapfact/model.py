@@ -35,7 +35,6 @@ LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _LINE_BREAK = re.compile(f"[{LINE_BREAKS}]")
 
 _BARE_CONSTANT = re.compile(r"[A-Z_][A-Za-z0-9_]*\Z|[0-9][A-Za-z0-9_]*\Z")
-_VARIABLE_TOKEN = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 
 
 class Provenance(enum.Enum):
@@ -65,7 +64,7 @@ class Const:
         """The constant as query text; a line break, which no line can
         carry, is written as its escape (``\\n``, ``\\x85``, ...) so that
         a message naming the constant stays on one line."""
-        if _BARE_CONSTANT.match(self.value):
+        if is_bare_constant(self.value):
             return self.value
         return _LINE_BREAK.sub(_escape, quoted(self.value))
 
@@ -83,9 +82,11 @@ def quoted(value: str) -> str:
 Term = Union[Var, Const]
 
 
-def is_variable_token(token: str) -> bool:
-    """True iff ``token`` would be read as a variable (lowercase-initial)."""
-    return bool(_VARIABLE_TOKEN.match(token))
+def is_bare_constant(token: str) -> bool:
+    """True iff query text reads ``token`` unquoted as a constant: it
+    starts with an uppercase letter, a digit or ``_``; a bare word that
+    starts with a lowercase letter is a variable."""
+    return bool(_BARE_CONSTANT.match(token))
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +174,6 @@ class CQNeg:
     @property
     def negatives(self) -> tuple[Atom, ...]:
         return tuple(a for a in self.atoms if a.negated)
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for a in self.atoms:
-            for v in a.variables:
-                seen.setdefault(v, None)
-        return tuple(seen)
 
     @property
     def constants(self) -> tuple[str, ...]:
@@ -332,7 +325,9 @@ class Database:
     # -- derived databases --------------------------------------------------
 
     def with_fact_exogenous(self, fact: Fact) -> "Database":
-        """The same database with ``fact`` reclassified as exogenous."""
+        """The same database with ``fact`` reclassified as exogenous.  No
+        engine calls it; it stays for the benchmark's tracer, which
+        patches it by name, until ROADMAP item 1."""
         self._require(fact)
         replaced = [
             Fact(f.relation, f.args, Provenance.EXOGENOUS, f.probability)
@@ -342,7 +337,9 @@ class Database:
         return Database(self.schema, replaced)
 
     def without_fact(self, fact: Fact) -> "Database":
-        """The same database with ``fact`` removed."""
+        """The same database with ``fact`` removed.  No engine calls it;
+        it stays for the benchmark's tracer, which patches it by name,
+        until ROADMAP item 1."""
         self._require(fact)
         return Database(self.schema, (f for f in self.facts if f != fact))
 
@@ -352,7 +349,10 @@ class Database:
         new_relations: Iterable[RelationSym],
         new_facts: Iterable[Fact],
     ) -> "Database":
-        """Drop whole relations and add fresh ones (used by the rewrite)."""
+        """Drop whole relations and add fresh ones.  The rewrite builds its
+        database in ``rewriting._database`` instead; this stays for the
+        benchmark's tracer, which patches it by name, until ROADMAP item
+        1."""
         drop = set(dropped)
         schema = self.schema.extended(new_relations, dropped=drop)
         kept = [f for f in self.facts if f.relation.name not in drop]
@@ -499,10 +499,11 @@ def validate_query(query: Query, schema: Optional[Schema] = None) -> list[str]:
     return [msg for _, msg in query_violations(query, schema)]
 
 
-def raise_first(problems: list[tuple[type, str]]) -> None:
-    """Raise the first violation as its typed exception, if any."""
+def raise_first(problems: list[tuple[type, str]], where: str = "") -> None:
+    """Raise the first violation as its typed exception, if any, with
+    ``where`` (say ``"line 3: "``) in front of its message."""
     if problems:
         exc_type, msg = problems[0]
         if len(problems) > 1:
             msg += f" (and {len(problems) - 1} more problem(s))"
-        raise exc_type(msg)
+        raise exc_type(where + msg)

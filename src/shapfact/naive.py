@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import CapExceededError, InputError
 from .model import (
@@ -96,14 +96,16 @@ class _Index(dict):
         for at, first in enumerate(shape):
             if 0 <= first != at:
                 rows = [args for args in rows if args[at] == args[first]]
-        bound = [at for at, first in enumerate(shape) if first < 0]
-        if not bound:
-            return (lambda args: ()), {(): rows}
-        probe = itemgetter(*bound)
+        probe = _reader([at for at, first in enumerate(shape) if first < 0])
         table: dict[object, list[tuple[str, ...]]] = {}
         for args in rows:
             table.setdefault(probe(args), []).append(args)
         return probe, table
+
+
+def _reader(items: Sequence) -> Callable:
+    """Reads ``items`` out of a sequence or a mapping as one key."""
+    return itemgetter(*items) if items else lambda _: ()
 
 
 def _index(facts: Iterable[Fact]) -> _Index:

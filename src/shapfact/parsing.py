@@ -67,7 +67,7 @@ from .model import (
     Var,
     disjuncts_of,
     fact_violations,
-    is_variable_token,
+    is_bare_constant,
     line_break_violations,
     query_violations,
     quoted,
@@ -147,7 +147,7 @@ def _match(pattern: re.Pattern, text: str, pos: int, what: str) -> re.Match:
 def _term(token: str) -> Term:
     if token[0] == "'":
         return Const(_unquote(token))
-    return Var(token) if is_variable_token(token) else Const(token)
+    return Const(token) if is_bare_constant(token) else Var(token)
 
 
 def parse_query(text: str, schema: Optional[Schema] = None) -> UCQNeg:
@@ -219,8 +219,7 @@ def parse_schema(text: str) -> Schema:
                 f"got: {line}"
             )
         name, arity, exo = m.group(1), int(m.group(2)), bool(m.group(3))
-        raise_first([(kind, f"line {lineno}: {message}")
-                     for kind, message in reserved_name_violations(name)])
+        raise_first(reserved_name_violations(name), f"line {lineno}: ")
         declared.append((lineno, RelationSym(name, arity, exo)))
     lineno = 0
 
@@ -273,11 +272,8 @@ def _resolve(lineno: int, name: str, args: tuple[str, ...],
                 f"line {lineno}: bad probability {p!r}") from exc
         provenance = (Provenance.EXOGENOUS if rel.exogenous_only
                       else Provenance.ENDOGENOUS)
-    problems = fact_violations(Fact(rel, args, provenance, probability),
-                               schema)
-    if problems:
-        raise_first([(kind, f"line {lineno}: {message}")
-                     for kind, message in problems])
+    raise_first(fact_violations(Fact(rel, args, provenance, probability),
+                                schema), f"line {lineno}: ")
     return rel, provenance, probability
 
 
@@ -352,14 +348,19 @@ def _format_arg(value: str) -> str:
     return value if re.fullmatch(_BARE, value) else quoted(value)
 
 
+def format_atom(fact: Fact) -> str:
+    """``fact`` as ``Name(c, ...)``, the way fact lines and ``--fact``
+    write it: a constant outside the bare shape is quoted."""
+    return f"{fact.relation.name}({', '.join(map(_format_arg, fact.args))})"
+
+
 def format_fact(fact: Fact) -> str:
     """``fact`` as a fact line; a constant holding a line break, which no
     line could carry, is refused with ``SchemaSyntaxError``."""
     raise_first(line_break_violations(fact))
-    atom = f"{fact.relation.name}({', '.join(_format_arg(a) for a in fact.args)})"
     if fact.probability is not None:
-        return f"prob {fact.probability} {atom}"
-    return f"{fact.provenance.value} {atom}"
+        return f"prob {fact.probability} {format_atom(fact)}"
+    return f"{fact.provenance.value} {format_atom(fact)}"
 
 
 def format_database(db: Database) -> str:

@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .model import Fact
+from .parsing import format_atom
 
 _TWELVE = Context(prec=12, rounding=ROUND_HALF_EVEN)
 
@@ -86,7 +87,7 @@ def render_table(report: Report) -> str:
         lines.append(f"query:  {qline}")
     pairs = report.sorted_facts()
     if pairs:
-        names = [f"{f.relation.name}({', '.join(f.args)})" for f, _ in pairs]
+        names = [format_atom(f) for f, _ in pairs]
         width = max(len(n) for n in names)
         lines.append("")
         for (f, value), name in zip(pairs, names):

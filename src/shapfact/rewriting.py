@@ -65,7 +65,6 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
 from typing import Callable, Sequence, Union
 
 from .errors import (
@@ -92,7 +91,7 @@ from .model import (
     schema_violations,
     single_disjunct,
 )
-from .naive import _Index, _match, iter_homomorphisms
+from .naive import _Index, _match, _reader, iter_homomorphisms
 from .structure import (
     exogenous_atom_components,
     has_non_hierarchical_path,
@@ -248,11 +247,6 @@ def _split(relations: Relations, component: Sequence[Atom]
         return any(read(h) in values for read, values in hits)
 
     return positive, index, blocked if hits else lambda h: False
-
-
-def _reader(items: Sequence) -> Callable:
-    """Reads ``items`` out of a sequence or a mapping as one key."""
-    return itemgetter(*items) if items else lambda _: ()
 
 
 def _filter(relations: Relations, step: FilterStep, matched: set[str]) -> None:

@@ -445,6 +445,23 @@ def test_table_format_smoke():
     assert "rule 1: PTimeHierarchical" in out
 
 
+def test_the_table_names_a_fact_as_fact_lines_and_fact_do(tmp_path):
+    # the constant ``a, b`` is one argument: written bare, it would read
+    # as two
+    (tmp_path / "schema.txt").write_text("relation R/1\n")
+    (tmp_path / "facts.txt").write_text("endo R('a, b')\nendo R(c)\n")
+    common = dict(command="shapley", schema=str(tmp_path / "schema.txt"),
+                  facts=str(tmp_path / "facts.txt"), query="q() :- R(x).")
+    code, out, err = _run(all_facts=True, fmt="table", **common)
+    assert code == 0, err
+    assert out.splitlines()[3:5] == [
+        "  R('a, b')  endo          1/2  0.5",
+        "  R(c)       endo          1/2  0.5"]
+    payload = _payload(fact="R('a, b')", **common)
+    assert [(f["relation"], f["args"], f["value"])
+            for f in payload["facts"]] == [("R", ["a, b"], "1/2")]
+
+
 def test_output_is_byte_stable():
     kwargs = dict(command="shapley", schema=SCHEMA, facts=FACTS,
                   query=Q1_PATH, all_facts=True, method="exact")

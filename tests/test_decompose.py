@@ -2,17 +2,21 @@
 world: a root value without a fact of some positive atom."""
 
 import random
+from fractions import Fraction
 
 from conftest import (Q2, random_exo_rewrite_instance,
                       random_hierarchical_instance, random_prob_instance)
 from shapfact import exact
 from shapfact.decompose import bucket_facts, weighted_count
-from shapfact.exact import shapley_exact_all
-from shapfact.model import Var
-from shapfact.naive import brute_shapley_all
+from shapfact.exact import count_satisfying_subsets, shapley_exact_all
+from shapfact.model import (CQNeg, Database, Fact, Provenance, RelationSym,
+                            Schema, Var, validate_database)
+from shapfact.naive import brute_count_satisfying, brute_shapley_all
 from shapfact.parsing import parse_query
 from shapfact.prob import brute_prob, fact_probability, prob_eval
+from shapfact.relevance import relevance
 from shapfact.rewriting import rewrite, shapley_exo_all
+from shapfact.structure import VerdictKind, classify
 
 
 def _pooled(db, rule):
@@ -92,3 +96,36 @@ def test_staff_q2_recursion_grounds_only_registered_students(staff_db_exo):
     assert grounded == registered
     # TA(David) holds a root value without a registration
     assert "David" in values - registered
+
+
+def test_a_rule_with_no_atoms_holds_in_every_world():
+    r, s = RelationSym("R", 1), RelationSym("S", 1)
+    endogenous = [Fact(r, ("a",), probability=Fraction(1, 2)), Fact(r, ("b",))]
+    db = Database(Schema([r, s]),
+                  endogenous + [Fact(s, ("c",), Provenance.EXOGENOUS)])
+    rule = CQNeg(())
+    assert count_satisfying_subsets(db, rule) == [1, 2, 1]
+    assert brute_count_satisfying(db, rule) == [1, 2, 1]
+    for values in (shapley_exact_all(db, rule), shapley_exo_all(db, rule),
+                   brute_shapley_all(db, rule)):
+        assert values == dict.fromkeys(endogenous, 0)
+    assert prob_eval(db, rule) == brute_prob(db, rule) == 1
+    assert classify(rule).kind is VerdictKind.PTIME_HIERARCHICAL
+    assert all(relevance(db, rule, fact).witness is None
+               for fact in endogenous)
+
+
+def test_a_fact_of_another_arity_reaches_no_ground_atom():
+    """A database built in code may hold a fact whose arity its relation
+    does not declare; routing matches it against no atom of the declared
+    arity, and the brute-force join skips it too."""
+    declared = RelationSym("R", 1)
+    short = Fact(declared, ("a",))
+    long = Fact(RelationSym("R", 2), ("a", "b"))
+    db = Database(Schema([declared]), [short, long])
+    query = parse_query("q() :- R(x).")
+    expected = {short: 1, long: 0}
+    assert shapley_exact_all(db, query) == expected
+    assert brute_shapley_all(db, query) == expected
+    assert prob_eval(db, query) == 1
+    assert validate_database(db) == ["fact R('a', 'b'): arity 2 != declared 1"]

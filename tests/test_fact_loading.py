@@ -128,6 +128,8 @@ def _fault(rng: random.Random, kind: str,
                      constants[:rng.choice([0, 1, 3])])
     if kind == "endogenous in an exogenous relation":
         return _line(rng, "endo", "S", constants[:1])
+    if kind == "two problems":  # wrong arity, and endogenous in S
+        return _line(rng, "endo", "S", constants[:rng.choice([0, 2, 3])])
     if kind == "bad probability":
         return _line(rng, "prob " + rng.choice(["nope", "1/0", "1//2"]),
                      "R", constants[:2])
@@ -153,6 +155,8 @@ FIRST_ERRORS = {
     "wrong arity": (errors.ArityError, "!= declared"),
     "endogenous in an exogenous relation": (
         errors.ProvenanceError, "but the fact is endogenous"),
+    "two problems": (errors.ArityError,
+                     "!= declared 1 (and 1 more problem(s))"),
     "bad probability": (errors.BadProbabilityError, "bad probability"),
     "probability out of range": (errors.BadProbabilityError, "outside [0, 1]"),
     "exogenous probability below 1": (

@@ -9,7 +9,8 @@ from shapfact import brute_shapley, relevance, shapley_exact, shapley_exo
 from shapfact.errors import (ArityError, BadProbabilityError,
                              DuplicateFactError, FactNotEndogenousError,
                              ProvenanceError, ReservedNameError, SafetyError,
-                             SchemaSyntaxError, UnsupportedQueryError)
+                             SchemaSyntaxError, UnknownFactError,
+                             UnsupportedQueryError)
 from shapfact.model import (LINE_BREAKS, Atom, CQNeg, Const, Database, Fact,
                             Provenance, RelationSym, Schema, UCQNeg, Var,
                             active_domain, database_violations,
@@ -65,6 +66,14 @@ def test_with_fact_exogenous_and_without_fact():
     assert removed.get("R", ("c",)) is None
     # the original is untouched
     assert db.n_endogenous == 2
+
+
+@pytest.mark.parametrize("derive", ["with_fact_exogenous", "without_fact"])
+def test_deriving_from_an_absent_fact_is_refused(derive):
+    db = Database(Schema([R1]), [Fact(R1, ("c",))])
+    with pytest.raises(UnknownFactError) as caught:
+        getattr(db, derive)(Fact(R1, ("z",)))
+    assert str(caught.value) == "fact R('z') is not in the database"
 
 
 def test_one_endogenous_check_behind_every_engine(staff_db, q1):

@@ -221,7 +221,7 @@ def _ref_exogenous_atom_components(query):
 
 
 def _ref_gaifman_adjacency(query):
-    adj = {v: set() for v in query.variables}
+    adj = {v: set() for atom in query.atoms for v in atom.variables}
     for atom in query.atoms:
         vs = atom.variables
         for a in vs:
