@@ -34,6 +34,12 @@ RESERVED_PREFIX = "__exo_"
 LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _LINE_BREAK = re.compile(f"[{LINE_BREAKS}]")
 
+#: A constant that fact lines and ``--fact`` write without quotes: one or
+#: more letters, digits and ``_``, whatever the first character.
+BARE_WORD = r"[A-Za-z0-9_]+"
+_BARE_WORD = re.compile(BARE_WORD)
+# query text reads a bare word that starts with a lowercase letter as a
+# variable, so only the others are bare constants there
 _BARE_CONSTANT = re.compile(r"[A-Z_][A-Za-z0-9_]*\Z|[0-9][A-Za-z0-9_]*\Z")
 
 
@@ -61,12 +67,18 @@ class Const:
     value: str
 
     def __str__(self) -> str:
-        """The constant as query text; a line break, which no line can
-        carry, is written as its escape (``\\n``, ``\\x85``, ...) so that
-        a message naming the constant stays on one line."""
-        if is_bare_constant(self.value):
-            return self.value
-        return _LINE_BREAK.sub(_escape, quoted(self.value))
+        """The constant as query text (see :func:`_written`)."""
+        return _written(self.value, _BARE_CONSTANT)
+
+
+def _written(value: str, bare: re.Pattern) -> str:
+    """``value`` as written in text: as is when ``bare`` matches all of
+    it, else quoted.  A line break, which no line can carry, is written as
+    its escape (``\\n``, ``\\x85``, ...) so that a message naming the
+    value stays on one line."""
+    if bare.fullmatch(value):
+        return value
+    return _LINE_BREAK.sub(_escape, quoted(value))
 
 
 def _escape(m: re.Match) -> str:
@@ -245,7 +257,11 @@ class Fact:
         return hash(self.key)
 
     def __str__(self) -> str:
-        args = ", ".join(str(Const(a)) for a in self.args)
+        """The fact as ``Name(c, ...)``, the way fact lines and ``--fact``
+        write it: a constant outside :data:`BARE_WORD` is quoted, and a
+        line break in it is written as its escape (see :func:`_written`).
+        Every message, table and witness names a fact this way."""
+        args = ", ".join(_written(a, _BARE_WORD) for a in self.args)
         return f"{self.relation.name}({args})"
 
 
@@ -499,11 +515,10 @@ def validate_query(query: Query, schema: Optional[Schema] = None) -> list[str]:
     return [msg for _, msg in query_violations(query, schema)]
 
 
-def raise_first(problems: list[tuple[type, str]], where: str = "") -> None:
-    """Raise the first violation as its typed exception, if any, with
-    ``where`` (say ``"line 3: "``) in front of its message."""
+def raise_first(problems: list[tuple[type, str]]) -> None:
+    """Raise the first violation as its typed exception, if any."""
     if problems:
         exc_type, msg = problems[0]
         if len(problems) > 1:
             msg += f" (and {len(problems) - 1} more problem(s))"
-        raise exc_type(where + msg)
+        raise exc_type(msg)

@@ -1,14 +1,27 @@
-"""Brute-force reference implementations.
+"""The join every engine shares, and the brute-force references.
 
-Everything here is deliberately simple: evaluation by a backtracking join
-(each atom's matches read from a table keyed on its bound positions),
-attribution and relevance by enumerating all subsets of the endogenous
-facts.  These are the oracles the polynomial-time engines are tested
-against, so clarity beats speed.  The join runs once, into profiles.  The
-truth table over the ``2^n`` subsets is one int of ``2^n`` bits, read off
-the profiles with big-integer ANDs and ORs.  For each fact, a few more
-ANDs and popcounts over that table find every flip the fact causes, which
-gives both its value and its relevance.
+Two kinds of code live here.  The first is shared machinery, which other
+engines run on their own paths, so its speed matters:
+
+* the probe-table join, :class:`_Index` and :func:`iter_homomorphisms`
+  (each atom's matches read from a table keyed on its bound positions),
+  with :func:`_match`: relevance scans its assignments with them, the
+  exogenous rewrite filters and joins with them, and the shared counting
+  recursion (``decompose``) routes each fact to its atoms by ``_match``;
+* :func:`ground`, the facts an assignment lands on, which relevance and
+  the profiles read, and :func:`eval_boolean`, a query's truth on one
+  world, with which relevance tests each coalition it builds;
+* :func:`hom_profiles`, the join run once into profiles, which the
+  sampler (``approx``) and the subset oracle read.
+
+The second is the enumeration oracles, which the polynomial-time engines
+are tested against (and which ``--method brute`` runs), so clarity beats
+speed: :class:`SubsetOracle` and the ``brute_*`` functions enumerate all
+subsets of the endogenous facts.  The truth table over the ``2^n``
+subsets is one int of ``2^n`` bits, read off the profiles with
+big-integer ANDs and ORs.  For each fact, a few more ANDs and popcounts
+over that table find every flip the fact causes, which gives both its
+value and its relevance.
 
 The attribution being computed: with the exogenous facts always present, a
 coalition is a set ``E`` of endogenous facts, its worth is the truth value

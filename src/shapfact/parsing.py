@@ -36,12 +36,20 @@ an atom), each followed by ``,`` or, after the last, ``.``; rules may span
 lines.  A fact line is a keyword, ``exo``, ``endo`` or ``prob p``, then an
 atom.  Probabilities are exact: either a decimal literal or ``num/den``.
 
-A constant outside the bare shape (letters, digits, ``_``) is quoted with
-single quotes.  Inside the quotes a backslash escapes the character after
-it, so the writer escapes ``\\`` and ``'`` and the reader drops the
-backslash before any character.  No constant holds a line break.  ``#``
-starts a comment, up to the end of the line, in all three formats, but only
-outside quotes.
+A constant outside the bare shape (letters, digits, ``_``; ``BARE_WORD``
+in :mod:`shapfact.model`) is quoted with single quotes.  Inside the quotes
+a backslash escapes the character after it, so the writer escapes ``\\``
+and ``'`` and the reader drops the backslash before any character.  No
+constant read from text holds a line break.  ``#`` starts a comment, up to
+the end of the line, in all three formats, but only outside quotes.
+
+The one writer of a fact's atom is ``str(fact)``
+(:class:`shapfact.model.Fact`), which also writes a line break in a
+constant built in code as its escape; :func:`format_fact` puts the
+keyword in front of it.  Every message, table and witness names a fact
+that way, so a printed fact can be pasted into ``--fact``.  The schema and
+fact readers each report the first problem of a file in file order, and
+each names its line in one place.
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ from typing import NoReturn, Optional
 
 from . import errors
 from .model import (
+    BARE_WORD,
     LINE_BREAKS,
     Atom,
     Const,
@@ -70,7 +79,6 @@ from .model import (
     is_bare_constant,
     line_break_violations,
     query_violations,
-    quoted,
     raise_first,
     reserved_name_violations,
     schema_violations,
@@ -83,9 +91,8 @@ from .model import (
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 # one constant: a bare word, or a quoted token in which a backslash escapes
 # the character after it; neither holds a line break
-_BARE = r"[A-Za-z0-9_]+"
 _QUOTED = rf"'(?:[^'\\{LINE_BREAKS}]|\\[^{LINE_BREAKS}])*'"
-_CONSTANT = f"(?:{_BARE}|{_QUOTED})"
+_CONSTANT = f"(?:{BARE_WORD}|{_QUOTED})"
 _CONSTANT_RE = re.compile(_CONSTANT)
 # ``Name(c, ...)``
 _ATOM = (rf"(?P<name>{_NAME})\s*"
@@ -209,31 +216,29 @@ def _content_lines(text: str):
 
 
 def parse_schema(text: str) -> Schema:
-    """Parse ``relation Name/arity [exogenous]`` lines into a schema."""
-    declared: list[tuple[int, RelationSym]] = []
-    for lineno, line in _content_lines(text):
-        m = _SCHEMA_LINE.match(line)
-        if m is None:
-            raise errors.SchemaSyntaxError(
-                f"line {lineno}: expected 'relation Name/arity [exogenous]', "
-                f"got: {line}"
-            )
-        name, arity, exo = m.group(1), int(m.group(2)), bool(m.group(3))
-        raise_first(reserved_name_violations(name), f"line {lineno}: ")
-        declared.append((lineno, RelationSym(name, arity, exo)))
+    """Parse ``relation Name/arity [exogenous]`` lines into a schema.
+
+    The lines stream into :class:`Schema`, so the first problem in file
+    order is the one reported, with its line."""
     lineno = 0
 
     def relations():
         nonlocal lineno
-        for lineno, rel in declared:
-            yield rel
+        for lineno, line in _content_lines(text):
+            m = _SCHEMA_LINE.match(line)
+            if m is None:
+                raise errors.SchemaSyntaxError(
+                    f"expected 'relation Name/arity [exogenous]', got: {line}")
+            raise_first(reserved_name_violations(m[1]))
+            yield RelationSym(m[1], int(m[2]), bool(m[3]))
 
-    # Schema refuses a relation declared twice when it reads the second
-    # declaration, whose line is the last one read
+    # Schema refuses a relation declared twice as it reads the second
+    # declaration, the last line read
     try:
         return Schema(relations())
-    except errors.SchemaSyntaxError as exc:
-        raise errors.SchemaSyntaxError(f"line {lineno}: {exc}") from None
+    except errors.InputError as exc:
+        exc.args = (f"line {lineno}: {exc}",)
+        raise
 
 
 # a whole fact line; blank and comment-only lines match with no keyword.
@@ -253,11 +258,11 @@ def parse_fact_reference(text: str) -> tuple[str, tuple[str, ...]]:
     return m["name"], _args(m["args"])
 
 
-def _resolve(lineno: int, name: str, args: tuple[str, ...],
-             keyword: Optional[str], p: Optional[str], schema: Schema
+def _resolve(name: str, args: tuple[str, ...], keyword: Optional[str],
+             p: Optional[str], schema: Schema
              ) -> tuple[RelationSym, Provenance, Optional[Fraction]]:
     """The relation, provenance and probability of a fact line, once
-    ``fact_violations`` has passed its fact; errors name ``lineno``."""
+    ``fact_violations`` has passed its fact."""
     rel = schema.get(name) or RelationSym(name, len(args))
     probability: Optional[Fraction] = None
     if keyword == "exo":
@@ -269,11 +274,11 @@ def _resolve(lineno: int, name: str, args: tuple[str, ...],
             probability = Fraction(p)
         except (ValueError, ZeroDivisionError) as exc:
             raise errors.BadProbabilityError(
-                f"line {lineno}: bad probability {p!r}") from exc
+                f"bad probability {p!r}") from exc
         provenance = (Provenance.EXOGENOUS if rel.exogenous_only
                       else Provenance.ENDOGENOUS)
     raise_first(fact_violations(Fact(rel, args, provenance, probability),
-                                schema), f"line {lineno}: ")
+                                schema))
     return rel, provenance, probability
 
 
@@ -303,9 +308,8 @@ def parse_facts(text: str, schema: Schema) -> Database:
             m = _FACT_LINE.fullmatch(line)
             if m is None:
                 raise errors.SchemaSyntaxError(
-                    f"line {lineno}: expected 'exo|endo|prob p "
-                    f"Name(c, ...)', got: {line.strip()}"
-                )
+                    f"expected 'exo|endo|prob p Name(c, ...)', got: "
+                    f"{line.strip()}")
             keyword, p, name, args_text = m.groups()
             if name is None:
                 continue
@@ -313,12 +317,13 @@ def parse_facts(text: str, schema: Schema) -> Database:
             key = (name, len(args), keyword, p)
             found = resolved.get(key)
             if found is None:
-                found = resolved[key] = _resolve(lineno, name, args, keyword,
-                                                 p, schema)
+                found = resolved[key] = _resolve(name, args, keyword, p,
+                                                 schema)
             yield Fact(found[0], args, found[1], found[2])
 
     # the database refuses a conflicting duplicate as it reads the second
-    # line, the last one read; the first is the earliest line of the fact
+    # line, the last one read; the first is the earliest line of the fact.
+    # Any other error comes from the last line read, which it names
     try:
         return Database(schema, facts())
     except errors.DuplicateFactError as exc:
@@ -330,6 +335,9 @@ def parse_facts(text: str, schema: Schema) -> Database:
         raise errors.DuplicateFactError(
             f"line {lineno}: {format_fact(fact)} conflicts with line "
             f"{first}: {format_fact(stored)}", stored, fact) from None
+    except errors.InputError as exc:
+        exc.args = (f"line {lineno}: {exc}",)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -344,23 +352,14 @@ def format_schema(schema: Schema) -> str:
     return "\n".join(str(rel) for rel in schema.relations)
 
 
-def _format_arg(value: str) -> str:
-    return value if re.fullmatch(_BARE, value) else quoted(value)
-
-
-def format_atom(fact: Fact) -> str:
-    """``fact`` as ``Name(c, ...)``, the way fact lines and ``--fact``
-    write it: a constant outside the bare shape is quoted."""
-    return f"{fact.relation.name}({', '.join(map(_format_arg, fact.args))})"
-
-
 def format_fact(fact: Fact) -> str:
-    """``fact`` as a fact line; a constant holding a line break, which no
-    line could carry, is refused with ``SchemaSyntaxError``."""
+    """``fact`` as a fact line: its keyword, then ``str(fact)``.  A
+    constant holding a line break, which no line could carry, is refused
+    with ``SchemaSyntaxError``."""
     raise_first(line_break_violations(fact))
-    if fact.probability is not None:
-        return f"prob {fact.probability} {format_atom(fact)}"
-    return f"{fact.provenance.value} {format_atom(fact)}"
+    keyword = (fact.provenance.value if fact.probability is None
+               else f"prob {fact.probability}")
+    return f"{keyword} {fact}"
 
 
 def format_database(db: Database) -> str:

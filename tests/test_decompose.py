@@ -115,6 +115,18 @@ def test_a_rule_with_no_atoms_holds_in_every_world():
                for fact in endogenous)
 
 
+def test_an_empty_count_is_a_fresh_vector():
+    """A rule with no atoms over an empty database counts [1].  The vector
+    is the caller's own: without ``weighted_count``'s zero-atom return it
+    would be the module's shared empty product, so appending to one
+    count's vector would change every later one."""
+    db = Database(Schema([]), [])
+    counted = count_satisfying_subsets(db, CQNeg(()))
+    assert counted == [1]
+    counted.append(7)
+    assert count_satisfying_subsets(db, CQNeg(())) == [1]
+
+
 def test_a_fact_of_another_arity_reaches_no_ground_atom():
     """A database built in code may hold a fact whose arity its relation
     does not declare; routing matches it against no atom of the declared
@@ -128,4 +140,4 @@ def test_a_fact_of_another_arity_reaches_no_ground_atom():
     assert shapley_exact_all(db, query) == expected
     assert brute_shapley_all(db, query) == expected
     assert prob_eval(db, query) == 1
-    assert validate_database(db) == ["fact R('a', 'b'): arity 2 != declared 1"]
+    assert validate_database(db) == ["fact R(a, b): arity 2 != declared 1"]

@@ -225,7 +225,8 @@ def _outcome(loader, text: str):
         return [(f.relation, f.args, f.provenance, f.probability)
                 for f in loader(text, SCHEMA)]
     except errors.ShapfactError as exc:
-        return type(exc), str(exc)
+        # the cause too: ``prob 1/0`` is refused from a ZeroDivisionError
+        return type(exc), str(exc), type(exc.__cause__)
 
 
 def test_fact_loading_matches_the_per_line_reference():
@@ -237,7 +238,7 @@ def test_fact_loading_matches_the_per_line_reference():
         expected = _outcome(reference_parse_facts, text)
         assert _outcome(parse_facts, text) == expected, text
         if isinstance(expected, tuple):
-            kind, message = expected
+            kind, message, _cause = expected
             raised.update((fault, count + 1) for fault, count in raised.items()
                           if FIRST_ERRORS[fault][0] is kind
                           and FIRST_ERRORS[fault][1] in message)

@@ -73,7 +73,7 @@ def test_deriving_from_an_absent_fact_is_refused(derive):
     db = Database(Schema([R1]), [Fact(R1, ("c",))])
     with pytest.raises(UnknownFactError) as caught:
         getattr(db, derive)(Fact(R1, ("z",)))
-    assert str(caught.value) == "fact R('z') is not in the database"
+    assert str(caught.value) == "fact R(z) is not in the database"
 
 
 def test_one_endogenous_check_behind_every_engine(staff_db, q1):

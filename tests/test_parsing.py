@@ -8,15 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shapfact.errors import (ArityError, BadProbabilityError,
-                             DuplicateFactError, ProvenanceError,
-                             QuerySyntaxError, ReservedNameError,
-                             SafetyError, SchemaSyntaxError,
-                             UnknownRelationError)
+                             DuplicateFactError, FactNotEndogenousError,
+                             ProvenanceError, QuerySyntaxError,
+                             ReservedNameError, SafetyError,
+                             SchemaSyntaxError, UnknownRelationError)
 from shapfact.model import (Atom, CQNeg, Const, Database, Fact, Provenance,
                             RelationSym, Schema, Var)
 from shapfact.parsing import (format_database, format_fact, format_query,
                               format_schema, parse_fact_reference,
                               parse_facts, parse_query, parse_schema)
+from shapfact.relevance import relevance
+from shapfact.reporting import Report, render_table
 
 
 def test_case_decides_variable_vs_constant_in_queries():
@@ -74,8 +76,10 @@ def test_schema_enforces_arity():
 def test_reserved_prefix_rejected_everywhere():
     with pytest.raises(ReservedNameError):
         parse_query("q() :- __exo_1_co(x).")
-    with pytest.raises(ReservedNameError):
+    with pytest.raises(ReservedNameError) as excinfo:
         parse_schema("relation __exo_2_join/1")
+    assert str(excinfo.value) == ("line 1: relation name __exo_2_join uses "
+                                  "the reserved prefix __exo_")
 
 
 def test_relation_named_not_is_refused():
@@ -92,6 +96,13 @@ def test_relation_declared_twice_names_the_second_line():
     with pytest.raises(SchemaSyntaxError) as excinfo:
         parse_schema("relation R/1\n# note\n\nrelation R/2\nrelation R/1")
     assert str(excinfo.value) == "line 4: relation R declared twice"
+
+
+def test_a_schema_reports_its_first_problem_in_file_order():
+    # the second declaration of R comes before the malformed line
+    with pytest.raises(SchemaSyntaxError) as excinfo:
+        parse_schema("relation R/1\nrelation R/1\n\nbad line")
+    assert str(excinfo.value) == "line 2: relation R declared twice"
 
 
 def test_malformed_schema_line_names_its_line():
@@ -325,6 +336,47 @@ def test_format_fact_spells_provenance_and_probability():
     schema = parse_schema("relation Reg/2")
     db = parse_facts("prob 1/2 Reg(Adam, OS)", schema)
     assert format_fact(db.facts[0]) == "prob 1/2 Reg(Adam, OS)"
+
+
+# constants without a line break: lowercase-initial words, which fact
+# lines write bare and query text quotes, and words of the characters that
+# need quotes
+_fact_constants = st.one_of(
+    st.from_regex(r"[a-z][a-z0-9_]*", fullmatch=True),
+    st.text(st.sampled_from("ab09_ ,'\\#"), max_size=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fact_constants, st.sampled_from([None, Fraction(1, 3)]))
+def test_a_fact_is_named_the_way_fact_lines_write_it(value, probability):
+    """``str(fact)`` reads back through ``--fact`` and, as a fact line,
+    through the fact reader, and it is the name the table, a relevance
+    witness and a refusal give the fact."""
+    r, s, t = (RelationSym(name, 1) for name in "RST")
+    fact = Fact(r, (value,), probability=probability)
+    partner = Fact(s, (value,))
+    exogenous = Fact(t, (value,), Provenance.EXOGENOUS)
+    schema = Schema([r, s, t])
+    db = Database(schema, [fact, partner, exogenous])
+    name = str(fact)
+    # bare exactly when the constant is a bare word, whatever its first
+    # letter
+    bare = re.fullmatch(r"[A-Za-z0-9_]+", value) is not None
+    assert (name == f"R({value})") is bare
+    assert parse_fact_reference(name) == ("R", (value,))
+    [read] = parse_facts(format_fact(fact), schema).facts
+    assert (read, read.provenance, read.probability) == (
+        fact, fact.provenance, fact.probability)
+    table = render_table(Report("exact", "q() :- R(x).",
+                                [(fact, Fraction(1, 2))]))
+    assert table.splitlines()[3] == f"  {name}  endo          1/2  0.5"
+    witness = relevance(db, parse_query("q() :- R(x), S(x)."), partner)
+    assert witness.witness.to_json()["coalition"] == [name]
+    with pytest.raises(FactNotEndogenousError) as excinfo:
+        db.require_endogenous(exogenous)
+    assert str(excinfo.value) == (
+        f"fact {exogenous} is not an endogenous fact of the database")
+    assert str(exogenous) == f"T{name[1:]}"
 
 
 def test_format_fact_refuses_a_line_break():

@@ -81,3 +81,12 @@ def test_table_rendering_smoke():
     assert "method: exact" in text
     assert "-3/28" in text and "-0.107142857143" in text
     assert "rule 1: PTimeHierarchical" in text
+
+
+def test_a_line_break_in_a_constant_stays_on_its_row():
+    report = Report(method="exact", query="q() :- R(x).",
+                    facts=[(Fact(R, ("a\nb",)), Fraction(1, 2)),
+                           (Fact(R, ("c",)), Fraction(1, 2))])
+    assert render_table(report).splitlines()[3:] == [
+        "  R('a\\nb')  endo          1/2  0.5",
+        "  R(c)       endo          1/2  0.5"]
