@@ -27,8 +27,7 @@ from .model import Database, Fact, Query, RelationSym
 from .parsing import (format_database, format_query, format_schema,
                       parse_fact_reference, parse_facts, parse_query,
                       parse_schema)
-from .reporting import (Report, decimal_string, rational_string, render_json,
-                        render_table)
+from .reporting import Report, exact_json, render_json, render_table
 from .structure import Verdict, VerdictKind, classify_query
 
 DEFAULT_EPSILON = 0.05
@@ -208,8 +207,7 @@ def _cmd_prob(inv: Invocation) -> Report:
     else:
         raise InputError(f"unknown probability method {inv.method!r}; "
                          "expected auto, lifted or brute")
-    extra = {"probability": {"value": rational_string(answer),
-                             "decimal": decimal_string(answer)}}
+    extra = {"probability": exact_json(answer)}
     return Report(method=method, query=format_query(query), extra=extra)
 
 
@@ -225,14 +223,12 @@ def _cmd_gen_gap(inv: Invocation) -> Report:
             (out / f"{kind}.txt").write_text(text)
     except OSError as exc:
         raise InputError(f"cannot write to {inv.out!r}: {exc}") from exc
-    value = instance.expected_value
     extra = {
         "n": instance.n,
         "files": {kind: str(out / f"{kind}.txt") for kind in texts},
         "fact": str(instance.fact),
         "endogenous_count": instance.db.n_endogenous,
-        "expected_value": {"value": rational_string(value),
-                           "decimal": decimal_string(value)},
+        "expected_value": exact_json(instance.expected_value),
     }
     return Report(method="gen-gap", query=format_query(instance.query),
                   facts=[(instance.fact, None)], extra=extra)

@@ -282,9 +282,8 @@ class SubsetOracle:
         self.db = db
         self.n = n
         self.profiles = hom_profiles(db, query)
+        # None until sat_table builds it, and with it _holds and _sizes
         self._table: Optional[int] = None
-        self._holds: list[int] = []
-        self._sizes: list[int] = []
 
     def sat_table(self) -> int:
         """The truth table: bit ``E`` is set iff the query holds on

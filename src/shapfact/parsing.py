@@ -48,8 +48,9 @@ The one writer of a fact's atom is ``str(fact)``
 constant built in code as its escape; :func:`format_fact` puts the
 keyword in front of it.  Every message, table and witness names a fact
 that way, so a printed fact can be pasted into ``--fact``.  The schema and
-fact readers each report the first problem of a file in file order, and
-each names its line in one place.
+fact readers each match a whole line with one pattern, which a blank or
+comment-only line matches with no name; each reports the first problem of
+a file in file order, and each names its line in one place.
 """
 
 from __future__ import annotations
@@ -202,17 +203,11 @@ def parse_query(text: str, schema: Optional[Schema] = None) -> UCQNeg:
 # schema and fact files
 # ---------------------------------------------------------------------------
 
+# a whole schema line; blank and comment-only lines match with no name
 _SCHEMA_LINE = re.compile(
-    rf"relation\s+({_NAME})\s*/\s*([0-9]+)"
-    r"(?:\s+(exogenous))?\s*\Z"
+    rf"\s*(?:relation\s+(?P<name>{_NAME})\s*/\s*(?P<arity>[0-9]+)"
+    r"(?:\s+(?P<exo>exogenous))?\s*)?(?:#.*)?"
 )
-
-
-def _content_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
 
 
 def parse_schema(text: str) -> Schema:
@@ -224,13 +219,15 @@ def parse_schema(text: str) -> Schema:
 
     def relations():
         nonlocal lineno
-        for lineno, line in _content_lines(text):
-            m = _SCHEMA_LINE.match(line)
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            m = _SCHEMA_LINE.fullmatch(line)
             if m is None:
                 raise errors.SchemaSyntaxError(
-                    f"expected 'relation Name/arity [exogenous]', got: {line}")
-            raise_first(reserved_name_violations(m[1]))
-            yield RelationSym(m[1], int(m[2]), bool(m[3]))
+                    f"expected 'relation Name/arity [exogenous]', got: "
+                    f"{line.split('#', 1)[0].strip()}")
+            if m["name"] is not None:
+                raise_first(reserved_name_violations(m["name"]))
+                yield RelationSym(m["name"], int(m["arity"]), bool(m["exo"]))
 
     # Schema refuses a relation declared twice as it reads the second
     # declaration, the last line read
@@ -265,10 +262,8 @@ def _resolve(name: str, args: tuple[str, ...], keyword: Optional[str],
     ``fact_violations`` has passed its fact."""
     rel = schema.get(name) or RelationSym(name, len(args))
     probability: Optional[Fraction] = None
-    if keyword == "exo":
-        provenance = Provenance.EXOGENOUS
-    elif keyword == "endo":
-        provenance = Provenance.ENDOGENOUS
+    if keyword is not None:
+        provenance = Provenance(keyword)
     else:
         try:
             probability = Fraction(p)

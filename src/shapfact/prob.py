@@ -99,10 +99,11 @@ def prob_eval_hierarchical(db: Database, query: Query) -> Fraction:
 
 class _Ratio:
     """An unreduced rational ``numerator / denominator``, with the only
-    operations the recursion takes: products and ``1 - v``.  A value's
-    denominator is the product of its uncertain facts' denominators;
-    reducing once, at the end, saves the gcd ``Fraction`` takes after
-    every operation."""
+    operations the recursion takes: products and ``1 - v``.  An ``int``
+    multiplies as the ratio of itself over 1, through its own
+    ``numerator`` and ``denominator``.  A value's denominator is the
+    product of its uncertain facts' denominators; reducing once, at the
+    end, saves the gcd ``Fraction`` takes after every operation."""
 
     __slots__ = ("numerator", "denominator")
 
@@ -111,10 +112,8 @@ class _Ratio:
         self.denominator = denominator
 
     def __mul__(self, other: Union["_Ratio", int]) -> "_Ratio":
-        if isinstance(other, _Ratio):
-            return _Ratio(self.numerator * other.numerator,
-                          self.denominator * other.denominator)
-        return _Ratio(self.numerator * other, self.denominator)
+        return _Ratio(self.numerator * other.numerator,
+                      self.denominator * other.denominator)
 
     __rmul__ = __mul__
 

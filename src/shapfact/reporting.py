@@ -6,7 +6,9 @@ off the :class:`~shapfact.model.Fact` itself.  The JSON rendering is
 byte-stable: facts are sorted, key order is fixed, and rationals are
 rendered exactly (``"num/den"``) next to a 12-significant-digit decimal
 (banker's rounding), so identical runs produce identical bytes and
-downstream diffs are meaningful.
+downstream diffs are meaningful.  :func:`exact_json` is how every report
+writes such a value, as a ``value``/``decimal`` pair: a fact's value, a
+probability and ``gen-gap``'s expected value alike.
 """
 
 from __future__ import annotations
@@ -22,16 +24,19 @@ from .model import Fact
 _TWELVE = Context(prec=12, rounding=ROUND_HALF_EVEN)
 
 
-def rational_string(value: Fraction) -> str:
-    """Canonical exact form, e.g. ``-2/35`` or ``0``; round-trips through
-    ``Fraction``."""
-    return str(value)
-
-
 def decimal_string(value: Fraction) -> str:
     """12 significant digits, round-half-even."""
     return str(_TWELVE.divide(Decimal(value.numerator),
                               Decimal(value.denominator)))
+
+
+def exact_json(value: Optional[Fraction]) -> dict:
+    """``value`` in its exact form, ``str(value)`` (e.g. ``-2/35`` or
+    ``0``, which round-trips through ``Fraction``), then as a decimal; both
+    are None when there is no value."""
+    if value is None:
+        return {"value": None, "decimal": None}
+    return {"value": str(value), "decimal": decimal_string(value)}
 
 
 def _fact_json(fact: Fact, value: Optional[Fraction]) -> dict:
@@ -39,8 +44,7 @@ def _fact_json(fact: Fact, value: Optional[Fraction]) -> dict:
         "relation": fact.relation.name,
         "args": list(fact.args),
         "provenance": fact.provenance.value,
-        "value": None if value is None else rational_string(value),
-        "decimal": None if value is None else decimal_string(value),
+        **exact_json(value),
     }
 
 
@@ -90,7 +94,7 @@ def render_table(report: Report) -> str:
         width = max(len(n) for n in names)
         lines.append("")
         for (f, value), name in zip(pairs, names):
-            exact = "" if value is None else rational_string(value)
+            exact = "" if value is None else str(value)
             dec = "" if value is None else f"  {decimal_string(value)}"
             lines.append(f"  {name:<{width}}  {f.provenance.value:<4} "
                          f"{exact:>12}{dec}")

@@ -288,7 +288,10 @@ def _filter(relations: Relations, step: FilterStep, matched: set[str]) -> None:
 
 def _materialise(relations: Relations, step: MaterialiseStep,
                  domain: Sequence[str]) -> tuple[Fact, ...]:
-    """The fresh relation's facts, sorted."""
+    """The fresh relation's facts, in no particular order: the database
+    that :func:`_database` builds sorts every fact by key, and no later
+    step reads a fresh relation, because every component comes from the
+    original rule."""
     component = step.component
     positive, index, blocked = _split(relations, component)
     bound = {v for a in positive for v in a.variables}
@@ -308,17 +311,16 @@ def _materialise(relations: Relations, step: MaterialiseStep,
             f"of {len(domain)} values would hold up to {count * width} "
             f"tuples (cap {BLOWUP_CAP})"
         )
-    ordered = sorted(domain)
     projected: set[tuple[str, ...]] = set()
     for h in homs:
-        for values in itertools.product(ordered, repeat=len(free)):
+        for values in itertools.product(domain, repeat=len(free)):
             h.update(zip(free, values))
             if not blocked(h):
                 projected.add(tuple(h[v] for v in step.proj_vars))
     return tuple(
         Fact(step.relation, args + pad, Provenance.EXOGENOUS)
-        for args in sorted(projected)
-        for pad in itertools.product(ordered, repeat=len(step.pad_vars))
+        for args in projected
+        for pad in itertools.product(domain, repeat=len(step.pad_vars))
     )
 
 

@@ -1,5 +1,6 @@
 """Sampling estimator: plan arithmetic, determinism, accuracy, no-gap."""
 
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -241,6 +242,11 @@ def test_sampling_edge_cases_read_the_exact_values():
         assert values == brute_shapley_all(db, query)
         assert not any(values.values())
     assert ((), ()) in hom_profiles(db, query)
+
+
+def test_a_row_over_the_chunk_budget_is_a_chunk_of_its_own():
+    # a size of 0 rows happens when one row holds more than _CHUNK_BYTES
+    assert list(itertools.islice(approx._chunks(5, 0), 6)) == [1] * 5
 
 
 def test_sampling_memory_stays_within_the_chunk_budget():

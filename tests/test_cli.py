@@ -261,6 +261,23 @@ def test_exit_two_on_a_union_for_single_rule_engines(command, method,
                    "union of 2\n")
 
 
+def test_auto_values_a_union_by_enumeration_or_sampling(staff_db):
+    # a union is no single rule for the dedicated engines, even when its
+    # first rule is hierarchical
+    union = ("q() :- Stud(x), not TA(x), Reg(x, y).\n"
+             "q() :- TA(x), Reg(x, y).")
+    assert staff_db.n_endogenous == 8
+    payload = _payload(command="shapley", schema=SCHEMA, facts=FACTS,
+                       query=union, all_facts=True)
+    assert payload["method"] == "brute"
+    expected = brute_shapley_all(staff_db, parse_query(union, staff_db.schema))
+    assert {(r["relation"], tuple(r["args"])): Fraction(r["value"])
+            for r in payload["facts"]} \
+        == {(f.relation.name, f.args): v for f, v in expected.items()}
+    assert _payload(command="shapley", schema=SCHEMA, facts=FACTS,
+                    query=union, all_facts=True, cap=0)["method"] == "approx"
+
+
 def test_cap_option_moves_auto_to_approx():
     payload = _payload(command="shapley", schema=SCHEMA, facts=FACTS,
                        query=Q2_PATH, fact="TA(Adam)", cap=3)
@@ -492,6 +509,36 @@ def test_parser_maps_flags_onto_invocation(capsys):
               FACTS, "--all", "--method", "approx", "--workers", "4"])
     assert excinfo.value.code == 1
     assert "--workers" in capsys.readouterr().err
+    # every option of every command reaches its field
+    io_args = ["--query", Q1_PATH, "--schema", SCHEMA, "--format", "table"]
+    io_given = dict(query=Q1_PATH, schema=SCHEMA, fmt="table")
+    with_facts = dict(io_given, facts=FACTS)
+    for argv, given in [
+        (["classify", *io_args], io_given),
+        (["shapley", *io_args, "--facts", FACTS, "--all", "--method",
+          "approx", "--epsilon", "0.2", "--delta", "0.3", "--seed", "9",
+          "--cap", "7", "--trace"],
+         dict(with_facts, all_facts=True, method="approx", epsilon=0.2,
+              delta=0.3, seed=9, cap=7, trace=True)),
+        (["shapley", *io_args, "--facts", FACTS, "--fact", "TA(Adam)"],
+         dict(with_facts, fact="TA(Adam)")),
+        (["relevance", *io_args, "--facts", FACTS, "--fact", "TA(Adam)"],
+         dict(with_facts, fact="TA(Adam)")),
+        (["prob", *io_args, "--facts", FACTS, "--method", "brute", "--cap",
+          "5"], dict(with_facts, method="brute", cap=5)),
+        (["gen-gap", "--n", "3", "--out", "gap", "--format", "table"],
+         dict(n=3, out="gap", fmt="table")),
+    ]:
+        assert invocation_from_args(build_parser().parse_args(argv)) \
+            == Invocation(command=argv[0], **given), argv
+
+
+def test_classify_takes_no_facts(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["classify", "--query", Q1_PATH, "--schema", SCHEMA, "--facts",
+              FACTS])
+    assert excinfo.value.code == 1
+    assert "unrecognized arguments: --facts" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_one(capsys):

@@ -82,6 +82,15 @@ def test_reserved_prefix_rejected_everywhere():
                                   "the reserved prefix __exo_")
 
 
+def test_facts_refuse_a_reserved_name_in_a_schema_built_in_code():
+    # the schema is checked before any line is read, so no line is named
+    schema = Schema([RelationSym("__exo_1", 1)])
+    with pytest.raises(ReservedNameError) as excinfo:
+        parse_facts("not a fact line", schema)
+    assert str(excinfo.value) == ("relation name __exo_1 uses the reserved "
+                                  "prefix __exo_")
+
+
 def test_relation_named_not_is_refused():
     # a query could name it only negated: ``not not(x)`` reads, ``not(x)``
     # does not
